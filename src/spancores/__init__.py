@@ -3,9 +3,7 @@ search over discrete-time networks, with the downstream analytics built on
 them (anomaly filtering, purity statistics, community-search embeddings)."""
 
 from .graph import (
-    DegreeBucketMap,
     EdgeListFormatError,
-    EdgeShrinkage,
     Interval,
     TemporalGraph,
     load_edge_list,
@@ -29,19 +27,14 @@ from .span_cores import (
 )
 from .maximal_cores import filter_maximal, maximal_span_cores, query_constrained_scan
 from .community_search import (
-    DominancePenaltyTable,
-    FullPenaltyTable,
-    ReducedDomain,
     Segment,
     Segmentation,
-    penalty_table_full,
-    query_constrained_maximal,
     reduced_time_domain,
     single_tcs,
     tcs_basic,
     tcs_efficient,
 )
-from .min_community import candidate_score, greedy_minimum_community
+from .min_community import greedy_minimum_community
 from .analytics import (
     ActivityCell,
     AnomalyReport,
@@ -63,13 +56,8 @@ __all__ = [
     "AnomalyReport",
     "CoreLabeling",
     "DecompositionStats",
-    "DegreeBucketMap",
-    "DominancePenaltyTable",
     "EdgeListFormatError",
-    "EdgeShrinkage",
-    "FullPenaltyTable",
     "Interval",
-    "ReducedDomain",
     "Segment",
     "Segmentation",
     "SpanCore",
@@ -77,7 +65,6 @@ __all__ = [
     "SpanLengthBin",
     "TemporalGraph",
     "activity_summary",
-    "candidate_score",
     "core_decomposition",
     "detect_anomalies",
     "filter_maximal",
@@ -86,11 +73,9 @@ __all__ = [
     "load_edge_list",
     "maximal_span_cores",
     "naive_span_cores",
-    "penalty_table_full",
     "purity",
     "purity_timeline",
     "query_constrained_decomposition",
-    "query_constrained_maximal",
     "query_constrained_scan",
     "read_attribute_table",
     "read_span_cores",

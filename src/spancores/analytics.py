@@ -7,7 +7,6 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -169,24 +168,16 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
 # -- embeddings ------------------------------------------------------------------
 
 
-def tcs_embeddings(g: TemporalGraph, h: int, threads: int = 1) -> list[list[int]]:
+def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
     """Per-vertex embedding: the temporally ordered minimum degrees of that
     vertex's own h-segment community-search solution.
 
-    Rows are independent; ``threads`` controls how many are computed
-    concurrently against the shared graph.  Row order is vertex index order.
+    Row order is vertex index order.
     """
     if h < 1 or h > g.t_max + 1:
         raise ValueError(f"embedding width h must be within 1..{g.t_max + 1}")
-
-    def row(u: int) -> list[int]:
-        solution = tcs_efficient(g, frozenset({u}), h)
-        return [segment.min_degree for segment in solution.segments]
-
-    if threads <= 1:
-        return [row(u) for u in g.vertices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(row, g.vertices))
+    return [[segment.min_degree for segment in tcs_efficient(g, frozenset({u}), h).segments]
+            for u in g.vertices]
 
 
 # -- query sampling ------------------------------------------------------------------

@@ -85,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--basic", action="store_true", help="DP over the full time domain")
     mode.add_argument("--efficient", action="store_true",
                       help="DP over the reduced boundary domain (default)")
-    p.add_argument("--penalty-backend", choices=["maximal-cores", "full-decomposition"],
-                   default="maximal-cores",
-                   help="interval score backend for the efficient route")
     p.add_argument("--minimize", action="store_true",
                    help="shrink each community greedily, reporting both sizes")
 
@@ -101,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--h", dest="segments", type=int, required=True,
                    help="embedding width (number of segments)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="rows computed concurrently")
 
     p = sub.add_parser("stats", help="activity, purity, and span-length tables")
     add_common(p)
@@ -139,8 +134,9 @@ def _resolve_output(raw: str) -> Path | None:
 
 def _load(args) -> TemporalGraph:
     if args.pre_windowed:
-        return load_edge_list(args.input, window=1, time_origin=args.time_origin,
-                              pre_windowed=True)
+        if args.window is not None or args.time_origin is not None:
+            raise UsageError("--pre-windowed takes neither --window nor --time-origin")
+        return load_edge_list(args.input, window=1, pre_windowed=True)
     if args.window is None:
         raise UsageError("--window is required unless --pre-windowed is given")
     return load_edge_list(args.input, window=args.window,
@@ -236,8 +232,7 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     if args.basic:
         solution = tcs_basic(g, query, args.segments, timings=timings)
     else:
-        solution = tcs_efficient(g, query, args.segments,
-                                 penalty_backend=args.penalty_backend, timings=timings)
+        solution = tcs_efficient(g, query, args.segments, timings=timings)
     run.timings.update(timings)
 
     records = []
@@ -287,8 +282,7 @@ def _cmd_anomalies(run: _Run, g: TemporalGraph):
 
 def _cmd_embed(run: _Run, g: TemporalGraph):
     rows = _timed(run, "solve",
-                  lambda: analytics.tcs_embeddings(g, run.args.segments,
-                                                   threads=run.args.threads))
+                  lambda: analytics.tcs_embeddings(g, run.args.segments))
     sink = run.open_sink()
     try:
         header = "\t".join(["vertex"] + [f"x{j}" for j in range(run.args.segments)])
@@ -369,7 +363,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         run = _Run(args)
-        run.timings["precompute"] = 0.0
         graph = _timed(run, "load", lambda: _load(args))
         _HANDLERS[args.command](run, graph)
         run.write_provenance()

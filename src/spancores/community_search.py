@@ -5,21 +5,23 @@ minimum degree.
 The per-interval subproblem is solved by the highest-order core containing the
 query, whose order acts as the interval's score.  Segmenting the domain is
 then classic optimal sequence segmentation by dynamic programming.  The basic
-route scores every interval up front; the efficient route scores intervals
-through a dominance lookup over the query-constrained maximal cores and runs
-the DP only over a reduced set of candidate boundary timestamps, which is
-sufficient for optimality.
+route (the test oracle) scores every interval up front and runs the DP over
+every timestamp; the efficient route scores intervals through a dominance
+lookup over the query-constrained maximal cores and runs the DP only over a
+reduced set of candidate boundary timestamps, which is sufficient for
+optimality.  Both share one solver body and differ only in the score table
+and the candidate segment ends they hand it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from .graph import Interval, TemporalGraph
-from .maximal_cores import query_constrained_scan
-from .span_cores import DecompositionStats, SpanCore, SpanCoreSet, _seeded_intervals
+from .maximal_cores import _validate_query, query_constrained_scan
+from .span_cores import DecompositionStats, SpanCore, _seeded_intervals
 from .static_core import core_decomposition, query_constrained_decomposition
 
 
@@ -68,9 +70,6 @@ class FullPenaltyTable:
         values = self._values
         return [values.get((a, te), 0) for a in starts]
 
-    def positive_items(self) -> dict[tuple[int, int], int]:
-        return dict(self._values)
-
 
 class DominancePenaltyTable:
     """Interval scores answered from the query-constrained maximal cores.
@@ -106,14 +105,6 @@ class DominancePenaltyTable:
         return out
 
 
-def _validate_query(g: TemporalGraph, query: Collection[int]) -> frozenset[int]:
-    qs = frozenset(query)
-    for q in qs:
-        if not (0 <= q < g.n):
-            raise ValueError(f"query vertex {q} outside 0..{g.n - 1}")
-    return qs
-
-
 def penalty_table_full(g: TemporalGraph, query: Collection[int],
                        stats: DecompositionStats | None = None) -> FullPenaltyTable:
     """Score every interval by one seeded enumeration pass.
@@ -139,58 +130,29 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
     return FullPenaltyTable(values)
 
 
-def query_constrained_maximal(g: TemporalGraph, query: Collection[int],
-                              stats: DecompositionStats | None = None,
-                              ) -> tuple[SpanCoreSet, DominancePenaltyTable]:
-    """Maximal query-constrained cores plus the dominance score structure over them."""
-    qs = _validate_query(g, query)
-    cores = query_constrained_scan(g, qs, stats)
-    return SpanCoreSet(iter(cores)), DominancePenaltyTable(cores)
-
-
 @dataclass(frozen=True)
 class ReducedDomain:
-    """Candidate segment-boundary timestamps, with construction provenance.
+    """Candidate segment-boundary timestamps.
 
     ``timestamps`` is sorted ascending, always contains the last timestamp,
     and has at least ``min(h + 1, |T|)`` entries.
     """
 
     timestamps: tuple[int, ...]
-    covered: frozenset[int]
-    successors: frozenset[int]
-    predecessors: frozenset[int]
-    padding: frozenset[int]
 
 
 def reduced_time_domain(t_max: int, h: int, spans: Collection[Interval]) -> ReducedDomain:
     """Timestamps sufficient for an optimal segmentation: every timestamp under
     some maximal span, the immediate flanks of each span, the domain end, and
     enough early filler timestamps to allow h nonempty segments."""
-    covered: set[int] = set()
-    successors: set[int] = set()
-    predecessors: set[int] = set()
+    chosen = {t_max}
     for span in spans:
-        covered.update(range(span.start, span.end + 1))
-        successors.add(min(span.end + 1, t_max))
-        predecessors.add(max(span.start - 1, 0))
-    base = covered | successors | predecessors | {t_max}
-    padding: set[int] = set()
-    need = h + 1 - len(base)
-    if need > 0:
-        for t in range(t_max + 1):
-            if t not in base:
-                padding.add(t)
-                need -= 1
-                if need == 0:
-                    break
-    return ReducedDomain(
-        timestamps=tuple(sorted(base | padding)),
-        covered=frozenset(covered),
-        successors=frozenset(successors),
-        predecessors=frozenset(predecessors),
-        padding=frozenset(padding),
-    )
+        chosen.update(range(max(span.start - 1, 0), min(span.end + 1, t_max) + 1))
+    for t in range(t_max + 1):
+        if len(chosen) > h:
+            break
+        chosen.add(t)
+    return ReducedDomain(timestamps=tuple(sorted(chosen)))
 
 
 def _segment_dp(ends: Sequence[int], table, h: int):
@@ -261,67 +223,45 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
         raise ValueError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
 
 
+def _solve(g: TemporalGraph, query: Collection[int], h: int, timings: dict | None,
+           prepare: Callable[[frozenset[int]], tuple[FullPenaltyTable | DominancePenaltyTable,
+                                                      Sequence[int]]]) -> Segmentation:
+    """Shared solver body: ``prepare`` validates the query and returns the
+    interval-score table plus the ascending candidate segment ends (always
+    including the last timestamp); the DP and materialization follow."""
+    _validate_h(g, h)
+    qs = frozenset(query)
+    tick = time.perf_counter()
+    table, ends = prepare(qs)
+    tock = time.perf_counter()
+    P, R = _segment_dp(ends, table, h)
+    result = _materialize(g, qs, h, ends, P, R)
+    if timings is not None:
+        timings["precompute"] = tock - tick
+        timings["solve"] = time.perf_counter() - tock
+    return result
+
+
 def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
               stats: DecompositionStats | None = None,
               timings: dict | None = None) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
-    _validate_h(g, h)
-    qs = _validate_query(g, query)
-    tick = time.perf_counter()
-    table = penalty_table_full(g, qs, stats)
-    tock = time.perf_counter()
-    ends = list(range(g.t_max + 1))
-    P, R = _segment_dp(ends, table, h)
-    result = _materialize(g, qs, h, ends, P, R)
-    if timings is not None:
-        timings["precompute"] = tock - tick
-        timings["solve"] = time.perf_counter() - tock
-    return result
+    return _solve(g, query, h, timings,
+                  lambda qs: (penalty_table_full(g, qs, stats), range(g.t_max + 1)))
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
-                  penalty_backend: str = "maximal-cores",
                   stats: DecompositionStats | None = None,
                   timings: dict | None = None) -> Segmentation:
     """Temporal community search over the reduced boundary domain.
 
-    The objective always equals ``tcs_basic``'s; the chosen segmentation may
-    differ where ties exist.  ``penalty_backend`` selects how interval scores
-    are answered: ``"maximal-cores"`` (default) runs the direct maximal-core
-    scan and answers scores by dominance lookup; ``"full-decomposition"``
-    materializes all interval scores and derives the maximal spans from them.
+    Interval scores are answered by dominance lookup over the
+    query-constrained maximal cores.  The objective always equals
+    ``tcs_basic``'s; the chosen segmentation may differ where ties exist.
     """
-    _validate_h(g, h)
-    qs = _validate_query(g, query)
-    tick = time.perf_counter()
-    if penalty_backend == "maximal-cores":
-        cores, table = query_constrained_maximal(g, qs, stats)
-        spans = [core.span for core in cores]
-    elif penalty_backend == "full-decomposition":
-        table = penalty_table_full(g, qs, stats)
-        spans = _maximal_spans_from_values(table.positive_items())
-    else:
-        raise ValueError(f"unknown penalty backend {penalty_backend!r}")
-    tock = time.perf_counter()
-    domain = reduced_time_domain(g.t_max, h, spans)
-    ends = list(domain.timestamps)
-    P, R = _segment_dp(ends, table, h)
-    result = _materialize(g, qs, h, ends, P, R)
-    if timings is not None:
-        timings["precompute"] = tock - tick
-        timings["solve"] = time.perf_counter() - tock
-    return result
+    def prepare(qs: frozenset[int]):
+        cores = query_constrained_scan(g, qs, stats)
+        domain = reduced_time_domain(g.t_max, h, [core.span for core in cores])
+        return DominancePenaltyTable(cores), domain.timestamps
 
-
-def _maximal_spans_from_values(values: dict[tuple[int, int], int]) -> list[Interval]:
-    """Non-dominated spans among per-interval top scores.
-
-    Scores are anti-monotone in the span, so domination by any superinterval
-    always shows at an immediate one.
-    """
-    out = []
-    for (ts, te), v in values.items():
-        if values.get((ts - 1, te), 0) >= v or values.get((ts, te + 1), 0) >= v:
-            continue
-        out.append(Interval(ts, te))
-    return out
+    return _solve(g, query, h, timings, prepare)

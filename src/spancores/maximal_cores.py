@@ -45,9 +45,9 @@ def filter_maximal(all_cores: SpanCoreSet) -> SpanCoreSet:
     return out
 
 
-def _scan_maximal(g: TemporalGraph, query: Collection[int] | None,
+def _scan_maximal(g: TemporalGraph, query_set: frozenset[int] | None,
                   stats: DecompositionStats | None) -> list[SpanCore]:
-    """Top-down maximal-core scan, optionally constrained to cores containing ``query``.
+    """Top-down maximal-core scan, optionally constrained to cores containing ``query_set``.
 
     For each start, interval ends run from the last end with a nonempty edge
     set down to the start itself; the interval edge set is rebuilt by folding
@@ -56,7 +56,6 @@ def _scan_maximal(g: TemporalGraph, query: Collection[int] | None,
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
     frontier = [0] * (g.t_max + 1)
-    query_set = frozenset(query) if query is not None else None
 
     for ts in range(g.t_max + 1):
         shrinkage = g.edge_shrinkage(ts)
@@ -102,10 +101,15 @@ def maximal_span_cores(g: TemporalGraph,
     return SpanCoreSet(iter(_scan_maximal(g, None, stats)))
 
 
+def _validate_query(g: TemporalGraph, query: Collection[int]) -> frozenset[int]:
+    qs = frozenset(query)
+    for q in qs:
+        if not (0 <= q < g.n):
+            raise ValueError(f"query vertex {q} outside 0..{g.n - 1}")
+    return qs
+
+
 def query_constrained_scan(g: TemporalGraph, query: Collection[int],
                            stats: DecompositionStats | None = None) -> list[SpanCore]:
     """Maximal cores among the per-interval highest-order cores containing ``query``."""
-    for q in query:
-        if not (0 <= q < g.n):
-            raise ValueError(f"query vertex {q} outside 0..{g.n - 1}")
-    return _scan_maximal(g, query, stats)
+    return _scan_maximal(g, _validate_query(g, query), stats)

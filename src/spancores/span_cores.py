@@ -82,9 +82,6 @@ class SpanCoreSet:
         return sorted(self._cores.values(),
                       key=lambda c: (c.span.start, c.span.end, c.order))
 
-    def as_mapping(self) -> dict[tuple[int, int, int], frozenset[int]]:
-        return {key: core.members for key, core in self._cores.items()}
-
 
 @dataclass
 class DecompositionStats:

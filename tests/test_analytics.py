@@ -164,9 +164,6 @@ class TestEmbeddings:
                        for t in range(g.t_max + 1))
             assert all(x <= peak for x in rows[u])
 
-    def test_threads_do_not_change_rows(self, fix1):
-        assert tcs_embeddings(fix1, 2, threads=4) == tcs_embeddings(fix1, 2)
-
     def test_relabeling_permutes_rows_only(self, fix1):
         g = fix1
         relabeled = TemporalGraph(

@@ -6,14 +6,13 @@ import pytest
 from spancores import (
     Interval,
     TemporalGraph,
-    penalty_table_full,
-    query_constrained_maximal,
+    query_constrained_scan,
     reduced_time_domain,
     single_tcs,
     tcs_basic,
     tcs_efficient,
 )
-from spancores.community_search import _segment_dp
+from spancores.community_search import DominancePenaltyTable, _segment_dp, penalty_table_full
 
 from conftest import random_temporal_graph
 
@@ -31,6 +30,24 @@ def brute_force_objective(g, query, h):
             start = end + 1
         best = total if best is None else max(best, total)
     return best
+
+
+def stress_cases(t=12, n=14):
+    """(graph, query) pairs with sparse persistent structure over a longer
+    domain than the corpus's, so the boundary reduction genuinely shrinks the
+    DP compared to the full domain."""
+    rng = random.Random(71)
+    for _ in range(12):
+        snapshots = [[] for _ in range(t)]
+        for _ in range(10):
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v:
+                continue
+            start = rng.randrange(t)
+            for s in range(start, min(t, start + rng.randint(1, 6))):
+                snapshots[s].append((u, v))
+        yield TemporalGraph(snapshots, [f"v{i}" for i in range(n)]), {rng.randrange(n)}
 
 
 def assert_partition(segmentation, t_max):
@@ -86,7 +103,8 @@ class TestFullPenaltyTable:
 class TestQueryConstrainedMaximal:
     def test_fix1_query_a(self, fix1):
         g = fix1
-        cores, table = query_constrained_maximal(g, {g.index_of("a")})
+        cores = query_constrained_scan(g, {g.index_of("a")})
+        table = DominancePenaltyTable(cores)
         keys = {(c.order, c.span.start, c.span.end) for c in cores}
         assert keys == {(2, 0, 1), (1, 0, 2)}
         # dominance lookup through a span that strictly contains the probe
@@ -94,7 +112,8 @@ class TestQueryConstrainedMaximal:
 
     def test_fix1_query_d(self, fix1):
         g = fix1
-        cores, table = query_constrained_maximal(g, {g.index_of("d")})
+        cores = query_constrained_scan(g, {g.index_of("d")})
+        table = DominancePenaltyTable(cores)
         found = list(cores)
         assert len(found) == 1
         assert (found[0].order, found[0].span) == (1, Interval(0, 0))
@@ -109,7 +128,7 @@ class TestQueryConstrainedMaximal:
             if probes >= 100:
                 break
             query = {rng.randrange(g.n)}
-            _, dominance = query_constrained_maximal(g, query)
+            dominance = DominancePenaltyTable(query_constrained_scan(g, query))
             full = penalty_table_full(g, query)
             for _ in range(4):
                 ts = rng.randint(0, g.t_max)
@@ -119,34 +138,46 @@ class TestQueryConstrainedMaximal:
                 assert full.value(ts, te) == expected
                 probes += 1
 
+    def test_spans_are_the_undominated_positive_scores(self, corpus):
+        # the scan's spans are exactly the intervals whose full-table score is
+        # positive and strictly above every superinterval's, found by brute force
+        rng = random.Random(19)
+        cases = [(g, {rng.randrange(g.n)}) for g in corpus] + list(stress_cases())
+        for g, query in cases:
+            full = penalty_table_full(g, query)
+            spans = [(ts, te) for ts in range(g.t_max + 1) for te in range(ts, g.t_max + 1)]
+            expected = {
+                (ts, te) for ts, te in spans
+                if full.value(ts, te) > 0 and not any(
+                    full.value(a, b) >= full.value(ts, te)
+                    for a, b in spans if a <= ts and b >= te and (a, b) != (ts, te))
+            }
+            found = {(c.span.start, c.span.end) for c in query_constrained_scan(g, query)}
+            assert found == expected
+
 
 class TestReducedDomain:
     def test_fix1_query_a(self, fix1):
         g = fix1
-        cores, _ = query_constrained_maximal(g, {g.index_of("a")})
+        cores = query_constrained_scan(g, {g.index_of("a")})
         domain = reduced_time_domain(g.t_max, 2, [c.span for c in cores])
         assert domain.timestamps == (0, 1, 2)
-        assert domain.padding == frozenset()
 
     def test_fix1_query_d(self, fix1):
         g = fix1
-        cores, _ = query_constrained_maximal(g, {g.index_of("d")})
+        cores = query_constrained_scan(g, {g.index_of("d")})
         domain = reduced_time_domain(g.t_max, 2, [c.span for c in cores])
-        assert domain.covered == {0}
-        assert domain.successors == {1}
-        assert domain.predecessors == {0}
         assert domain.timestamps == (0, 1, 2)
 
     def test_padding_fills_empty_core_set(self):
         domain = reduced_time_domain(9, 2, [])
         assert domain.timestamps == (0, 1, 9)
-        assert domain.padding == {0, 1}
 
     def test_always_large_enough(self, corpus):
         rng = random.Random(23)
         for g in corpus[:30]:
             query = {rng.randrange(g.n)}
-            cores, _ = query_constrained_maximal(g, query)
+            cores = query_constrained_scan(g, query)
             for h in range(1, g.t_max + 2):
                 domain = reduced_time_domain(g.t_max, h, [c.span for c in cores])
                 assert len(domain.timestamps) >= min(h + 1, g.t_max + 1)
@@ -240,20 +271,6 @@ class TestEfficientSearch:
                 assert tcs_efficient(g, query, h).objective == \
                     tcs_basic(g, query, h).objective
 
-    def test_full_decomposition_backend(self, corpus):
-        rng = random.Random(47)
-        for g in corpus[:15]:
-            query = {rng.randrange(g.n)}
-            h = min(2, g.t_max + 1)
-            default = tcs_efficient(g, query, h)
-            alternate = tcs_efficient(g, query, h,
-                                      penalty_backend="full-decomposition")
-            assert default.objective == alternate.objective
-
-    def test_unknown_backend(self, fix1):
-        with pytest.raises(ValueError):
-            tcs_efficient(fix1, {0}, 1, penalty_backend="bogus")
-
     def test_h_equals_domain_size_forces_singletons(self, corpus):
         rng = random.Random(53)
         for g in corpus[:10]:
@@ -270,26 +287,11 @@ class TestEfficientSearch:
             assert_partition(result, g.t_max)
 
     def test_reduced_domain_stress(self):
-        # sparse persistent structure over a longer domain, so the boundary
-        # reduction genuinely shrinks the DP compared to the full domain
-        rng = random.Random(71)
         reduced_somewhere = False
-        for trial in range(12):
-            t = 12
-            snapshots = [[] for _ in range(t)]
-            for _ in range(10):
-                u = rng.randrange(14)
-                v = rng.randrange(14)
-                if u == v:
-                    continue
-                start = rng.randrange(t)
-                for s in range(start, min(t, start + rng.randint(1, 6))):
-                    snapshots[s].append((u, v))
-            g = TemporalGraph(snapshots, [f"v{i}" for i in range(14)])
-            query = {rng.randrange(14)}
-            cores, _ = query_constrained_maximal(g, query)
+        for g, query in stress_cases():
+            cores = query_constrained_scan(g, query)
             domain = reduced_time_domain(g.t_max, 4, [c.span for c in cores])
-            if len(domain.timestamps) < t:
+            if len(domain.timestamps) < g.t_max + 1:
                 reduced_somewhere = True
             for h in (1, 2, 4):
                 basic = tcs_basic(g, query, h)

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from spancores import (
-    DegreeBucketMap,
     EdgeListFormatError,
     Interval,
     TemporalGraph,
@@ -14,7 +13,7 @@ from spancores import (
     rewire_null_model,
     write_edge_list,
 )
-from spancores.graph import parse_edge_records
+from spancores.graph import DegreeBucketMap, parse_edge_records
 
 from conftest import random_temporal_graph
 

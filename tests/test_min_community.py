@@ -5,11 +5,11 @@ import pytest
 
 from spancores import (
     Interval,
-    candidate_score,
     greedy_minimum_community,
     single_tcs,
     tcs_efficient,
 )
+from spancores.min_community import candidate_score
 
 
 def min_induced_degree(g, interval, members):
