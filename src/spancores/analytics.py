@@ -1,6 +1,9 @@
 """Downstream analytics over decomposition outputs: activity summaries,
 attribute purity, span-length statistics, anomaly filtering, per-vertex
-community-search embeddings, and query sampling."""
+community-search embeddings, and query sampling.
+
+The embeddings come from one span-core enumeration shared by every vertex,
+followed by a small segmentation DP per vertex."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .community_search import tcs_efficient
+from .community_search import _tcs_every_vertex
 from .graph import Interval, TemporalGraph
 from .maximal_cores import maximal_span_cores
 from .span_cores import SpanCore
@@ -172,12 +175,15 @@ def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
     """Per-vertex embedding: the temporally ordered minimum degrees of that
     vertex's own h-segment community-search solution.
 
-    Row order is vertex index order.
+    Row order is vertex index order.  Rows equal those of ``tcs_efficient``
+    run once per vertex, but all rows share one seeded span-core enumeration
+    that scores every interval for every vertex; each row then costs only
+    its reduced-domain DP and the materialization of its h segments.
     """
     if h < 1 or h > g.t_max + 1:
         raise ValueError(f"embedding width h must be within 1..{g.t_max + 1}")
-    return [[segment.min_degree for segment in tcs_efficient(g, frozenset({u}), h).segments]
-            for u in g.vertices]
+    return [[segment.min_degree for segment in segmentation.segments]
+            for segmentation in _tcs_every_vertex(g, h)]
 
 
 # -- query sampling ------------------------------------------------------------------

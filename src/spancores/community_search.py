@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 from .graph import Interval, TemporalGraph
-from .maximal_cores import _validate_query, query_constrained_scan
+from .maximal_cores import _undominated, _validate_query, query_constrained_scan
 from .span_cores import DecompositionStats, SpanCore, _seeded_intervals
 from .static_core import core_decomposition, query_constrained_decomposition
 
@@ -128,6 +128,22 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
         if v > 0:
             values[(span.start, span.end)] = v
     return FullPenaltyTable(values)
+
+
+def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
+    """``penalty_table_full(g, {u})``'s scores for every vertex u at once.
+
+    One seeded enumeration pass keeps, per vertex, its positive coreness on
+    each interval the enumeration reaches; entry u of the result is that
+    vertex's score table.
+    """
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
+    for span, vertices, edges in _seeded_intervals(g):
+        key = (span.start, span.end)
+        for u, c in core_decomposition(vertices, edges).coreness.items():
+            if c > 0:
+                tables[u][key] = c
+    return tables
 
 
 @dataclass(frozen=True)
@@ -265,3 +281,19 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
         return DominancePenaltyTable(cores), domain.timestamps
 
     return _solve(g, query, h, timings, prepare)
+
+
+def _tcs_every_vertex(g: TemporalGraph, h: int) -> list[Segmentation]:
+    """``tcs_efficient(g, {u}, h)`` for every vertex u, in index order, from
+    one enumeration pass shared by all of them.
+
+    A vertex's undominated positive scores are exactly the spans of
+    ``query_constrained_scan(g, {u})``, so each DP sees the same candidate
+    ends and the same interval scores as ``tcs_efficient``'s.
+    """
+    out = []
+    for u, scores in zip(g.vertices, _vertex_score_tables(g)):
+        spans = [Interval(ts, te) for ts, te in _undominated(scores)]
+        ends = reduced_time_domain(g.t_max, h, spans).timestamps
+        out.append(_solve(g, {u}, h, None, lambda qs: (FullPenaltyTable(scores), ends)))
+    return out

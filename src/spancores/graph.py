@@ -13,9 +13,9 @@ from __future__ import annotations
 import gzip
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -224,15 +224,6 @@ class EdgeShrinkage:
     last_nonempty_end: int | None
     persistent: frozenset[Edge]
     vanishing: tuple[frozenset[Edge], ...]
-
-    def edges_at(self, end: int) -> set[Edge]:
-        """Reconstruct the interval edge set for ``[start, end]``."""
-        if self.last_nonempty_end is None or end > self.last_nonempty_end:
-            return set()
-        edges = set(self.persistent)
-        for i in range(end - self.start, len(self.vanishing)):
-            edges |= self.vanishing[i]
-        return edges
 
 
 class DegreeBucketMap:

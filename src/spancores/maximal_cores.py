@@ -19,30 +19,29 @@ from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
 from .static_core import innermost_core, query_constrained_decomposition
 
 
-def filter_maximal(all_cores: SpanCoreSet) -> SpanCoreSet:
-    """Discard every dominated core from a complete span-core set.
+def _undominated(orders: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """Spans of a ``{(ts, te): order}`` map whose order neither immediate
+    superinterval matches or beats (a span missing from the map counts as 0).
 
-    Keeps the top order per span, then drops entries whose immediate
-    superinterval reaches the same order; since the per-span top order is
-    anti-monotone in the span, domination by any superinterval always shows
-    up at an immediate one.
+    When orders are anti-monotone in the span, as the per-span top order of
+    any span-core set is, domination by any superinterval always shows up at
+    an immediate one, so these are exactly the undominated spans.
     """
+    return [(ts, te) for (ts, te), k in orders.items()
+            if orders.get((ts - 1, te), 0) < k and orders.get((ts, te + 1), 0) < k]
+
+
+def filter_maximal(all_cores: SpanCoreSet) -> SpanCoreSet:
+    """Discard every dominated core from a complete span-core set by keeping
+    the top order per span and then only the undominated spans."""
     top: dict[tuple[int, int], SpanCore] = {}
     for core in all_cores:
         key = (core.span.start, core.span.end)
         best = top.get(key)
         if best is None or core.order > best.order:
             top[key] = core
-
-    out = SpanCoreSet()
-    for (ts, te), core in top.items():
-        dominated = any(
-            parent in top and top[parent].order >= core.order
-            for parent in ((ts - 1, te), (ts, te + 1))
-        )
-        if not dominated:
-            out.add(core)
-    return out
+    orders = {key: core.order for key, core in top.items()}
+    return SpanCoreSet(top[key] for key in _undominated(orders))
 
 
 def _scan_maximal(g: TemporalGraph, query_set: frozenset[int] | None,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spancores import TemporalGraph
+from spancores import TemporalGraph, tcs_efficient
 
 # Canonical 4-vertex, 3-timestamp fixture used throughout: a triangle abc that
 # decays to a single edge ab, plus a pendant d attached only at t=0.
@@ -36,6 +36,29 @@ def build_corpus(count: int = 200, base_seed: int = 1000) -> list[TemporalGraph]
         t = rng.randint(1, 6)
         graphs.append(random_temporal_graph(rng, n, t, probabilities[i % 3]))
     return graphs
+
+
+def stress_cases(t=12, n=14):
+    """(graph, query) pairs with sparse persistent structure over a longer
+    domain than the corpus's, so the boundary reduction genuinely shrinks the
+    DP compared to the full domain."""
+    rng = random.Random(71)
+    for _ in range(12):
+        snapshots = [[] for _ in range(t)]
+        for _ in range(10):
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v:
+                continue
+            start = rng.randrange(t)
+            for s in range(start, min(t, start + rng.randint(1, 6))):
+                snapshots[s].append((u, v))
+        yield TemporalGraph(snapshots, [f"v{i}" for i in range(n)]), {rng.randrange(n)}
+
+
+def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:
+    """Embedding rows the slow way: one efficient community search per vertex."""
+    return [[seg.min_degree for seg in tcs_efficient(g, {u}, h).segments] for u in g.vertices]
 
 
 @pytest.fixture(scope="session")

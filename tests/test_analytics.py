@@ -20,7 +20,7 @@ from spancores import (
     tcs_embeddings,
 )
 
-from conftest import random_temporal_graph
+from conftest import per_vertex_rows, random_temporal_graph, stress_cases
 
 
 def fix1_attributes(g):
@@ -173,6 +173,12 @@ class TestEmbeddings:
     def test_h_validation(self, fix1):
         with pytest.raises(ValueError):
             tcs_embeddings(fix1, 4)
+
+    def test_rows_match_per_vertex_search(self, corpus):
+        for g in corpus + [g for g, _ in stress_cases()]:
+            for h in {1, 2, g.t_max + 1}:
+                if h <= g.t_max + 1:
+                    assert tcs_embeddings(g, h) == per_vertex_rows(g, h)
 
 
 class TestQuerySampling:

@@ -5,7 +5,6 @@ import pytest
 
 from spancores import (
     Interval,
-    TemporalGraph,
     query_constrained_scan,
     reduced_time_domain,
     single_tcs,
@@ -14,7 +13,7 @@ from spancores import (
 )
 from spancores.community_search import DominancePenaltyTable, _segment_dp, penalty_table_full
 
-from conftest import random_temporal_graph
+from conftest import stress_cases
 
 
 def brute_force_objective(g, query, h):
@@ -30,24 +29,6 @@ def brute_force_objective(g, query, h):
             start = end + 1
         best = total if best is None else max(best, total)
     return best
-
-
-def stress_cases(t=12, n=14):
-    """(graph, query) pairs with sparse persistent structure over a longer
-    domain than the corpus's, so the boundary reduction genuinely shrinks the
-    DP compared to the full domain."""
-    rng = random.Random(71)
-    for _ in range(12):
-        snapshots = [[] for _ in range(t)]
-        for _ in range(10):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            start = rng.randrange(t)
-            for s in range(start, min(t, start + rng.randint(1, 6))):
-                snapshots[s].append((u, v))
-        yield TemporalGraph(snapshots, [f"v{i}" for i in range(n)]), {rng.randrange(n)}
 
 
 def assert_partition(segmentation, t_max):

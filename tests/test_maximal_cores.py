@@ -1,5 +1,3 @@
-import pytest
-
 from spancores import (
     DecompositionStats,
     Interval,
