@@ -2,8 +2,9 @@
 
 Every subcommand loads a temporal graph from an edge list, runs one pipeline,
 and writes line-oriented results plus a provenance sidecar (input digest,
-parameters, per-phase timings).  Results are deterministic for a fixed
-configuration and seed; all nondeterministic bookkeeping lives in the sidecar.
+parameters, per-phase timings, work counters, peak RSS).  Results are
+deterministic for a fixed configuration and seed; all nondeterministic
+bookkeeping lives in the sidecar.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 input error, 3 internal
 invariant violation.
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -180,6 +182,8 @@ class _Run:
             "parameters": parameters,
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "counters": self.counters,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
         if self.output is None:
             print(json.dumps({"provenance": meta}, sort_keys=True), file=sys.stderr)
@@ -364,6 +368,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         run = _Run(args)
         graph = _timed(run, "load", lambda: _load(args))
+        run.counters["temporal_edges"] = graph.temporal_edge_count()
         _HANDLERS[args.command](run, graph)
         run.write_provenance()
         return 0

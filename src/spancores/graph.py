@@ -5,7 +5,10 @@ discrete timestamps ``0..t_max``; each timestamp holds an undirected simple
 snapshot.  Interval semantics are conjunctive: an edge exists over an interval
 only if it exists in every timestamp of the interval.
 
-Instances are immutable after construction and safe to share across threads.
+Instances are immutable after construction, except that the per-timestamp
+neighbour index is built on the first ``neighbors`` call.  Instances are safe
+to share across threads: two threads racing on that first call only build the
+same index twice, and either copy serves every later call.
 """
 
 from __future__ import annotations
@@ -13,11 +16,22 @@ from __future__ import annotations
 import gzip
 import io
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+
+MAX_TIMESTAMPS = 1_000_000
+"""Largest time domain ``load_edge_list`` accepts, in windows.
+
+Every window costs memory even when it holds no edge, and every algorithm
+walks the whole domain, so one stray timestamp (an epoch second under
+``--pre-windowed``, say) could otherwise demand gigabytes before any check
+runs.  A million windows is more than a year of one-minute windows, and
+an empty domain of that size loads in about 120 MB.
+"""
 
 
 class EdgeListFormatError(ValueError):
@@ -63,75 +77,85 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
 class TemporalGraph:
     """Immutable undirected temporal graph over dense integer vertex ids.
 
     ``snapshots[t]`` is a frozenset of canonically ordered vertex pairs; every
     timestamp in ``0..t_max`` has an entry, possibly empty.  External vertex
-    labels map bijectively onto ``0..n-1``.
+    labels map bijectively onto ``0..n-1``.  The per-timestamp neighbour
+    index behind ``neighbors`` is built on its first call, from each
+    snapshot's distinct edges in first-appearance order.
     """
 
     __slots__ = ("n", "t_max", "snapshots", "labels", "dropped_self_loops",
-                 "_index", "_adjacency")
+                 "_index", "_ordered", "_adjacency")
 
     def __init__(self, snapshots: Sequence[Iterable[Edge]], labels: Sequence[str],
                  dropped_self_loops: int = 0):
         if not snapshots:
             raise ValueError("a temporal graph needs at least one timestamp")
-        self.n = len(labels)
+        self.n = n = len(labels)
         self.labels = tuple(str(x) for x in labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
+        if len(self._index) != n:
             raise ValueError("vertex labels must be unique")
         self.dropped_self_loops = dropped_self_loops
 
-        frozen = []
-        adjacency: list[dict[int, list[int]]] = []
+        empty: frozenset[Edge] = frozenset()
+        frozen: list[frozenset[Edge]] = []
+        ordered: list[tuple[Edge, ...]] = []
         for t, snapshot in enumerate(snapshots):
-            edges = set()
-            adj: dict[int, list[int]] = {}
-            for u, v in snapshot:
+            if not snapshot:
+                frozen.append(empty)
+                ordered.append(())
+                continue
+            distinct = tuple(dict.fromkeys([(u, v) if u < v else (v, u) for u, v in snapshot]))
+            for u, v in distinct:
                 if u == v:
                     raise ValueError(f"self-loop ({u},{u}) at timestamp {t}")
-                if not (0 <= u < self.n and 0 <= v < self.n):
+                if u < 0 or v >= n:
                     raise ValueError(f"edge ({u},{v}) out of vertex range at timestamp {t}")
-                e = canonical_edge(u, v)
-                if e in edges:
-                    continue
-                edges.add(e)
-                adj.setdefault(e[0], []).append(e[1])
-                adj.setdefault(e[1], []).append(e[0])
-            frozen.append(frozenset(edges))
-            adjacency.append(adj)
+            frozen.append(frozenset(distinct))
+            ordered.append(distinct)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
-        self._adjacency = tuple(adjacency)
+        self._ordered = tuple(ordered)
+        self._adjacency: tuple[dict[int, list[int]], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def from_snapshot_edges(cls, snapshots: Sequence[Iterable[tuple[str, str]]]) -> "TemporalGraph":
-        """Build from per-timestamp lists of label pairs (labels indexed by first appearance)."""
-        labels: list[str] = []
+        """Build from per-timestamp lists of label pairs.
+
+        Repeated pairs within a timestamp collapse to their first appearance
+        before any label is indexed; labels are indexed in order of first
+        appearance over the distinct pairs.  Self-loop records are dropped and
+        counted, repeats included, in ``dropped_self_loops``.
+        """
         index: dict[str, int] = {}
+        intern = index.setdefault
         dropped = 0
-
-        def idx(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            return index[lab]
-
-        indexed: list[list[Edge]] = []
+        indexed: list[Sequence[Edge]] = []
         for snapshot in snapshots:
-            rows = []
-            for a, b in snapshot:
-                if a == b:
-                    dropped += 1
-                    continue
-                rows.append((idx(str(a)), idx(str(b))))
-            indexed.append(rows)
-        return cls(indexed, labels, dropped_self_loops=dropped)
+            if not snapshot:
+                indexed.append(())
+                continue
+            pairs = Counter(snapshot)
+            loops = [pair for pair in pairs if pair[0] == pair[1]]
+            for pair in loops:
+                dropped += pairs.pop(pair)
+            indexed.append([(intern(str(a), len(index)), intern(str(b), len(index)))
+                            for a, b in pairs])
+        return cls(indexed, list(index), dropped_self_loops=dropped)
 
     # -- label access ----------------------------------------------------------
 
@@ -168,6 +192,9 @@ class TemporalGraph:
         return edges
 
     def neighbors(self, t: int, u: int) -> Sequence[int]:
+        """Neighbours of ``u`` at timestamp ``t``, in first-appearance edge order."""
+        if self._adjacency is None:
+            self._adjacency = tuple(_adjacency(edges) for edges in self._ordered)
         return self._adjacency[t].get(u, ())
 
     def induced_degree(self, interval: Interval, members: frozenset[int] | set[int], u: int) -> int:
@@ -309,11 +336,19 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     """Load a temporal graph from a raw edge list, discretizing time into windows.
 
     Raw times are bucketed into contiguous windows of equal width starting at
-    ``time_origin`` (default: the minimum raw time seen).  Repeated contacts of
-    the same pair within one window collapse to a single edge; self-loop
-    records are dropped (count retained on the graph).  With ``pre_windowed``
-    the first column is taken verbatim as the timestamp index and ``window``
-    is ignored.
+    ``time_origin`` (default: the minimum raw time seen).  With
+    ``pre_windowed`` the first column is taken verbatim as the timestamp
+    index and ``window`` is ignored.
+
+    Repeated contacts of the same pair within one window collapse to a single
+    edge, and the first record of each pair decides its order: vertex labels
+    are indexed in order of first appearance, and ``neighbors`` lists follow
+    the order in which each window's distinct edges first appear.  Self-loop
+    records are dropped; their count, repeats included, is kept on the graph
+    as ``dropped_self_loops``.
+
+    A time domain of more than ``MAX_TIMESTAMPS`` windows is rejected with
+    ``EdgeListFormatError`` before any per-window storage is allocated.
     """
     if not pre_windowed and window <= 0:
         raise ValueError("window must be a positive duration")
@@ -333,6 +368,9 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
         buckets = [(t - origin) // window for t, _, _ in records]
 
     t_max = max(buckets)
+    if t_max >= MAX_TIMESTAMPS:
+        raise EdgeListFormatError(
+            f"time domain of {t_max + 1} windows exceeds the limit of {MAX_TIMESTAMPS}")
     snapshots: list[list[tuple[str, str]]] = [[] for _ in range(t_max + 1)]
     for bucket, (_, u, v) in zip(buckets, records):
         snapshots[bucket].append((u, v))

@@ -160,6 +160,26 @@ class TestOtherCommands:
         assert lines[0] == "vertex" and len(lines) == 3
 
 
+class TestProvenance:
+    @pytest.mark.parametrize("argv", [
+        ["decompose"],
+        ["maximal"],
+        ["tcs", "--q", "a", "--h", 2],
+        ["anomalies", "--tr", 5, "--ratio", 1.5],
+        ["embed", "--h", 2],
+        ["stats", "--report", "activity"],
+        ["reshuffle", "--seed", 3],
+        ["sample-queries", "--q-size", 2],
+    ], ids=lambda argv: argv[0])
+    def test_sidecar_records_temporal_edges_and_peak_rss(self, fix1_file, tmp_path, argv):
+        out = tmp_path / "result.txt"
+        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", out]) == 0
+        meta = json.loads((tmp_path / "result.txt.meta.json").read_text())["provenance"]
+        g = load_edge_list(fix1_file, window=1, pre_windowed=True)
+        assert meta["counters"]["temporal_edges"] == g.temporal_edge_count()
+        assert meta["peak_rss_mb"] > 0
+
+
 class TestErrorHandling:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["decompose", tmp_path / "absent.tsv", "--window", 5]) == 2
@@ -184,6 +204,14 @@ class TestErrorHandling:
         out = tmp_path / "cores.jsonl"
         assert run(["decompose", fix1_file, "--pre-windowed", "--time-origin", 0,
                     "-o", out]) == 1
+        assert not out.exists()
+
+    def test_time_domain_over_the_cap_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "epoch.tsv"
+        path.write_text(f"0 a b\n{10**12} a b\n")
+        out = tmp_path / "cores.jsonl"
+        assert run(["decompose", path, "--pre-windowed", "-o", out]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_is_usage_error(self):

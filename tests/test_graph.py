@@ -12,7 +12,8 @@ from spancores import (
     rewire_null_model,
     write_edge_list,
 )
-from spancores.graph import DegreeBucketMap, parse_edge_records
+from spancores import graph as graph_module
+from spancores.graph import MAX_TIMESTAMPS, DegreeBucketMap, parse_edge_records
 
 from conftest import random_temporal_graph
 
@@ -111,6 +112,20 @@ class TestLoader:
         with pytest.raises(EdgeListFormatError):
             load_edge_list(b"3 a b\n", window=5, time_origin=10)
 
+    def test_time_domain_over_the_cap_rejected(self):
+        with pytest.raises(EdgeListFormatError,
+                           match=f"{10**12 + 1} windows exceeds the limit of {MAX_TIMESTAMPS}"):
+            load_edge_list(b"0 a b\n1000000000000 a b\n", window=1, pre_windowed=True)
+
+    def test_time_domain_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_TIMESTAMPS", 5)
+        assert load_edge_list(b"0 a b\n4 a b\n", window=1, pre_windowed=True).t_max == 4
+        assert load_edge_list(b"10 a b\n34 a b\n", window=5).t_max == 4
+        with pytest.raises(EdgeListFormatError, match="6 windows exceeds the limit of 5"):
+            load_edge_list(b"0 a b\n5 a b\n", window=1, pre_windowed=True)
+        with pytest.raises(EdgeListFormatError, match="6 windows"):
+            load_edge_list(b"10 a b\n35 a b\n", window=5)
+
     def test_round_trip_via_edge_list(self, fix1, tmp_path):
         path = tmp_path / "out.tsv"
         with open(path, "w") as fh:
@@ -199,6 +214,37 @@ class TestEdgeShrinkage:
         shrink = g.edge_shrinkage(0)
         assert shrink.last_nonempty_end is None
         assert shrink.vanishing == ()
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("snapshots", [[[(1, 1)]], [[(0, 1)], [(0, 1), (1, 1), (1, 1)]]])
+    def test_self_loop_rejected(self, snapshots):
+        with pytest.raises(ValueError, match="self-loop"):
+            TemporalGraph(snapshots, ["a", "b"])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 1), (1, -1), (5, 7)])
+    def test_endpoint_out_of_range_rejected(self, edge):
+        with pytest.raises(ValueError, match="out of vertex range"):
+            TemporalGraph([[(0, 1)], [(0, 1), edge]], ["a", "b"])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            TemporalGraph([[(0, 1)]], ["a", "b", "a"])
+
+    def test_no_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="at least one timestamp"):
+            TemporalGraph([], ["a", "b"])
+
+    def test_snapshots_may_be_generators(self):
+        g = TemporalGraph([((u + 1, u) for u in range(3)), iter(())], list("abcd"))
+        assert g.snapshots == (frozenset({(0, 1), (1, 2), (2, 3)}), frozenset())
+        assert list(g.neighbors(0, 1)) == [0, 2]
+        assert not g.neighbors(1, 1)
+
+    def test_repeated_and_reversed_edges_collapse_in_first_appearance_order(self):
+        g = TemporalGraph([[(2, 1), (0, 1), (1, 2), (1, 0), (3, 1)]], list("abcd"))
+        assert g.snapshots[0] == frozenset({(1, 2), (0, 1), (1, 3)})
+        assert list(g.neighbors(0, 1)) == [2, 0, 3]
 
 
 class TestDegreeBucketMap:

@@ -1,5 +1,6 @@
-"""Property tests over a wider random corpus than the fixed one: graphs of up
-to 20 vertices and 30 timestamps built from persistent group contacts."""
+"""Property tests over wider random corpora than the fixed one: graphs of up
+to 20 vertices and 30 timestamps built from persistent group contacts, and
+raw edge-list files checked against a plain reference loader."""
 
 import pytest
 
@@ -7,7 +8,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from spancores import TemporalGraph, tcs_embeddings
+from spancores import TemporalGraph, load_edge_list, tcs_embeddings
 
 from conftest import per_vertex_rows
 
@@ -37,3 +38,85 @@ def persistent_graph_and_h(draw):
 def test_embedding_rows_match_per_vertex_search(case):
     g, h = case
     assert tcs_embeddings(g, h) == per_vertex_rows(g, h)
+
+
+LABELS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def raw_edge_list(draw):
+    """An edge-list text with repeated, reversed and self-loop records in one
+    window, a label seen only in self-loops, unsorted times, empty windows,
+    comments, blank lines, comma separators and extra columns; plus the
+    loader arguments to read it with."""
+    label = st.sampled_from(LABELS)
+    records = draw(st.lists(st.tuples(st.integers(0, 60), label, label), min_size=1, max_size=40))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(records), st.booleans()), max_size=15))
+    records += [(t, v, u) if flip else (t, u, v) for (t, u, v), flip in repeats]
+    if draw(st.booleans()):
+        records += [(draw(st.integers(0, 60)), "solo", "solo")] * draw(st.integers(1, 3))
+    records = draw(st.permutations(records))
+    lines = []
+    for t, u, v in records:
+        sep = draw(st.sampled_from([" ", "\t", ",", " , "]))
+        extra = draw(st.sampled_from(["", f"{sep}meta", f"{sep}x{sep}7"]))
+        lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
+        lines.append(f"{t}{sep}{u}{sep}{v}{extra}")
+    if draw(st.booleans()):
+        kwargs = {"window": 1, "pre_windowed": True}
+    else:
+        low = min(t for t, _, _ in records)
+        kwargs = {"window": draw(st.integers(1, 7)),
+                  "time_origin": draw(st.sampled_from([None, low, max(0, low - 3)]))}
+    return "\n".join(lines) + "\n", kwargs
+
+
+def reference_load(text, window, time_origin=None, pre_windowed=False):
+    """Labels, snapshots, dropped self-loops and neighbour lists, computed one
+    record at a time."""
+    records = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            parts = line.replace(",", " ").split()
+            records.append((int(parts[0]), parts[1], parts[2]))
+    if pre_windowed:
+        origin, window = 0, 1
+    else:
+        origin = min(t for t, _, _ in records) if time_origin is None else time_origin
+    windows = [[] for _ in range(max((t - origin) // window for t, _, _ in records) + 1)]
+    for t, u, v in records:
+        windows[(t - origin) // window].append((u, v))
+    labels, index, dropped, snapshots, adjacency = [], {}, 0, [], []
+    for pairs in windows:
+        edges, adj = set(), {}
+        for a, b in pairs:
+            if a == b:
+                dropped += 1
+                continue
+            for label in (a, b):
+                if label not in index:
+                    index[label] = len(labels)
+                    labels.append(label)
+            e = tuple(sorted((index[a], index[b])))
+            if e not in edges:
+                edges.add(e)
+                adj.setdefault(e[0], []).append(e[1])
+                adj.setdefault(e[1], []).append(e[0])
+        snapshots.append(frozenset(edges))
+        adjacency.append(adj)
+    return tuple(labels), tuple(snapshots), dropped, adjacency
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw_edge_list())
+def test_loader_matches_reference(case):
+    text, kwargs = case
+    g = load_edge_list(text.encode(), **kwargs)
+    labels, snapshots, dropped, adjacency = reference_load(text, **kwargs)
+    assert g.labels == labels
+    assert g.snapshots == snapshots
+    assert g.dropped_self_loops == dropped
+    for t, adj in enumerate(adjacency):
+        for u in g.vertices:
+            assert list(g.neighbors(t, u)) == adj.get(u, [])
