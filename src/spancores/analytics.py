@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .community_search import _tcs_every_vertex
-from .graph import Interval, TemporalGraph
+from .graph import Interval, TemporalGraph, UnknownLabelError
 from .maximal_cores import maximal_span_cores
 from .span_cores import SpanCore
 
@@ -288,7 +288,7 @@ def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
             label, value = parts[0], parts[1]
             try:
                 attributes[g.index_of(label)] = value
-            except KeyError:
+            except UnknownLabelError:
                 unknown += 1
     finally:
         if stream is not source:

@@ -4,10 +4,13 @@ Every subcommand loads a temporal graph from an edge list, runs one pipeline,
 and writes line-oriented results plus a provenance sidecar (input digest,
 parameters, per-phase timings, work counters, peak RSS).  Results are
 deterministic for a fixed configuration and seed; all nondeterministic
-bookkeeping lives in the sidecar.
+bookkeeping lives in the sidecar.  The phase timings are ``load``, the
+subcommand's solve phases, ``write`` (the result files) and ``digest`` (the
+input's SHA-256, taken just before the sidecar is written).
 
-Exit codes: 0 success, 1 usage or parameter error, 2 input error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 usage or parameter error, 2 input error (including
+an unknown vertex label), 3 internal invariant violation (including any other
+``KeyError``).
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import random
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import analytics
 from .community_search import tcs_basic, tcs_efficient
-from .graph import EdgeListFormatError, TemporalGraph, load_edge_list, rewire_null_model, write_edge_list
+from .graph import (EdgeListFormatError, TemporalGraph, UnknownLabelError, load_edge_list,
+                    rewire_null_model, write_edge_list)
 from .maximal_cores import filter_maximal, maximal_span_cores
 from .min_community import greedy_minimum_community
 from .span_cores import DecompositionStats, naive_span_cores, span_cores, write_span_cores
@@ -162,23 +167,31 @@ class _Run:
         self.timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
 
-    def open_sink(self):
+    @contextmanager
+    def writing(self):
+        """The result sink (stdout for ``-o -``); everything written inside
+        the block, extra files included, is timed as the ``write`` phase."""
+        tick = time.perf_counter()
         if self.output is None:
-            return sys.stdout
-        self.output.parent.mkdir(parents=True, exist_ok=True)
-        return open(self.output, "w", encoding="utf-8")
-
-    def close_sink(self, sink):
-        if sink is not sys.stdout:
-            sink.close()
+            sink = sys.stdout
+        else:
+            self.output.parent.mkdir(parents=True, exist_ok=True)
+            sink = open(self.output, "w", encoding="utf-8")
+        try:
+            yield sink
+        finally:
+            if sink is not sys.stdout:
+                sink.close()
+            self.timings["write"] = time.perf_counter() - tick
 
     def write_provenance(self):
         args = self.args
         parameters = {k: v for k, v in vars(args).items()
                       if k not in {"command", "input", "output"} and v is not None}
+        digest = _timed(self, "digest", lambda: _digest(args.input))
         meta = {
             "command": args.command,
-            "input": {"path": args.input, "sha256": _digest(args.input)},
+            "input": {"path": args.input, "sha256": digest},
             "parameters": parameters,
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "counters": self.counters,
@@ -206,11 +219,8 @@ def _cmd_decompose(run: _Run, g: TemporalGraph):
     cores = _timed(run, "solve", lambda: algorithm(g, stats))
     run.counters["peel_vertices"] = stats.peel_vertices
     run.counters["intervals_processed"] = stats.intervals_processed
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g)
-    finally:
-        run.close_sink(sink)
 
 
 def _cmd_maximal(run: _Run, g: TemporalGraph):
@@ -220,11 +230,8 @@ def _cmd_maximal(run: _Run, g: TemporalGraph):
     else:
         cores = _timed(run, "solve", lambda: maximal_span_cores(g, stats))
     run.counters["peel_vertices"] = stats.peel_vertices
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g, maximal=True)
-    finally:
-        run.close_sink(sink)
 
 
 def _cmd_tcs(run: _Run, g: TemporalGraph):
@@ -254,13 +261,10 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
             "full_size": full_size,
             "vertices": sorted(g.label_of(u) for u in members),
         })
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         json.dump({"objective": solution.objective, "segments": records},
                   sink, indent=2, sort_keys=True)
         sink.write("\n")
-    finally:
-        run.close_sink(sink)
     run.counters["objective"] = solution.objective
 
 
@@ -269,17 +273,14 @@ def _cmd_anomalies(run: _Run, g: TemporalGraph):
         raise UsageError("anomalies requires -o/--output (it writes a table and a graph)")
     report = _timed(run, "solve",
                     lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio))
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         sink.write("t\toriginal_edges\tvertex_filtered_edges\tfinal_edges\tflagged\n")
         flagged = set(report.flagged_timestamps)
         for t, (orig, mid, fin) in enumerate(report.edge_counts):
             sink.write(f"{t}\t{orig}\t{mid}\t{fin}\t{int(t in flagged)}\n")
-    finally:
-        run.close_sink(sink)
-    graph_path = run.output.with_name(run.output.name + ".filtered.edges")
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        write_edge_list(report.filtered, fh)
+        graph_path = run.output.with_name(run.output.name + ".filtered.edges")
+        with open(graph_path, "w", encoding="utf-8") as fh:
+            write_edge_list(report.filtered, fh)
     run.counters["flagged_timestamps"] = len(report.flagged_timestamps)
     run.counters["flagged_vertex_steps"] = len(report.flagged_vertex_steps)
 
@@ -287,52 +288,45 @@ def _cmd_anomalies(run: _Run, g: TemporalGraph):
 def _cmd_embed(run: _Run, g: TemporalGraph):
     rows = _timed(run, "solve",
                   lambda: analytics.tcs_embeddings(g, run.args.segments))
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         header = "\t".join(["vertex"] + [f"x{j}" for j in range(run.args.segments)])
         sink.write(header + "\n")
         for u, row in enumerate(rows):
             sink.write("\t".join([g.label_of(u)] + [str(x) for x in row]) + "\n")
-    finally:
-        run.close_sink(sink)
 
 
 def _cmd_stats(run: _Run, g: TemporalGraph):
     args = run.args
-    sink = run.open_sink()
-    try:
-        if args.report == "activity":
-            cores = _timed(run, "solve", lambda: span_cores(g))
-            sink.write("start\tspan_length\tmax_order\n")
-            for cell in analytics.activity_summary(cores, min_span=args.min_span):
-                sink.write(f"{cell.start}\t{cell.span_length}\t{cell.max_order}\n")
-        elif args.report == "span-length":
-            cores = _timed(run, "solve", lambda: maximal_span_cores(g))
-            sink.write("span_length\tcount\tpercent\n")
-            for row in analytics.span_length_distribution(cores):
-                sink.write(f"{row.length}\t{row.count}\t{row.percent:.4f}\n")
-        else:
-            if not args.attrs:
-                raise UsageError("stats --report purity requires --attrs")
-            attributes = analytics.read_attribute_table(args.attrs, g)
-            cores = _timed(run, "solve", lambda: maximal_span_cores(g))
-            kept = [c for c in cores if c.span.length >= args.min_span]
-            timeline = analytics.purity_timeline(kept, attributes, g.t_max)
-            sink.write("t\tmean_purity\n")
-            for t, value in enumerate(timeline):
-                sink.write(f"{t}\t{'nan' if value is None else f'{value:.6f}'}\n")
-    finally:
-        run.close_sink(sink)
+    if args.report == "activity":
+        cores = _timed(run, "solve", lambda: span_cores(g))
+        header = "start\tspan_length\tmax_order"
+        rows = [f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
+                for cell in analytics.activity_summary(cores, min_span=args.min_span)]
+    elif args.report == "span-length":
+        cores = _timed(run, "solve", lambda: maximal_span_cores(g))
+        header = "span_length\tcount\tpercent"
+        rows = [f"{row.length}\t{row.count}\t{row.percent:.4f}"
+                for row in analytics.span_length_distribution(cores)]
+    else:
+        if not args.attrs:
+            raise UsageError("stats --report purity requires --attrs")
+        attributes = analytics.read_attribute_table(args.attrs, g)
+        cores = _timed(run, "solve", lambda: maximal_span_cores(g))
+        kept = [c for c in cores if c.span.length >= args.min_span]
+        header = "t\tmean_purity"
+        rows = [f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
+                for t, value in enumerate(analytics.purity_timeline(kept, attributes, g.t_max))]
+    with run.writing() as sink:
+        sink.write(header + "\n")
+        for row in rows:
+            sink.write(row + "\n")
 
 
 def _cmd_reshuffle(run: _Run, g: TemporalGraph):
     seed = _seed_value(run.args.seed)
     rewired = _timed(run, "solve", lambda: rewire_null_model(g, seed=seed))
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         run.counters["edges"] = write_edge_list(rewired, sink)
-    finally:
-        run.close_sink(sink)
 
 
 def _cmd_sample_queries(run: _Run, g: TemporalGraph):
@@ -341,13 +335,10 @@ def _cmd_sample_queries(run: _Run, g: TemporalGraph):
     chosen = _timed(run, "solve",
                     lambda: analytics.sample_query_vertices(
                         g, args.q_size, p=args.p, pool_size=args.pool, seed=seed))
-    sink = run.open_sink()
-    try:
+    with run.writing() as sink:
         sink.write("vertex\n")
         for label in sorted(g.label_of(u) for u in chosen):
             sink.write(label + "\n")
-    finally:
-        run.close_sink(sink)
 
 
 _HANDLERS = {
@@ -378,8 +369,8 @@ def main(argv=None) -> int:
     except EdgeListFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"input error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except UnknownLabelError as exc:
+        print(f"input error: {exc.args[0]}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, AssertionError) as exc:
+    except (KeyError, RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -133,16 +133,16 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
 def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
     """``penalty_table_full(g, {u})``'s scores for every vertex u at once.
 
-    One seeded enumeration pass keeps, per vertex, its positive coreness on
-    each interval the enumeration reaches; entry u of the result is that
-    vertex's score table.
+    One seeded enumeration pass keeps, per vertex, its coreness on each
+    interval the enumeration reaches; entry u of the result is that vertex's
+    score table.  Every peeled vertex is an endpoint of an interval edge, so
+    every coreness kept is positive.
     """
     tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
     for span, vertices, edges in _seeded_intervals(g):
         key = (span.start, span.end)
         for u, c in core_decomposition(vertices, edges).coreness.items():
-            if c > 0:
-                tables[u][key] = c
+            tables[u][key] = c
     return tables
 
 

@@ -44,6 +44,10 @@ class EdgeListFormatError(ValueError):
         self.line_number = line_number
 
 
+class UnknownLabelError(KeyError):
+    """Raised by ``TemporalGraph.index_of`` for a label the graph does not have."""
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed interval of timestamps ``[start, end]`` with ``start <= end``."""
@@ -167,7 +171,8 @@ class TemporalGraph:
         try:
             return self._index[label]
         except KeyError:
-            raise KeyError(f"unknown vertex label {label!r} (graph has {self.n} labels)") from None
+            raise UnknownLabelError(
+                f"unknown vertex label {label!r} (graph has {self.n} labels)") from None
 
     def label_of(self, vertex: int) -> str:
         return self.labels[vertex]

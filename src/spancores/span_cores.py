@@ -3,21 +3,29 @@
 A span-core of order ``k`` with span ``[ts, te]`` is a maximal nonempty vertex
 set in which every member keeps at least ``k`` neighbors inside the set at
 every timestamp of the span.  Two routes are provided: a naive sweep that runs
-a full core decomposition per interval (the correctness oracle), and a seeded
-enumeration that processes intervals by increasing width, starting each
-interval's peel from the intersection of its two parent subintervals' order-1
-cores instead of from the whole vertex set.
+a full core decomposition per interval over the whole vertex set (the
+correctness oracle), and a seeded enumeration that processes intervals by
+increasing width, builds each wider interval's edge set by intersecting its
+two parent subintervals' edge sets, and peels only the endpoints of that edge
+set.  A vertex with no edge over the interval has coreness 0, so it can
+belong to no span-core there; the endpoint seed also lies inside the order-1
+cores of both parents, as the containment property requires.
+
+Each interval's peel yields all its cores at once as one coreness labelling,
+and ``SpanCoreSet`` keeps exactly that: one labelling per span, from which the
+nested cores are built on demand.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Interval, TemporalGraph
-from .static_core import core_decomposition
+from .static_core import CoreLabeling, core_decomposition
 
 
 @dataclass(frozen=True)
@@ -46,46 +54,109 @@ class SpanCore:
 
 
 class SpanCoreSet:
-    """Collection of span-cores keyed by (order, span); at most one per key."""
+    """Collection of span-cores keyed by (order, span); at most one per key.
+
+    Storage is one entry per span: a labelling that maps every member of the
+    span's stored cores to the highest stored order whose core contains it,
+    plus the ascending list of stored orders.  The stored core of order ``k``
+    is the set of members labelled ``k`` or higher, so the cores of one span
+    must be nested: each lies inside every stored core of lower order and
+    contains every stored core of higher order.  ``add`` rejects a core that
+    breaks this, as it rejects a second core for one (order, span).
+    ``get``, ``in``, iteration and ``sorted_cores`` build ``SpanCore``
+    objects on demand; two sets are equal when they hold the same cores.
+    """
 
     def __init__(self, cores: Iterator[SpanCore] | None = None):
-        self._cores: dict[tuple[int, int, int], SpanCore] = {}
+        self._spans: dict[tuple[int, int], tuple[dict[int, int], list[int]]] = {}
         if cores is not None:
             for core in cores:
                 self.add(core)
 
     def add(self, core: SpanCore) -> None:
-        if core.key in self._cores:
+        """Merge one core into its span's labelling; a rejected core leaves
+        the set unchanged."""
+        key = (core.span.start, core.span.end)
+        k, members = core.order, core.members
+        entry = self._spans.get(key)
+        if entry is None:
+            self._spans[key] = (dict.fromkeys(members, k), [k])
+            return
+        labels, orders = entry
+        if k in orders:
             raise ValueError(f"duplicate span-core for key {core.key}")
-        self._cores[core.key] = core
+        at = bisect.bisect(orders, k)
+        floor = orders[at - 1] if at else 0
+        if (any(c > k and u not in members for u, c in labels.items())
+                or any(labels.get(u, 0) < floor for u in members)):
+            raise ValueError(f"span-core {core.key} is not nested with the stored "
+                             "cores of its span")
+        for u in members:
+            if labels.get(u, 0) < k:
+                labels[u] = k
+        orders.insert(at, k)
+
+    def _store(self, span: Interval, labeling: CoreLabeling) -> None:
+        """Store all cores of one interval graph at once: orders ``1..k_max``
+        with its positive coreness as the labelling (``k_max >= 1``)."""
+        self._spans[(span.start, span.end)] = (
+            {u: c for u, c in labeling.coreness.items() if c},
+            list(range(1, labeling.k_max + 1)))
+
+    def _layers(self) -> Iterator[tuple[int, int, list[tuple[int, list[int]]]]]:
+        """Per span, by (ts, te): ``(ts, te, layers)``, where ``layers`` pairs
+        each stored order, highest first, with the members labelled that
+        order; the core of an order is the union of its layer and those
+        before it."""
+        for ts, te in sorted(self._spans):
+            labels, orders = self._spans[(ts, te)]
+            layers: dict[int, list[int]] = {k: [] for k in reversed(orders)}
+            for u, c in labels.items():
+                layers[c].append(u)
+            yield ts, te, list(layers.items())
 
     def get(self, order: int, span: Interval) -> SpanCore | None:
-        return self._cores.get((order, span.start, span.end))
+        entry = self._spans.get((span.start, span.end))
+        if entry is None or order not in entry[1]:
+            return None
+        members = frozenset({u for u, c in entry[0].items() if c >= order})
+        return SpanCore(order=order, span=span, members=members)
 
     def __len__(self) -> int:
-        return len(self._cores)
+        return sum(len(orders) for _, orders in self._spans.values())
 
     def __iter__(self) -> Iterator[SpanCore]:
         return iter(self.sorted_cores())
 
     def __contains__(self, core: SpanCore) -> bool:
-        stored = self._cores.get(core.key)
+        stored = self.get(core.order, core.span)
         return stored is not None and stored.members == core.members
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanCoreSet):
             return NotImplemented
-        return self._cores == other._cores
+        return self._spans == other._spans
 
     def sorted_cores(self) -> list[SpanCore]:
         """Cores ordered by (span start, span end, order) for reproducible output."""
-        return sorted(self._cores.values(),
-                      key=lambda c: (c.span.start, c.span.end, c.order))
+        out: list[SpanCore] = []
+        for ts, te, layers in self._layers():
+            span = Interval(ts, te)
+            members: set[int] = set()
+            cores = []
+            for k, layer in layers:
+                members.update(layer)
+                cores.append(SpanCore(order=k, span=span, members=frozenset(members)))
+            out.extend(reversed(cores))
+        return out
 
 
 @dataclass
 class DecompositionStats:
-    """Work counters: intervals peeled and total vertices fed to the peeling subroutine."""
+    """Work counters: intervals peeled and total vertices fed to the peeling
+    subroutine.  The seeded enumeration feeds each interval's edge endpoints,
+    so there ``peel_vertices`` counts edge endpoints summed over intervals;
+    the naive route feeds the whole vertex set every time."""
 
     intervals_processed: int = 0
     peel_vertices: int = 0
@@ -98,24 +169,13 @@ class DecompositionStats:
 
 def _cores_of_interval(span: Interval, vertices, edges,
                        out: SpanCoreSet, stats: DecompositionStats | None) -> None:
-    """Run the peel over one interval graph and emit its cores of order >= 1."""
+    """Peel one interval graph (``edges`` nonempty) and store its cores of order >= 1."""
     if stats is not None:
         stats.record(len(vertices))
     labeling = core_decomposition(vertices, edges)
-    if labeling.k_max == 0:
-        return
-    by_order: list[list[int]] = [[] for _ in range(labeling.k_max + 1)]
-    for u, c in labeling.coreness.items():
-        by_order[c].append(u)
-    members: set[int] = set()
-    pending: list[tuple[int, set[int]]] = []
-    for k in range(labeling.k_max, 0, -1):
-        members.update(by_order[k])
-        pending.append((k, set(members)))
-    for k, mem in reversed(pending):
-        out.add(SpanCore(order=k, span=span, members=frozenset(mem)))
-        if stats is not None:
-            stats.emitted_cores += 1
+    out._store(span, labeling)
+    if stats is not None:
+        stats.emitted_cores += labeling.k_max
 
 
 def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:
@@ -139,47 +199,46 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
     return out
 
 
-def _seeded_intervals(g: TemporalGraph) -> Iterator[tuple[Interval, object, frozenset[Edge]]]:
+def _seeded_intervals(g: TemporalGraph) -> Iterator[tuple[Interval, set[int], frozenset[Edge]]]:
     """Yield (interval, seed vertices, interval edges) in (width, start) order.
 
-    Width-1 intervals start from the whole vertex set.  A wider interval
-    becomes ready once both parent subintervals have been processed; its seed
-    is the intersection of their order-1 cores and its edge set the
-    intersection of their edge sets.  Branches whose edge intersection empties
+    Every yielded interval has a nonempty edge set, and its seed is the set
+    of that edge set's endpoints: exactly the vertices that can have positive
+    coreness there.  Width-1 intervals take their snapshot's edges.  A wider
+    interval becomes ready once both parent subintervals have been processed;
+    its edge set is the intersection of theirs, so only the first parent's
+    edge set waits in ``pending``.  Branches whose edge intersection empties
     are dropped without ever being enqueued.
     """
-    queue: deque[tuple[int, int, object, frozenset[Edge]]] = deque()
-    for t in range(g.t_max + 1):
-        if g.snapshots[t]:
-            queue.append((t, t, g.vertices, g.snapshots[t]))
-    # pending[(ts, te)] holds the first parent's contribution until the second arrives
-    pending: dict[tuple[int, int], tuple[set[int], frozenset[Edge]]] = {}
+    queue: deque[tuple[int, int, frozenset[Edge]]] = deque(
+        (t, t, g.snapshots[t]) for t in range(g.t_max + 1) if g.snapshots[t])
+    # pending[(ts, te)] holds the first parent's edge set until the second arrives
+    pending: dict[tuple[int, int], frozenset[Edge]] = {}
     while queue:
-        ts, te, vertices, edges = queue.popleft()
-        yield Interval(ts, te), vertices, edges
-        order_one = set()
+        ts, te, edges = queue.popleft()
+        endpoints: set[int] = set()
         for u, v in edges:
-            order_one.add(u)
-            order_one.add(v)
+            endpoints.add(u)
+            endpoints.add(v)
+        yield Interval(ts, te), endpoints, edges
         for child in ((ts - 1, te), (ts, te + 1)):
             if child[0] < 0 or child[1] > g.t_max:
                 continue
             held = pending.pop(child, None)
             if held is None:
-                pending[child] = (order_one, edges)
+                pending[child] = edges
             else:
-                seed = held[0] & order_one
-                child_edges = held[1] & edges
+                child_edges = held & edges
                 if child_edges:
-                    queue.append((child[0], child[1], seed, child_edges))
-    pending.clear()
+                    queue.append((child[0], child[1], child_edges))
 
 
 def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:
     """All span-cores via width-ordered seeded enumeration.
 
-    Output is set-equal to ``naive_span_cores``; only the per-interval starting
-    sets differ, which is where the speedup comes from.
+    Output is set-equal to ``naive_span_cores``; only the per-interval peel
+    sets differ (edge endpoints instead of every vertex), which is where the
+    speedup comes from.
     """
     out = SpanCoreSet()
     for span, vertices, edges in _seeded_intervals(g):
@@ -192,22 +251,36 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
 
 def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
                      maximal: bool = False) -> int:
-    """Write one JSON record per core, sorted by (ts, te, k); returns record count."""
+    """Write one JSON record per core, sorted by (ts, te, k); returns record count.
+
+    Each line is what ``json.dumps(record, sort_keys=True)`` gives for the
+    record with keys ``k``, ``ts``, ``te``, ``size``, ``vertices`` (the
+    members' labels, sorted) and, when ``maximal``, ``maximal: true``.  The
+    lines come straight from each span's labelling: labels are sorted and
+    JSON-encoded once per call, and a span's cores grow from its highest
+    order down, one layer of label ranks merged in per order, so no per-core
+    member set or record dict is built.
+    """
     stream = sink if hasattr(sink, "write") else open(sink, "w", encoding="utf-8")
+    by_label = sorted(g.vertices, key=g.labels.__getitem__)
+    rank = [0] * g.n
+    for position, u in enumerate(by_label):
+        rank[u] = position
+    encoded = [json.dumps(g.labels[u]) for u in by_label]
+    flag = '"maximal": true, ' if maximal else ""
     count = 0
     try:
-        for core in cores.sorted_cores():
-            record = {
-                "k": core.order,
-                "ts": core.span.start,
-                "te": core.span.end,
-                "size": len(core.members),
-                "vertices": sorted(g.label_of(u) for u in core.members),
-            }
-            if maximal:
-                record["maximal"] = True
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-            count += 1
+        for ts, te, layers in cores._layers():
+            members: list[int] = []
+            lines = []
+            for k, layer in layers:
+                members.extend(map(rank.__getitem__, layer))
+                members.sort()
+                lines.append(f'{{"k": {k}, {flag}"size": {len(members)}, "te": {te}, "ts": {ts}, '
+                             f'"vertices": [{", ".join([encoded[r] for r in members])}]}}\n')
+            lines.reverse()
+            stream.write("".join(lines))
+            count += len(lines)
     except OSError as exc:
         raise OSError(f"failed writing span-cores to {getattr(sink, 'name', sink)}: {exc}") from exc
     finally:

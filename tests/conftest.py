@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -59,6 +60,48 @@ def stress_cases(t=12, n=14):
 def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:
     """Embedding rows the slow way: one efficient community search per vertex."""
     return [[seg.min_degree for seg in tcs_efficient(g, {u}, h).segments] for u in g.vertices]
+
+
+def definitional_span_cores(g: TemporalGraph) -> dict[tuple[int, int, int], frozenset[int]]:
+    """``{(k, ts, te): members}`` for every span-core, straight from the
+    definition and without any package algorithm.
+
+    For each span whose interval edge set (the intersection of its snapshots)
+    is nonempty, the k-core for k = 1, 2, ... starts from the edge endpoints
+    and deletes every vertex with fewer than k interval neighbours inside the
+    set until none is left to delete; the first empty k-core ends the span.
+    """
+    found = {}
+    domain = len(g.snapshots)
+    for ts in range(domain):
+        edges = set(g.snapshots[ts])
+        te = ts
+        while edges:
+            k = 1
+            while True:
+                members = {u for edge in edges for u in edge}
+                while True:
+                    degree = Counter(u for edge in edges
+                                     if edge[0] in members and edge[1] in members
+                                     for u in edge)
+                    doomed = {u for u in members if degree[u] < k}
+                    if not doomed:
+                        break
+                    members -= doomed
+                if not members:
+                    break
+                found[(k, ts, te)] = frozenset(members)
+                k += 1
+            te += 1
+            if te == domain:
+                break
+            edges &= g.snapshots[te]
+    return found
+
+
+def as_definitional(cores) -> dict[tuple[int, int, int], frozenset[int]]:
+    """A span-core collection in ``definitional_span_cores``' form."""
+    return {(c.order, c.span.start, c.span.end): c.members for c in cores}
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spancores import load_edge_list
+from spancores import cli, load_edge_list
 from spancores.cli import main
 
 from conftest import FIX1_SNAPSHOTS
@@ -31,7 +31,7 @@ class TestDecompose:
         assert len(lines) == 9
         meta = json.loads((tmp_path / "cores.jsonl.meta.json").read_text())
         assert meta["provenance"]["counters"]["records"] == 9
-        assert set(meta["provenance"]["timings_seconds"]) == {"load", "solve"}
+        assert set(meta["provenance"]["timings_seconds"]) == {"load", "solve", "write", "digest"}
 
     def test_naive_flag_same_records(self, fix1_file, tmp_path):
         fast = tmp_path / "fast.jsonl"
@@ -160,24 +160,37 @@ class TestOtherCommands:
         assert lines[0] == "vertex" and len(lines) == 3
 
 
+SUBCOMMANDS = [
+    ["decompose"],
+    ["maximal"],
+    ["tcs", "--q", "a", "--h", 2],
+    ["anomalies", "--tr", 5, "--ratio", 1.5],
+    ["embed", "--h", 2],
+    ["stats", "--report", "activity"],
+    ["reshuffle", "--seed", 3],
+    ["sample-queries", "--q-size", 2],
+]
+
+
+def sidecar(fix1_file, tmp_path, argv):
+    out = tmp_path / "result.txt"
+    assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", out]) == 0
+    return json.loads((tmp_path / "result.txt.meta.json").read_text())["provenance"]
+
+
 class TestProvenance:
-    @pytest.mark.parametrize("argv", [
-        ["decompose"],
-        ["maximal"],
-        ["tcs", "--q", "a", "--h", 2],
-        ["anomalies", "--tr", 5, "--ratio", 1.5],
-        ["embed", "--h", 2],
-        ["stats", "--report", "activity"],
-        ["reshuffle", "--seed", 3],
-        ["sample-queries", "--q-size", 2],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
     def test_sidecar_records_temporal_edges_and_peak_rss(self, fix1_file, tmp_path, argv):
-        out = tmp_path / "result.txt"
-        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", out]) == 0
-        meta = json.loads((tmp_path / "result.txt.meta.json").read_text())["provenance"]
+        meta = sidecar(fix1_file, tmp_path, argv)
         g = load_edge_list(fix1_file, window=1, pre_windowed=True)
         assert meta["counters"]["temporal_edges"] == g.temporal_edge_count()
         assert meta["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_sidecar_times_write_and_digest(self, fix1_file, tmp_path, argv):
+        timings = sidecar(fix1_file, tmp_path, argv)["timings_seconds"]
+        assert {"load", "write", "digest"} <= set(timings)
+        assert all(seconds >= 0 for seconds in timings.values())
 
 
 class TestErrorHandling:
@@ -213,6 +226,15 @@ class TestErrorHandling:
         assert run(["decompose", path, "--pre-windowed", "-o", out]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_internal_key_error_is_internal_error(self, fix1_file, tmp_path, monkeypatch,
+                                                  capsys):
+        def broken(run, g):
+            raise KeyError((0, 5))
+
+        monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
+        assert run(["decompose", fix1_file, "--pre-windowed", "-o", tmp_path / "c.jsonl"]) == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate", "x"]) == 1

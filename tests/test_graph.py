@@ -13,7 +13,7 @@ from spancores import (
     write_edge_list,
 )
 from spancores import graph as graph_module
-from spancores.graph import MAX_TIMESTAMPS, DegreeBucketMap, parse_edge_records
+from spancores.graph import MAX_TIMESTAMPS, DegreeBucketMap, UnknownLabelError, parse_edge_records
 
 from conftest import random_temporal_graph
 
@@ -245,6 +245,13 @@ class TestConstruction:
         g = TemporalGraph([[(2, 1), (0, 1), (1, 2), (1, 0), (3, 1)]], list("abcd"))
         assert g.snapshots[0] == frozenset({(1, 2), (0, 1), (1, 3)})
         assert list(g.neighbors(0, 1)) == [2, 0, 3]
+
+    def test_unknown_label_raises_its_own_key_error(self):
+        g = TemporalGraph([[(0, 1)]], ["a", "b"])
+        assert g.index_of("b") == 1
+        with pytest.raises(UnknownLabelError, match="2 labels") as caught:
+            g.index_of("c")
+        assert isinstance(caught.value, KeyError)
 
 
 class TestDegreeBucketMap:

@@ -1,6 +1,7 @@
 """Property tests over wider random corpora than the fixed one: graphs of up
-to 20 vertices and 30 timestamps built from persistent group contacts, and
-raw edge-list files checked against a plain reference loader."""
+to 20 vertices and 30 timestamps built from persistent group contacts, checked
+for embeddings and against the span-core definition, and raw edge-list files
+checked against a plain reference loader."""
 
 import pytest
 
@@ -8,15 +9,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from spancores import TemporalGraph, load_edge_list, tcs_embeddings
+from spancores import TemporalGraph, load_edge_list, span_cores, tcs_embeddings
 
-from conftest import per_vertex_rows
+from conftest import as_definitional, definitional_span_cores, per_vertex_rows
 
 
 @st.composite
-def persistent_graph_and_h(draw):
+def persistent_graph(draw):
     """A graph whose contacts are groups of 2-5 vertices, each kept for a run
-    of timestamps, plus a valid segment count h."""
+    of timestamps."""
     n = draw(st.integers(2, 20))
     t = draw(st.integers(1, 30))
     contacts = draw(st.lists(
@@ -29,8 +30,14 @@ def persistent_graph_and_h(draw):
         pairs = [(u, v) for i, u in enumerate(group) for v in group[i + 1:]]
         for s in range(start, min(t, start + length)):
             snapshots[s].extend(pairs)
-    graph = TemporalGraph(snapshots, [f"v{i}" for i in range(n)])
-    return graph, draw(st.integers(1, t))
+    return TemporalGraph(snapshots, [f"v{i}" for i in range(n)])
+
+
+@st.composite
+def persistent_graph_and_h(draw):
+    """A ``persistent_graph`` plus a valid segment count h."""
+    graph = draw(persistent_graph())
+    return graph, draw(st.integers(1, graph.t_max + 1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -38,6 +45,12 @@ def persistent_graph_and_h(draw):
 def test_embedding_rows_match_per_vertex_search(case):
     g, h = case
     assert tcs_embeddings(g, h) == per_vertex_rows(g, h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(persistent_graph())
+def test_span_cores_match_the_definition(g):
+    assert as_definitional(span_cores(g)) == definitional_span_cores(g)
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")

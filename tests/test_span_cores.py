@@ -1,17 +1,24 @@
 import io
+import json
+import random
 
 import pytest
 
 from spancores import (
     DecompositionStats,
     Interval,
+    SpanCore,
+    SpanCoreSet,
     TemporalGraph,
     core_decomposition,
+    maximal_span_cores,
     naive_span_cores,
     read_span_cores,
     span_cores,
     write_span_cores,
 )
+
+from conftest import as_definitional, definitional_span_cores
 
 
 def members(g, core):
@@ -91,6 +98,21 @@ class TestSeededEnumeration:
                     if k + 1 in orders:
                         assert orders[k + 1] <= orders[k]
 
+    def test_matches_the_definition_on_corpus(self, corpus):
+        for g in corpus:
+            expected = definitional_span_cores(g)
+            cores = span_cores(g)
+            assert as_definitional(cores) == expected
+            assert len(cores) == len(expected)
+
+    def test_peels_only_edge_endpoints(self, fix1):
+        # [0,0] has all four vertices on edges, [1,1] and [0,1] the triangle,
+        # [2,2], [1,2] and [0,2] the edge ab
+        stats = DecompositionStats()
+        span_cores(fix1, stats)
+        assert stats.intervals_processed == 6
+        assert stats.peel_vertices == 4 + 3 + 2 + 3 + 2 + 2
+
     def test_never_feeds_more_peel_vertices_than_naive(self, corpus):
         for g in corpus[:60]:
             fast_stats = DecompositionStats()
@@ -129,9 +151,87 @@ class TestSerialization:
         for line in sink.getvalue().strip().splitlines():
             assert json.loads(line)["maximal"] is True
 
+    def test_matches_json_dumps_of_each_record(self):
+        # labels that JSON escapes, and ones that sort differently once quoted
+        labels = ['a"b', "a", "a!", "\u00e9t\u00e9", "x\\y", "a b", "10", "9", "\u2603"]
+        triangle_plus = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (7, 8), (0, 8)]
+        g = TemporalGraph([triangle_plus, triangle_plus[:6], [(0, 1)]], labels)
+        for maximal, cores in ((False, span_cores(g)), (True, maximal_span_cores(g))):
+            expected = []
+            for core in cores.sorted_cores():
+                record = {"k": core.order, "ts": core.span.start, "te": core.span.end,
+                          "size": len(core.members),
+                          "vertices": sorted(g.label_of(u) for u in core.members)}
+                if maximal:
+                    record["maximal"] = True
+                expected.append(json.dumps(record, sort_keys=True) + "\n")
+            sink = io.StringIO()
+            assert write_span_cores(cores, sink, g, maximal=maximal) == len(expected)
+            assert sink.getvalue() == "".join(expected)
+
     def test_duplicate_key_rejected(self, fix1):
-        from spancores import SpanCore, SpanCoreSet
         cores = SpanCoreSet()
         cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 1})))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate"):
             cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 2})))
+        with pytest.raises(ValueError, match="duplicate"):
+            cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 1})))
+
+
+def span_core(k, ts, te, members):
+    return SpanCore(k, Interval(ts, te), frozenset(members))
+
+
+class TestSpanCoreSetContract:
+    def test_add_enumeration_and_reading_agree(self, corpus):
+        for i, g in enumerate(corpus[:80]):
+            for enumerated in (span_cores(g), maximal_span_cores(g)):
+                cores = enumerated.sorted_cores()
+                shuffled = cores[:]
+                random.Random(i).shuffle(shuffled)
+                sink = io.StringIO()
+                write_span_cores(enumerated, sink, g)
+                for other in (SpanCoreSet(iter(shuffled)),
+                              read_span_cores(io.StringIO(sink.getvalue()), g)):
+                    assert other == enumerated
+                    assert len(other) == len(enumerated) == len(cores)
+                    assert list(other) == list(enumerated) == cores
+                    for core in cores:
+                        assert core in other
+                        assert other.get(core.order, core.span) == core
+                        assert other.get(core.order + 1, core.span) == enumerated.get(
+                            core.order + 1, core.span)
+                        if len(core.members) > 1:
+                            assert SpanCore(core.order, core.span,
+                                            core.members - {min(core.members)}) not in other
+
+    def test_missing_orders_and_spans(self):
+        cores = SpanCoreSet([span_core(1, 0, 0, {0, 1, 2, 3}), span_core(3, 0, 0, {0, 1})])
+        assert len(cores) == 2
+        assert cores.get(2, Interval(0, 0)) is None
+        assert cores.get(4, Interval(0, 0)) is None
+        assert cores.get(1, Interval(0, 1)) is None
+        assert cores.get(3, Interval(0, 0)).members == frozenset({0, 1})
+        assert span_core(2, 0, 0, {0, 1}) not in cores
+
+    def test_cores_added_between_stored_orders(self):
+        cores = SpanCoreSet([span_core(3, 0, 0, {0, 1}), span_core(1, 0, 0, {0, 1, 2, 3})])
+        cores.add(span_core(2, 0, 0, {0, 1, 2}))
+        assert [(c.order, sorted(c.members)) for c in cores] == [
+            (1, [0, 1, 2, 3]), (2, [0, 1, 2]), (3, [0, 1])]
+        assert cores == SpanCoreSet([span_core(k, 0, 0, range(5 - k)) for k in (2, 1, 3)])
+
+    @pytest.mark.parametrize("order,members", [
+        (2, {0, 1, 4}),  # not inside the order-1 core
+        (4, {0, 2}),  # not inside the order-3 core
+        (2, {0}),  # does not contain the order-3 core
+        (5, {0, 1, 2}),  # larger than the order-3 core
+        (2, {0, 1, 2, 3, 4}),  # larger than the order-1 core
+    ])
+    def test_core_not_nested_with_its_span_rejected(self, order, members):
+        stored = [span_core(1, 0, 0, {0, 1, 2, 3}), span_core(3, 0, 0, {0, 1})]
+        cores = SpanCoreSet(iter(stored))
+        with pytest.raises(ValueError, match="not nested"):
+            cores.add(span_core(order, 0, 0, members))
+        assert cores == SpanCoreSet(iter(stored)) and list(cores) == stored
+        cores.add(span_core(order, 0, 1, members))  # another span is unconstrained
