@@ -1,4 +1,4 @@
-"""Temporal graph storage, ingestion, and the incremental edge structures.
+"""Temporal graph storage, ingestion, and the per-start edge shrinkage.
 
 A temporal graph is a fixed vertex set observed over a contiguous range of
 discrete timestamps ``0..t_max``; each timestamp holds an undirected simple
@@ -211,7 +211,7 @@ class TemporalGraph:
         edges = self.interval_edges(interval)
         return sum(1 for a, b in edges if (a == u and b in members) or (b == u and a in members))
 
-    # -- incremental structures used by the top-down maximal-core scan -----------
+    # -- per-start edge shrinkage, replayed backward by the maximal-core scan ----
 
     def edge_shrinkage(self, start: int) -> "EdgeShrinkage":
         """Decompose the snapshot at ``start`` by how long each edge persists.
@@ -256,40 +256,6 @@ class EdgeShrinkage:
     last_nonempty_end: int | None
     persistent: frozenset[Edge]
     vanishing: tuple[frozenset[Edge], ...]
-
-
-class DegreeBucketMap:
-    """Vertices bucketed by degree threshold for the current interval graph.
-
-    Built by adding edges as the interval end retreats (degrees only grow).
-    Bucket ``k`` holds exactly the vertices whose current degree exceeds ``k``,
-    so the subgraph seed for a lower bound ``lb`` is a single O(1) lookup.
-    """
-
-    __slots__ = ("degree", "_buckets")
-
-    def __init__(self):
-        self.degree: dict[int, int] = {}
-        self._buckets: list[set[int]] = []
-
-    def add_edges(self, edges: Iterable[Edge]) -> None:
-        degree = self.degree
-        buckets = self._buckets
-        for u, v in edges:
-            for w in (u, v):
-                d = degree.get(w, 0)
-                if d == len(buckets):
-                    buckets.append(set())
-                buckets[d].add(w)
-                degree[w] = d + 1
-
-    def vertices_above(self, lb: int) -> set[int]:
-        """All vertices with degree strictly greater than ``lb`` (read-only view)."""
-        if lb < 0:
-            raise ValueError("degree lower bound must be >= 0")
-        if lb >= len(self._buckets):
-            return set()
-        return self._buckets[lb]
 
 
 # -- ingestion ------------------------------------------------------------------

@@ -6,17 +6,19 @@ complete enumeration and discards dominated entries.  The direct scan walks
 interval starts forward and ends backward, maintaining two frontiers of
 innermost-core orders (one per end timestamp carried across starts, one
 rolling within the current start) whose maximum is a lower bound: an interval
-can only contribute a maximal core of strictly higher order, so its peel can
-begin from the vertices whose interval degree already exceeds the bound.
+can only contribute a maximal core of strictly higher order.  A vertex whose
+interval degree does not exceed the bound can belong to no such core, so the
+peel runs only on the vertices above it, and is skipped outright when there
+are none (or, for a query, when some query vertex is not among them).
 """
 
 from __future__ import annotations
 
 from typing import Collection
 
-from .graph import DegreeBucketMap, Interval, TemporalGraph
+from .graph import Edge, Interval, TemporalGraph
 from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
-from .static_core import innermost_core, query_constrained_decomposition
+from .static_core import core_decomposition
 
 
 def _undominated(orders: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
@@ -32,25 +34,24 @@ def _undominated(orders: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
 
 
 def filter_maximal(all_cores: SpanCoreSet) -> SpanCoreSet:
-    """Discard every dominated core from a complete span-core set by keeping
-    the top order per span and then only the undominated spans."""
-    top: dict[tuple[int, int], SpanCore] = {}
-    for core in all_cores:
-        key = (core.span.start, core.span.end)
-        best = top.get(key)
-        if best is None or core.order > best.order:
-            top[key] = core
-    orders = {key: core.order for key, core in top.items()}
-    return SpanCoreSet(top[key] for key in _undominated(orders))
+    """Discard every dominated core from a complete span-core set: only the
+    top stored order of each undominated span survives."""
+    top = {span: orders[-1] for span, (_, orders) in all_cores._spans.items()}
+    return SpanCoreSet(all_cores.get(top[span], Interval(*span)) for span in _undominated(top))
 
 
-def _scan_maximal(g: TemporalGraph, query_set: frozenset[int] | None,
+def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
                   stats: DecompositionStats | None) -> list[SpanCore]:
-    """Top-down maximal-core scan, optionally constrained to cores containing ``query_set``.
+    """Top-down maximal-core scan over the cores containing ``query_set``
+    (every interval's innermost core when it is empty).
 
     For each start, interval ends run from the last end with a nonempty edge
     set down to the start itself; the interval edge set is rebuilt by folding
-    vanishing-edge sets back in while a degree bucket map grows alongside.
+    vanishing-edge sets back in, and the degrees of their endpoints and the
+    highest of them, ``top``, grow alongside.  Every vertex of a core of order
+    above ``bound`` has degree above ``bound``, so an interval where ``top``
+    is not above it, or where some query vertex is not, has order 0 there
+    without a peel.
     """
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
@@ -58,34 +59,34 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int] | None,
 
     for ts in range(g.t_max + 1):
         shrinkage = g.edge_shrinkage(ts)
-        if shrinkage.last_nonempty_end is None:
-            continue
         last = shrinkage.last_nonempty_end
-        buckets = DegreeBucketMap()
-        buckets.add_edges(shrinkage.persistent)
-        current_edges = set(shrinkage.persistent)
+        if last is None:
+            continue
+        degree: dict[int, int] = {}
+        top = 0
+        current_edges: list[Edge] = []
         rolling = 0  # innermost order of [ts, te + 1], possibly understated (see below)
         for te in range(last, ts - 1, -1):
-            if te != last:
-                refill = shrinkage.vanishing[te - ts]
-                current_edges |= refill
-                buckets.add_edges(refill)
+            refill = shrinkage.persistent if te == last else shrinkage.vanishing[te - ts]
+            current_edges.extend(refill)
+            for u, v in refill:
+                du = degree[u] = degree.get(u, 0) + 1
+                dv = degree[v] = degree.get(v, 0) + 1
+                top = max(top, du, dv)
             bound = max(frontier[te], rolling)
-            seed = buckets.vertices_above(bound)
-            edges = [e for e in current_edges if e[0] in seed and e[1] in seed]
+            order = peeled = 0
+            if top > bound and all(degree.get(q, 0) > bound for q in query_set):
+                seed = {u for u, d in degree.items() if d > bound}
+                peeled = len(seed)
+                labeling = core_decomposition(
+                    seed, [e for e in current_edges if e[0] in seed and e[1] in seed])
+                coreness = labeling.coreness
+                order = min((coreness[q] for q in query_set), default=labeling.k_max)
+                if order > bound:
+                    found.append(SpanCore(order=order, span=Interval(ts, te), members=frozenset(
+                        u for u, c in coreness.items() if c >= order)))
             if stats is not None:
-                stats.record(len(seed))
-            if query_set is None:
-                order, members = innermost_core(seed, edges)
-            elif query_set <= seed:
-                order, members = query_constrained_decomposition(seed, edges, query_set)
-            else:
-                order, members = 0, set()
-            if order > bound:
-                found.append(SpanCore(order=order, span=Interval(ts, te),
-                                      members=frozenset(members)))
-                if stats is not None:
-                    stats.emitted_cores += 1
+                stats.record(peeled)
             # The restricted peel can understate the interval's true innermost
             # order (never below the bound it was cut at); taking the running
             # maximum keeps both frontiers exact.
@@ -97,7 +98,7 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int] | None,
 def maximal_span_cores(g: TemporalGraph,
                        stats: DecompositionStats | None = None) -> SpanCoreSet:
     """All maximal span-cores, computed directly without full decompositions."""
-    return SpanCoreSet(iter(_scan_maximal(g, None, stats)))
+    return SpanCoreSet(iter(_scan_maximal(g, frozenset(), stats)))
 
 
 def _validate_query(g: TemporalGraph, query: Collection[int]) -> frozenset[int]:

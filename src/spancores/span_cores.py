@@ -153,14 +153,14 @@ class SpanCoreSet:
 
 @dataclass
 class DecompositionStats:
-    """Work counters: intervals peeled and total vertices fed to the peeling
+    """Work counters: intervals processed and total vertices fed to the peeling
     subroutine.  The seeded enumeration feeds each interval's edge endpoints,
     so there ``peel_vertices`` counts edge endpoints summed over intervals;
-    the naive route feeds the whole vertex set every time."""
+    the naive route feeds the whole vertex set every time; the maximal scan
+    counts each interval it visits, one it settles without a peel as 0."""
 
     intervals_processed: int = 0
     peel_vertices: int = 0
-    emitted_cores: int = 0
 
     def record(self, vertex_count: int) -> None:
         self.intervals_processed += 1
@@ -174,8 +174,6 @@ def _cores_of_interval(span: Interval, vertices, edges,
         stats.record(len(vertices))
     labeling = core_decomposition(vertices, edges)
     out._store(span, labeling)
-    if stats is not None:
-        stats.emitted_cores += labeling.k_max
 
 
 def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:

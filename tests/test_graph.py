@@ -13,7 +13,7 @@ from spancores import (
     write_edge_list,
 )
 from spancores import graph as graph_module
-from spancores.graph import MAX_TIMESTAMPS, DegreeBucketMap, UnknownLabelError, parse_edge_records
+from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError, parse_edge_records
 
 from conftest import random_temporal_graph
 
@@ -252,37 +252,6 @@ class TestConstruction:
         with pytest.raises(UnknownLabelError, match="2 labels") as caught:
             g.index_of("c")
         assert isinstance(caught.value, KeyError)
-
-
-class TestDegreeBucketMap:
-    def test_fix1_snapshot_buckets(self, fix1):
-        g = fix1
-        buckets = DegreeBucketMap()
-        buckets.add_edges(g.snapshots[0])
-        a, b, c, d = (g.index_of(x) for x in "abcd")
-        assert buckets.vertices_above(0) == {a, b, c, d}
-        assert buckets.vertices_above(1) == {a, b, c}
-        assert buckets.vertices_above(2) == {c}
-        assert buckets.vertices_above(3) == set()
-
-    def test_incremental_growth(self, fix1):
-        g = fix1
-        shrink = g.edge_shrinkage(0)
-        buckets = DegreeBucketMap()
-        buckets.add_edges(shrink.persistent)
-        for te in range(shrink.last_nonempty_end - 1, -1, -1):
-            buckets.add_edges(shrink.vanishing[te])
-            expected = Counter()
-            for u, v in rebuilt_edges(shrink, te):
-                expected[u] += 1
-                expected[v] += 1
-            for lb in range(0, 5):
-                assert buckets.vertices_above(lb) == {
-                    u for u, d in expected.items() if d > lb}
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            DegreeBucketMap().vertices_above(-1)
 
 
 class TestRewiring:

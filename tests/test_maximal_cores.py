@@ -10,6 +10,8 @@ from spancores import (
     naive_span_cores,
     span_cores,
 )
+from spancores import maximal_cores, static_core
+from spancores.static_core import core_decomposition
 
 
 class TestFilterBaseline:
@@ -85,7 +87,21 @@ class TestDirectScan:
         # [0,1] with seed {a,b,c}, then [0,0] where the bound already reached 2
         # and only c keeps degree above it; later starts find empty seeds
         stats = DecompositionStats()
-        maximal_span_cores(fix1, stats)
+        result = maximal_span_cores(fix1, stats)
         assert stats.intervals_processed == 6
         assert stats.peel_vertices == 2 + 3 + 1
-        assert stats.emitted_cores == 2
+        assert len(result) == 2
+
+    def test_fix1_peels_only_above_the_bound(self, fix1, monkeypatch):
+        # only start 0's intervals peel; at every later one no vertex's
+        # degree exceeds the bound set by the cores already found
+        peeled = []
+
+        def counting(vertices, edges):
+            peeled.append(len(vertices))
+            return core_decomposition(vertices, edges)
+
+        for module in (static_core, maximal_cores):
+            monkeypatch.setattr(module, "core_decomposition", counting)
+        maximal_span_cores(fix1)
+        assert peeled == [2, 3, 1]

@@ -9,7 +9,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from spancores import TemporalGraph, load_edge_list, span_cores, tcs_embeddings
+from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_constrained_scan,
+                       span_cores, tcs_embeddings)
 
 from conftest import as_definitional, definitional_span_cores, per_vertex_rows
 
@@ -51,6 +52,36 @@ def test_embedding_rows_match_per_vertex_search(case):
 @given(persistent_graph())
 def test_span_cores_match_the_definition(g):
     assert as_definitional(span_cores(g)) == definitional_span_cores(g)
+
+
+@st.composite
+def persistent_graph_and_query(draw):
+    """A ``persistent_graph`` plus a nonempty query of up to 3 vertices."""
+    graph = draw(persistent_graph())
+    return graph, draw(st.frozensets(st.integers(0, graph.n - 1), min_size=1, max_size=3))
+
+
+def undominated(cores):
+    """The entries of a ``{(k, ts, te): members}`` map that no other entry
+    dominates with an order at least as high over a span containing theirs."""
+    return {key: members for key, members in cores.items()
+            if not any(other != key and other[0] >= key[0] and other[1] <= key[1] <= key[2] <= other[2]
+                       for other in cores)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(persistent_graph_and_query())
+def test_maximal_scans_match_the_definition(case):
+    g, query = case
+    cores = definitional_span_cores(g)
+    assert as_definitional(maximal_span_cores(g)) == undominated(cores)
+    # per span, the core of highest order that contains the query
+    containing: dict[tuple[int, int], tuple[int, frozenset[int]]] = {}
+    for (k, ts, te), members in cores.items():
+        if query <= members and k > containing.get((ts, te), (0,))[0]:
+            containing[(ts, te)] = (k, members)
+    expected = undominated({(k, ts, te): members for (ts, te), (k, members) in containing.items()})
+    assert as_definitional(query_constrained_scan(g, query)) == expected
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from spancores import (
+    Interval,
     core_decomposition,
     innermost_core,
     query_constrained_decomposition,
@@ -55,6 +56,20 @@ class TestCoreDecomposition:
             labeling = core_decomposition(range(n), edges)
             for k in range(0, labeling.k_max + 2):
                 assert labeling.core(k) == brute_force_core(range(n), edges, k)
+
+    def test_matches_networkx_core_number(self, corpus):
+        nx = pytest.importorskip("networkx")
+        for g in corpus[:40]:
+            edge_sets = list(g.snapshots)
+            edge_sets += [g.interval_edges(Interval(ts, min(ts + 1, g.t_max)))
+                          for ts in range(0, g.t_max + 1, 2)]
+            edge_sets.append(g.interval_edges(Interval(0, g.t_max)))
+            for edges in edge_sets:
+                reference = nx.Graph()
+                reference.add_nodes_from(g.vertices)
+                reference.add_edges_from(edges)
+                assert core_decomposition(g.vertices, edges).coreness == \
+                    nx.core_number(reference)
 
     def test_nestedness(self):
         rng = random.Random(9)
