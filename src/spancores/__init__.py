@@ -13,7 +13,6 @@ from .graph import (
 from .static_core import (
     CoreLabeling,
     core_decomposition,
-    innermost_core,
     query_constrained_decomposition,
 )
 from .span_cores import (
@@ -69,7 +68,6 @@ __all__ = [
     "detect_anomalies",
     "filter_maximal",
     "greedy_minimum_community",
-    "innermost_core",
     "load_edge_list",
     "maximal_span_cores",
     "naive_span_cores",

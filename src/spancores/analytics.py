@@ -2,8 +2,9 @@
 attribute purity, span-length statistics, anomaly filtering, per-vertex
 community-search embeddings, and query sampling.
 
-The embeddings come from one span-core enumeration shared by every vertex,
-followed by a small segmentation DP per vertex."""
+The activity summary reads each span's top stored order without building
+cores.  The embeddings come from one span-core enumeration shared by every
+vertex, followed by a small segmentation DP per vertex."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping
 from .community_search import _tcs_every_vertex
 from .graph import Interval, TemporalGraph, UnknownLabelError
 from .maximal_cores import maximal_span_cores
-from .span_cores import SpanCore
+from .span_cores import SpanCore, SpanCoreSet
 
 logger = logging.getLogger(__name__)
 
@@ -32,19 +33,12 @@ class ActivityCell:
     max_order: int
 
 
-def activity_summary(cores: Iterable[SpanCore],
+def activity_summary(cores: SpanCoreSet,
                      min_span: int = DEFAULT_MIN_SPAN) -> list[ActivityCell]:
-    """One record per (start, span length) cell holding the highest order there."""
-    peaks: dict[tuple[int, int], int] = {}
-    for core in cores:
-        length = core.span.length
-        if length < min_span:
-            continue
-        key = (core.span.start, length)
-        if core.order > peaks.get(key, 0):
-            peaks[key] = core.order
-    return [ActivityCell(start=s, span_length=w, max_order=k)
-            for (s, w), k in sorted(peaks.items())]
+    """One record per (start, span length) cell holding the highest order
+    there, read from each span's top stored order."""
+    return [ActivityCell(start=ts, span_length=te - ts + 1, max_order=k)
+            for (ts, te), k in sorted(cores.top_orders().items()) if te - ts + 1 >= min_span]
 
 
 def purity(core: SpanCore, attributes: Mapping[int, str]) -> float:
@@ -178,12 +172,12 @@ def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
     Row order is vertex index order.  Rows equal those of ``tcs_efficient``
     run once per vertex, but all rows share one seeded span-core enumeration
     that scores every interval for every vertex; each row then costs only
-    its reduced-domain DP and the materialization of its h segments.
+    its reduced-domain DP, and reads its h segment scores from the vertex's
+    score table, with no re-peel and no member sets.
     """
     if h < 1 or h > g.t_max + 1:
         raise ValueError(f"embedding width h must be within 1..{g.t_max + 1}")
-    return [[segment.min_degree for segment in segmentation.segments]
-            for segmentation in _tcs_every_vertex(g, h)]
+    return _tcs_every_vertex(g, h)
 
 
 # -- query sampling ------------------------------------------------------------------

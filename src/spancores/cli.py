@@ -88,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated query vertex labels")
     p.add_argument("--h", dest="segments", type=int, required=True,
                    help="number of output communities")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--basic", action="store_true", help="DP over the full time domain")
-    mode.add_argument("--efficient", action="store_true",
-                      help="DP over the reduced boundary domain (default)")
+    p.add_argument("--basic", action="store_true",
+                   help="DP over the full time domain instead of the reduced one")
     p.add_argument("--minimize", action="store_true",
                    help="shrink each community greedily, reporting both sizes")
 
@@ -298,24 +296,25 @@ def _cmd_embed(run: _Run, g: TemporalGraph):
 def _cmd_stats(run: _Run, g: TemporalGraph):
     args = run.args
     if args.report == "activity":
-        cores = _timed(run, "solve", lambda: span_cores(g))
         header = "start\tspan_length\tmax_order"
-        rows = [f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
-                for cell in analytics.activity_summary(cores, min_span=args.min_span)]
+        rows = _timed(run, "solve", lambda: [
+            f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
+            for cell in analytics.activity_summary(span_cores(g), min_span=args.min_span)])
     elif args.report == "span-length":
-        cores = _timed(run, "solve", lambda: maximal_span_cores(g))
         header = "span_length\tcount\tpercent"
-        rows = [f"{row.length}\t{row.count}\t{row.percent:.4f}"
-                for row in analytics.span_length_distribution(cores)]
+        rows = _timed(run, "solve", lambda: [
+            f"{row.length}\t{row.count}\t{row.percent:.4f}"
+            for row in analytics.span_length_distribution(maximal_span_cores(g))])
     else:
         if not args.attrs:
             raise UsageError("stats --report purity requires --attrs")
         attributes = analytics.read_attribute_table(args.attrs, g)
-        cores = _timed(run, "solve", lambda: maximal_span_cores(g))
-        kept = [c for c in cores if c.span.length >= args.min_span]
         header = "t\tmean_purity"
-        rows = [f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
-                for t, value in enumerate(analytics.purity_timeline(kept, attributes, g.t_max))]
+        rows = _timed(run, "solve", lambda: [
+            f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
+            for t, value in enumerate(analytics.purity_timeline(
+                [c for c in maximal_span_cores(g) if c.span.length >= args.min_span],
+                attributes, g.t_max))])
     with run.writing() as sink:
         sink.write(header + "\n")
         for row in rows:

@@ -4,19 +4,23 @@ minimum degree.
 
 The per-interval subproblem is solved by the highest-order core containing the
 query, whose order acts as the interval's score.  Segmenting the domain is
-then classic optimal sequence segmentation by dynamic programming.  The basic
-route (the test oracle) scores every interval up front and runs the DP over
-every timestamp; the efficient route scores intervals through a dominance
-lookup over the query-constrained maximal cores and runs the DP only over a
-reduced set of candidate boundary timestamps, which is sufficient for
-optimality.  Both share one solver body and differ only in the score table
-and the candidate segment ends they hand it.
+then classic optimal sequence segmentation by dynamic programming over one
+score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` for
+each start ``a``, and the DP asks it at the exact start of every candidate
+segment.  The basic route (the test oracle) reads a table of every interval's
+score and runs the DP over every timestamp; the efficient route answers by
+dominance lookup over the query-constrained maximal cores and runs the DP only
+over a reduced set of candidate segment ends, which is sufficient for
+optimality.  Both share one solver body and differ only in the profile and
+the candidate ends they hand it.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Collection, Sequence
 
 from .graph import Interval, TemporalGraph
@@ -57,57 +61,38 @@ def single_tcs(g: TemporalGraph, query: Collection[int],
     return query_constrained_decomposition(g.vertices, edges, query)
 
 
-class FullPenaltyTable:
-    """Interval scores materialized for every interval with a positive score."""
-
-    def __init__(self, values: dict[tuple[int, int], int]):
-        self._values = values
-
-    def value(self, ts: int, te: int) -> int:
-        return self._values.get((ts, te), 0)
-
-    def profile_for_end(self, te: int, starts: Sequence[int]) -> list[int]:
-        values = self._values
-        return [values.get((a, te), 0) for a in starts]
+# profile(te, starts): the scores of [a, te] for each start a, starts ascending
+Profile = Callable[[int, Sequence[int]], list[int]]
 
 
-class DominancePenaltyTable:
-    """Interval scores answered from the query-constrained maximal cores.
+def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
+    """The profile of a ``{(ts, te): score}`` table; missing intervals score 0."""
+    return lambda te, starts: [scores.get((a, te), 0) for a in starts]
 
-    The score of an interval is the highest order among stored cores whose
-    span contains it (0 if none), so no per-interval table is materialized.
+
+def _dominance_profile(cores: Collection[SpanCore]) -> Profile:
+    """The profile answered from the query-constrained maximal cores.
+
+    The score of an interval is the highest order among the cores whose span
+    contains it (0 if none), so no per-interval table is materialized: per
+    end, a running maximum over the cores reaching it, by start, answers
+    each start by bisection.
     """
+    spans = sorted((c.span.start, c.span.end, c.order) for c in cores)
 
-    def __init__(self, cores: Collection[SpanCore]):
-        self._spans = sorted((c.span.start, c.span.end, c.order) for c in cores)
+    def profile(te: int, starts: Sequence[int]) -> list[int]:
+        eligible = [(s, k) for s, e, k in spans if e >= te]
+        firsts = [s for s, _ in eligible]
+        peaks = list(accumulate((k for _, k in eligible), max, initial=0))
+        return [peaks[bisect_right(firsts, a)] for a in starts]
 
-    def value(self, ts: int, te: int) -> int:
-        best = 0
-        for s, e, k in self._spans:
-            if s > ts:
-                break
-            if e >= te and k > best:
-                best = k
-        return best
-
-    def profile_for_end(self, te: int, starts: Sequence[int]) -> list[int]:
-        """Scores of [a, te] for each start a in ascending order, via one sweep."""
-        eligible = [(s, k) for s, e, k in self._spans if e >= te]
-        out = []
-        best = 0
-        pointer = 0
-        for a in starts:
-            while pointer < len(eligible) and eligible[pointer][0] <= a:
-                if eligible[pointer][1] > best:
-                    best = eligible[pointer][1]
-                pointer += 1
-            out.append(best)
-        return out
+    return profile
 
 
 def penalty_table_full(g: TemporalGraph, query: Collection[int],
-                       stats: DecompositionStats | None = None) -> FullPenaltyTable:
-    """Score every interval by one seeded enumeration pass.
+                       stats: DecompositionStats | None = None) -> dict[tuple[int, int], int]:
+    """``{(ts, te): score}`` for every interval with a positive score, by one
+    seeded enumeration pass.
 
     Each interval's peel is seeded exactly as in the full span-core
     enumeration; the interval's score is the smallest coreness among the query
@@ -127,7 +112,7 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
             v = labeling.k_max
         if v > 0:
             values[(span.start, span.end)] = v
-    return FullPenaltyTable(values)
+    return values
 
 
 def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
@@ -171,20 +156,22 @@ def reduced_time_domain(t_max: int, h: int, spans: Collection[Interval]) -> Redu
     return ReducedDomain(timestamps=tuple(sorted(chosen)))
 
 
-def _segment_dp(ends: Sequence[int], table, h: int):
+def _segment_dp(ends: Sequence[int], profile: Profile, h: int):
     """Optimal segmentation DP over candidate end timestamps.
 
     ``P[r][i]`` is the least cost (negated summed score) of splitting the
     prefix ending at ``ends[r]`` into ``i + 1`` nonempty segments; ``R[r][i]``
-    records the chosen previous end index.  Ties go to the smallest split
+    records the chosen previous end index.  The segment after end index
+    ``split`` starts at ``ends[split] + 1``.  Ties go to the smallest split
     index, making reconstruction deterministic.
     """
     n = len(ends)
+    starts = [0] + [e + 1 for e in ends[:-1]]
     P: list[list[int | None]] = [[None] * h for _ in range(n)]
     R: list[list[int]] = [[-1] * h for _ in range(n)]
     for r in range(n):
-        profile = table.profile_for_end(ends[r], ends[:r + 1])
-        P[r][0] = -table.value(0, ends[r])
+        scores = profile(ends[r], starts[:r + 1])
+        P[r][0] = -scores[0]
         for i in range(1, min(h, r + 1)):
             best = None
             best_split = -1
@@ -192,7 +179,7 @@ def _segment_dp(ends: Sequence[int], table, h: int):
                 prev = P[split][i - 1]
                 if prev is None:
                     continue
-                cost = prev - profile[split + 1]
+                cost = prev - scores[split + 1]
                 if best is None or cost < best:
                     best = cost
                     best_split = split
@@ -201,31 +188,34 @@ def _segment_dp(ends: Sequence[int], table, h: int):
     return P, R
 
 
-def _materialize(g: TemporalGraph, query: frozenset[int], h: int,
-                 ends: Sequence[int], P, R) -> Segmentation:
+def _best_segmentation(ends: Sequence[int], profile: Profile,
+                       h: int) -> tuple[list[Interval], int]:
+    """The spans and objective of the DP's optimal h-segmentation over ``ends``."""
     n = len(ends)
+    P, R = _segment_dp(ends, profile, h)
     objective = P[n - 1][h - 1]
     if objective is None:
         raise RuntimeError(f"internal: no feasible {h}-segmentation over {n} boundaries")
-    objective = -objective
 
-    end_indices = [0] * h
+    spans = []
     idx = n - 1
-    for i in range(h - 1, 0, -1):
-        end_indices[i] = idx
-        idx = R[idx][i]
-    end_indices[0] = idx
+    for i in range(h - 1, -1, -1):
+        split = R[idx][i]  # -1 for the first segment
+        spans.append(Interval(ends[split] + 1 if split >= 0 else 0, ends[idx]))
+        idx = split
+    return spans[::-1], -objective
 
+
+def _materialize(g: TemporalGraph, query: frozenset[int], spans: Sequence[Interval],
+                 objective: int) -> Segmentation:
+    """Each span's community, checked against the DP's objective."""
     segments: list[Segment] = []
-    previous_end = -1
-    for i in range(h):
-        span = Interval(previous_end + 1, ends[end_indices[i]])
+    for span in spans:
         order, members = single_tcs(g, query, span)
         if order == 0:
             # any vertex set scores 0 here; the query itself is the least misleading
             members = set(query)
         segments.append(Segment(span=span, members=frozenset(members), min_degree=order))
-        previous_end = span.end
 
     if sum(seg.min_degree for seg in segments) != objective:
         raise RuntimeError("internal: segmentation objective does not match its segments")
@@ -240,18 +230,16 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
 
 
 def _solve(g: TemporalGraph, query: Collection[int], h: int, timings: dict | None,
-           prepare: Callable[[frozenset[int]], tuple[FullPenaltyTable | DominancePenaltyTable,
-                                                      Sequence[int]]]) -> Segmentation:
+           prepare: Callable[[frozenset[int]], tuple[Profile, Sequence[int]]]) -> Segmentation:
     """Shared solver body: ``prepare`` validates the query and returns the
-    interval-score table plus the ascending candidate segment ends (always
+    score profile plus the ascending candidate segment ends (always
     including the last timestamp); the DP and materialization follow."""
     _validate_h(g, h)
     qs = frozenset(query)
     tick = time.perf_counter()
-    table, ends = prepare(qs)
+    profile, ends = prepare(qs)
     tock = time.perf_counter()
-    P, R = _segment_dp(ends, table, h)
-    result = _materialize(g, qs, h, ends, P, R)
+    result = _materialize(g, qs, *_best_segmentation(ends, profile, h))
     if timings is not None:
         timings["precompute"] = tock - tick
         timings["solve"] = time.perf_counter() - tock
@@ -263,7 +251,8 @@ def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
               timings: dict | None = None) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
     return _solve(g, query, h, timings,
-                  lambda qs: (penalty_table_full(g, qs, stats), range(g.t_max + 1)))
+                  lambda qs: (_table_profile(penalty_table_full(g, qs, stats)),
+                              range(g.t_max + 1)))
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
@@ -278,22 +267,24 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
     def prepare(qs: frozenset[int]):
         cores = query_constrained_scan(g, qs, stats)
         domain = reduced_time_domain(g.t_max, h, [core.span for core in cores])
-        return DominancePenaltyTable(cores), domain.timestamps
+        return _dominance_profile(cores), domain.timestamps
 
     return _solve(g, query, h, timings, prepare)
 
 
-def _tcs_every_vertex(g: TemporalGraph, h: int) -> list[Segmentation]:
-    """``tcs_efficient(g, {u}, h)`` for every vertex u, in index order, from
-    one enumeration pass shared by all of them.
+def _tcs_every_vertex(g: TemporalGraph, h: int) -> list[list[int]]:
+    """The segment scores of ``tcs_efficient(g, {u}, h)`` for every vertex u,
+    in index order, from one enumeration pass shared by all of them.
 
     A vertex's undominated positive scores are exactly the spans of
     ``query_constrained_scan(g, {u})``, so each DP sees the same candidate
-    ends and the same interval scores as ``tcs_efficient``'s.
+    ends and the same interval scores as ``tcs_efficient``'s; a row reads
+    its segments' scores from the vertex's table, with no re-peel.
     """
-    out = []
-    for u, scores in zip(g.vertices, _vertex_score_tables(g)):
+    rows = []
+    for scores in _vertex_score_tables(g):
         spans = [Interval(ts, te) for ts, te in _undominated(scores)]
         ends = reduced_time_domain(g.t_max, h, spans).timestamps
-        out.append(_solve(g, {u}, h, None, lambda qs: (FullPenaltyTable(scores), ends)))
-    return out
+        segments, _ = _best_segmentation(ends, _table_profile(scores), h)
+        rows.append([scores.get((s.start, s.end), 0) for s in segments])
+    return rows

@@ -36,7 +36,7 @@ def _undominated(orders: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
 def filter_maximal(all_cores: SpanCoreSet) -> SpanCoreSet:
     """Discard every dominated core from a complete span-core set: only the
     top stored order of each undominated span survives."""
-    top = {span: orders[-1] for span, (_, orders) in all_cores._spans.items()}
+    top = all_cores.top_orders()
     return SpanCoreSet(all_cores.get(top[span], Interval(*span)) for span in _undominated(top))
 
 

@@ -64,7 +64,7 @@ class SpanCoreSet:
     contains every stored core of higher order.  ``add`` rejects a core that
     breaks this, as it rejects a second core for one (order, span).
     ``get``, ``in``, iteration and ``sorted_cores`` build ``SpanCore``
-    objects on demand; two sets are equal when they hold the same cores.
+    objects on demand, while ``top_orders`` reads the orders alone; two sets are equal when they hold the same cores.
     """
 
     def __init__(self, cores: Iterator[SpanCore] | None = None):
@@ -114,6 +114,10 @@ class SpanCoreSet:
             for u, c in labels.items():
                 layers[c].append(u)
             yield ts, te, list(layers.items())
+
+    def top_orders(self) -> dict[tuple[int, int], int]:
+        """``{(ts, te): k}``: each span's highest stored order."""
+        return {span: orders[-1] for span, (_, orders) in self._spans.items()}
 
     def get(self, order: int, span: Interval) -> SpanCore | None:
         entry = self._spans.get((span.start, span.end))

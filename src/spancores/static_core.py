@@ -93,18 +93,6 @@ def core_decomposition(vertices: Collection[int], edges: Iterable[Edge]) -> Core
     return CoreLabeling(coreness=coreness, k_max=k_max)
 
 
-def innermost_core(vertices: Collection[int], edges: Iterable[Edge]) -> tuple[int, set[int]]:
-    """The nonempty core of highest order.
-
-    An edgeless input yields ``(0, vertices)``: order 0 with the full vertex
-    set, so downstream order arithmetic needs no empty-graph special case.
-    """
-    labeling = core_decomposition(vertices, edges)
-    if labeling.k_max == 0:
-        return 0, set(vertices)
-    return labeling.k_max, labeling.core(labeling.k_max)
-
-
 def query_constrained_decomposition(vertices: Collection[int], edges: Iterable[Edge],
                                     query: Collection[int]) -> tuple[int, set[int]]:
     """Highest order whose core still contains every query vertex, and that core.

@@ -38,6 +38,20 @@ class TestActivitySummary:
         cells = activity_summary(span_cores(fix1), min_span=1)
         assert (0, 1, 2) in {(c.start, c.span_length, c.max_order) for c in cells}
 
+    def test_corpus_cells_are_the_top_order_per_start_and_length(self, corpus):
+        for g in corpus:
+            cores = span_cores(g)
+            for min_span in (1, 2):
+                # the highest order over the built cores of each (start, length)
+                peaks: dict[tuple[int, int], int] = {}
+                for core in cores:
+                    if core.span.length >= min_span:
+                        key = (core.span.start, core.span.length)
+                        peaks[key] = max(peaks.get(key, 0), core.order)
+                cells = activity_summary(cores, min_span)
+                assert [(c.start, c.span_length, c.max_order) for c in cells] == \
+                    [(s, w, k) for (s, w), k in sorted(peaks.items())]
+
 
 class TestPurity:
     def test_two_of_three(self):

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from spancores import cli, load_edge_list
+from spancores import analytics, cli, load_edge_list
 from spancores.cli import main
 
 from conftest import FIX1_SNAPSHOTS
@@ -65,7 +66,7 @@ class TestTcs:
         assert run(["tcs", fix1_file, "--pre-windowed", "--q", "a", "--h", 2,
                     "--basic", "-o", basic]) == 0
         assert run(["tcs", fix1_file, "--pre-windowed", "--q", "a", "--h", 2,
-                    "--efficient", "-o", efficient]) == 0
+                    "-o", efficient]) == 0
         doc_b = json.loads(basic.read_text())
         doc_e = json.loads(efficient.read_text())
         assert doc_b["objective"] == doc_e["objective"] == 3
@@ -191,6 +192,17 @@ class TestProvenance:
         timings = sidecar(fix1_file, tmp_path, argv)["timings_seconds"]
         assert {"load", "write", "digest"} <= set(timings)
         assert all(seconds >= 0 for seconds in timings.values())
+
+    def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
+        summarize = analytics.activity_summary
+
+        def slow_summary(*args, **kwargs):
+            time.sleep(0.05)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "activity_summary", slow_summary)
+        timings = sidecar(fix1_file, tmp_path, ["stats", "--report", "activity"])["timings_seconds"]
+        assert timings["solve"] >= 0.05
 
 
 class TestErrorHandling:

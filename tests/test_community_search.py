@@ -11,7 +11,8 @@ from spancores import (
     tcs_basic,
     tcs_efficient,
 )
-from spancores.community_search import DominancePenaltyTable, _segment_dp, penalty_table_full
+from spancores.community_search import (_dominance_profile, _segment_dp, _table_profile,
+                                         penalty_table_full)
 
 from conftest import stress_cases
 
@@ -56,19 +57,19 @@ class TestFullPenaltyTable:
     def test_fix1_query_a(self, fix1):
         g = fix1
         table = penalty_table_full(g, {g.index_of("a")})
-        assert table.value(0, 0) == 2
-        assert table.value(0, 1) == 2
-        assert table.value(0, 2) == 1
-        assert table.value(0, 1) >= table.value(0, 2)
+        assert table.get((0, 0), 0) == 2
+        assert table.get((0, 1), 0) == 2
+        assert table.get((0, 2), 0) == 1
+        assert table.get((0, 1), 0) >= table.get((0, 2), 0)
 
     def test_fix1_query_d(self, fix1):
         g = fix1
         table = penalty_table_full(g, {g.index_of("d")})
-        assert table.value(0, 0) == 1
+        assert table.get((0, 0), 0) == 1
         for ts in range(3):
             for te in range(ts, 3):
                 if (ts, te) != (0, 0):
-                    assert table.value(ts, te) == 0
+                    assert table.get((ts, te), 0) == 0
 
     def test_anti_monotone_in_span(self, corpus):
         rng = random.Random(3)
@@ -77,30 +78,30 @@ class TestFullPenaltyTable:
             table = penalty_table_full(g, query)
             for ts in range(g.t_max + 1):
                 for te in range(ts, g.t_max + 1):
-                    wider = table.value(max(0, ts - 1), te)
-                    assert table.value(ts, te) >= wider
+                    wider = table.get((max(0, ts - 1), te), 0)
+                    assert table.get((ts, te), 0) >= wider
 
 
 class TestQueryConstrainedMaximal:
     def test_fix1_query_a(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("a")})
-        table = DominancePenaltyTable(cores)
+        profile = _dominance_profile(cores)
         keys = {(c.order, c.span.start, c.span.end) for c in cores}
         assert keys == {(2, 0, 1), (1, 0, 2)}
         # dominance lookup through a span that strictly contains the probe
-        assert table.value(1, 1) == 2
+        assert profile(1, [1]) == [2]
 
     def test_fix1_query_d(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("d")})
-        table = DominancePenaltyTable(cores)
+        profile = _dominance_profile(cores)
         found = list(cores)
         assert len(found) == 1
         assert (found[0].order, found[0].span) == (1, Interval(0, 0))
         assert found[0].members == frozenset(g.vertices)
-        assert table.value(0, 0) == 1
-        assert table.value(1, 1) == 0
+        assert profile(0, [0]) == [1]
+        assert profile(1, [1]) == [0]
 
     def test_table_agrees_with_full_and_single(self, corpus):
         rng = random.Random(17)
@@ -109,14 +110,14 @@ class TestQueryConstrainedMaximal:
             if probes >= 100:
                 break
             query = {rng.randrange(g.n)}
-            dominance = DominancePenaltyTable(query_constrained_scan(g, query))
+            dominance = _dominance_profile(query_constrained_scan(g, query))
             full = penalty_table_full(g, query)
             for _ in range(4):
                 ts = rng.randint(0, g.t_max)
                 te = rng.randint(ts, g.t_max)
                 expected, _ = single_tcs(g, query, Interval(ts, te))
-                assert dominance.value(ts, te) == expected
-                assert full.value(ts, te) == expected
+                assert dominance(te, [ts]) == [expected]
+                assert full.get((ts, te), 0) == expected
                 probes += 1
 
     def test_spans_are_the_undominated_positive_scores(self, corpus):
@@ -129,8 +130,8 @@ class TestQueryConstrainedMaximal:
             spans = [(ts, te) for ts in range(g.t_max + 1) for te in range(ts, g.t_max + 1)]
             expected = {
                 (ts, te) for ts, te in spans
-                if full.value(ts, te) > 0 and not any(
-                    full.value(a, b) >= full.value(ts, te)
+                if full.get((ts, te), 0) > 0 and not any(
+                    full.get((a, b), 0) >= full.get((ts, te), 0)
                     for a, b in spans if a <= ts and b >= te and (a, b) != (ts, te))
             }
             found = {(c.span.start, c.span.end) for c in query_constrained_scan(g, query)}
@@ -287,9 +288,9 @@ class TestDpState:
         g = fix1
         table = penalty_table_full(g, {g.index_of("a")})
         ends = list(range(g.t_max + 1))
-        P, _ = _segment_dp(ends, table, 3)
+        P, _ = _segment_dp(ends, _table_profile(table), 3)
         for t in ends:
-            assert P[t][0] == -table.value(0, t)
+            assert P[t][0] == -table.get((0, t), 0)
         for t in ends:
             for i in range(2):
                 if P[t][i] is not None and P[t][i + 1] is not None:

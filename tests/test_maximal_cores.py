@@ -5,13 +5,12 @@ from spancores import (
     SpanCoreSet,
     TemporalGraph,
     filter_maximal,
-    innermost_core,
     maximal_span_cores,
     naive_span_cores,
     span_cores,
 )
 from spancores import maximal_cores, static_core
-from spancores.static_core import core_decomposition
+from spancores.static_core import core_decomposition, query_constrained_decomposition
 
 
 class TestFilterBaseline:
@@ -58,8 +57,8 @@ class TestDirectScan:
     def test_each_output_is_a_true_innermost_core(self, corpus):
         for g in corpus[:40]:
             for core in maximal_span_cores(g):
-                order, members = innermost_core(
-                    g.vertices, g.interval_edges(core.span))
+                order, members = query_constrained_decomposition(
+                    g.vertices, g.interval_edges(core.span), ())
                 assert (order, members) == (core.order, set(core.members))
 
     def test_per_span_uniqueness(self, corpus):

@@ -1,7 +1,10 @@
 """Property tests over wider random corpora than the fixed one: graphs of up
 to 20 vertices and 30 timestamps built from persistent group contacts, checked
-for embeddings and against the span-core definition, and raw edge-list files
+for embeddings and against the span-core definition, segmentations checked
+against an exhaustive search over definitional scores, and raw edge-list files
 checked against a plain reference loader."""
+
+from itertools import combinations
 
 import pytest
 
@@ -10,17 +13,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_constrained_scan,
-                       span_cores, tcs_embeddings)
+                       span_cores, tcs_basic, tcs_efficient, tcs_embeddings)
 
 from conftest import as_definitional, definitional_span_cores, per_vertex_rows
 
 
 @st.composite
-def persistent_graph(draw):
-    """A graph whose contacts are groups of 2-5 vertices, each kept for a run
-    of timestamps."""
+def persistent_graph(draw, max_t=30):
+    """A graph of up to ``max_t`` timestamps whose contacts are groups of 2-5
+    vertices, each kept for a run of timestamps."""
     n = draw(st.integers(2, 20))
-    t = draw(st.integers(1, 30))
+    t = draw(st.integers(1, max_t))
     contacts = draw(st.lists(
         st.tuples(st.sets(st.integers(0, n - 1), min_size=2, max_size=5),
                   st.integers(0, t - 1), st.integers(1, t)),
@@ -82,6 +85,42 @@ def test_maximal_scans_match_the_definition(case):
             containing[(ts, te)] = (k, members)
     expected = undominated({(k, ts, te): members for (ts, te), (k, members) in containing.items()})
     assert as_definitional(query_constrained_scan(g, query)) == expected
+
+
+@st.composite
+def short_graph_query_and_h(draw):
+    """A ``persistent_graph`` of at most 7 timestamps, a nonempty query of up
+    to 3 vertices and a segment count h of at most 3."""
+    graph = draw(persistent_graph(max_t=7))
+    query = draw(st.frozensets(st.integers(0, graph.n - 1), min_size=1, max_size=3))
+    return graph, query, draw(st.integers(1, min(3, graph.t_max + 1)))
+
+
+def exhaustive_objective(cores, t_max, query, h):
+    """The best summed score over every split of 0..t_max into h segments,
+    where a segment scores the highest order of a definitional core on
+    exactly its span that contains the query, or 0 if there is none."""
+    def score(ts, te):
+        return max((k for (k, s, e), members in cores.items()
+                    if (s, e) == (ts, te) and query <= members), default=0)
+
+    best = 0
+    for cut in combinations(range(t_max), h - 1):
+        starts = (0,) + tuple(end + 1 for end in cut)
+        best = max(best, sum(score(ts, te) for ts, te in zip(starts, cut + (t_max,))))
+    return best
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(short_graph_query_and_h())
+def test_segmentations_match_exhaustive_search(case):
+    g, query, h = case
+    cores = definitional_span_cores(g)
+    expected = exhaustive_objective(cores, g.t_max, query, h)
+    assert tcs_basic(g, query, h).objective == expected
+    assert tcs_efficient(g, query, h).objective == expected
+    for u, row in zip(g.vertices, tcs_embeddings(g, h)):
+        assert sum(row) == exhaustive_objective(cores, g.t_max, {u}, h)
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")

@@ -5,7 +5,6 @@ import pytest
 from spancores import (
     Interval,
     core_decomposition,
-    innermost_core,
     query_constrained_decomposition,
 )
 
@@ -92,22 +91,24 @@ class TestCoreDecomposition:
 class TestInnermostCore:
     def test_fix1(self, fix1):
         g = fix1
-        order, members = innermost_core(g.vertices, g.snapshots[0])
+        order, members = query_constrained_decomposition(g.vertices, g.snapshots[0], ())
         assert order == 2
         assert members == {g.index_of(x) for x in "abc"}
 
     def test_star_is_its_own_one_core(self):
-        order, members = innermost_core({0, 1, 2, 3}, [(0, 1), (0, 2), (0, 3)])
+        order, members = query_constrained_decomposition(
+            {0, 1, 2, 3}, [(0, 1), (0, 2), (0, 3)], ())
         assert (order, members) == (1, {0, 1, 2, 3})
 
     def test_single_edge(self, fix1):
         from spancores import Interval
-        order, members = innermost_core(fix1.vertices, fix1.interval_edges(Interval(0, 2)))
+        order, members = query_constrained_decomposition(
+            fix1.vertices, fix1.interval_edges(Interval(0, 2)), ())
         assert order == 1
         assert members == {fix1.index_of("a"), fix1.index_of("b")}
 
     def test_edgeless_convention(self):
-        assert innermost_core({3, 7}, []) == (0, {3, 7})
+        assert query_constrained_decomposition({3, 7}, [], ()) == (0, {3, 7})
 
 
 class TestQueryConstrained:
@@ -126,8 +127,9 @@ class TestQueryConstrained:
 
     def test_empty_query_is_unconstrained_innermost(self, fix1):
         g = fix1
-        assert query_constrained_decomposition(g.vertices, g.snapshots[0], set()) == \
-            innermost_core(g.vertices, g.snapshots[0])
+        # the innermost core of snapshot 0 is the triangle abc
+        assert query_constrained_decomposition(g.vertices, g.snapshots[0], set()) == (
+            2, {g.index_of(x) for x in "abc"})
 
     def test_query_outside_vertices(self):
         with pytest.raises(ValueError):
