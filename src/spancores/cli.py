@@ -5,8 +5,12 @@ and writes line-oriented results plus a provenance sidecar (input digest,
 parameters, per-phase timings, work counters, peak RSS).  Results are
 deterministic for a fixed configuration and seed; all nondeterministic
 bookkeeping lives in the sidecar.  The phase timings are ``load``, the
-subcommand's solve phases, ``write`` (the result files) and ``digest`` (the
-input's SHA-256, taken just before the sidecar is written).
+subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``),
+``write`` (the result files) and ``digest`` (the input's SHA-256, taken just
+before the sidecar is written).  Beside them, ``load_seconds`` splits the load
+into its ``parse`` and ``build`` sub-phases and ``total_seconds`` is the time
+from the start of ``main`` to the sidecar write; the sidecar layout is
+numbered by ``schema_version``.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 input error (including
 an unknown vertex label), 3 internal invariant violation (including any other
@@ -35,6 +39,7 @@ from .min_community import greedy_minimum_community
 from .span_cores import DecompositionStats, naive_span_cores, span_cores, write_span_cores
 
 OUTPUT_DIR_ENV = "SPANCORES_OUTPUT_DIR"
+SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
@@ -137,15 +142,15 @@ def _resolve_output(raw: str) -> Path | None:
     return path
 
 
-def _load(args) -> TemporalGraph:
+def _load(args, timings: dict) -> TemporalGraph:
     if args.pre_windowed:
         if args.window is not None or args.time_origin is not None:
             raise UsageError("--pre-windowed takes neither --window nor --time-origin")
-        return load_edge_list(args.input, window=1, pre_windowed=True)
+        return load_edge_list(args.input, window=1, pre_windowed=True, timings=timings)
     if args.window is None:
         raise UsageError("--window is required unless --pre-windowed is given")
     return load_edge_list(args.input, window=args.window,
-                          time_origin=args.time_origin)
+                          time_origin=args.time_origin, timings=timings)
 
 
 def _digest(path: str) -> str:
@@ -159,10 +164,12 @@ def _digest(path: str) -> str:
 class _Run:
     """Collects results, provenance, and timings for one invocation."""
 
-    def __init__(self, args):
+    def __init__(self, args, started: float):
         self.args = args
+        self.started = started
         self.output = _resolve_output(args.output)
         self.timings: dict[str, float] = {}
+        self.load_timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
 
     @contextmanager
@@ -188,13 +195,16 @@ class _Run:
                       if k not in {"command", "input", "output"} and v is not None}
         digest = _timed(self, "digest", lambda: _digest(args.input))
         meta = {
+            "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "input": {"path": args.input, "sha256": digest},
             "parameters": parameters,
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
+            "load_seconds": {k: round(v, 6) for k, v in self.load_timings.items()},
             "counters": self.counters,
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "total_seconds": round(time.perf_counter() - self.started, 6),
         }
         if self.output is None:
             print(json.dumps({"provenance": meta}, sort_keys=True), file=sys.stderr)
@@ -308,7 +318,7 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
     else:
         if not args.attrs:
             raise UsageError("stats --report purity requires --attrs")
-        attributes = analytics.read_attribute_table(args.attrs, g)
+        attributes = _timed(run, "attrs", lambda: analytics.read_attribute_table(args.attrs, g))
         header = "t\tmean_purity"
         rows = _timed(run, "solve", lambda: [
             f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
@@ -353,11 +363,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run = _Run(args)
-        graph = _timed(run, "load", lambda: _load(args))
+        run = _Run(args, started)
+        graph = _timed(run, "load", lambda: _load(args, run.load_timings))
         run.counters["temporal_edges"] = graph.temporal_edge_count()
         _HANDLERS[args.command](run, graph)
         run.write_provenance()

@@ -9,6 +9,13 @@ Instances are immutable after construction, except that the per-timestamp
 neighbour index is built on the first ``neighbors`` call.  Instances are safe
 to share across threads: two threads racing on that first call only build the
 same index twice, and either copy serves every later call.
+
+``load_edge_list`` streams a raw edge list in chunks of whole lines.  A chunk
+of uniform space- or tab-separated rows is split in one pass and read
+column-wise; any other chunk is parsed line by line, which keeps exact line
+numbers in errors.  Each chunk's records collapse into the distinct
+``(window, u, v)`` contacts before the next chunk is read, so a load holds
+one chunk plus the distinct contacts, not every record.
 """
 
 from __future__ import annotations
@@ -16,8 +23,12 @@ from __future__ import annotations
 import gzip
 import io
 import random
-from collections import Counter
+import re
+import time
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import eq, floordiv, itemgetter, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -145,21 +156,28 @@ class TemporalGraph:
         appearance over the distinct pairs.  Self-loop records are dropped and
         counted, repeats included, in ``dropped_self_loops``.
         """
-        index: dict[str, int] = {}
-        intern = index.setdefault
-        dropped = 0
-        indexed: list[Sequence[Edge]] = []
-        for snapshot in snapshots:
-            if not snapshot:
-                indexed.append(())
-                continue
-            pairs = Counter(snapshot)
-            loops = [pair for pair in pairs if pair[0] == pair[1]]
-            for pair in loops:
-                dropped += pairs.pop(pair)
-            indexed.append([(intern(str(a), len(index)), intern(str(b), len(index)))
-                            for a, b in pairs])
-        return cls(indexed, list(index), dropped_self_loops=dropped)
+        records = [(t, str(a), str(b)) for t, snapshot in enumerate(snapshots)
+                   for a, b in snapshot]
+        dropped = sum(u == v for _, u, v in records)
+        return cls._from_keys(dict.fromkeys(records), len(snapshots), dropped)
+
+    @classmethod
+    def _from_keys(cls, keys: dict[tuple[int, str, str], None], windows: int,
+                   dropped: int) -> "TemporalGraph":
+        """Build from distinct ``(t, u, v)`` label records in order of first
+        appearance, emptying ``keys`` so that they are freed before the
+        snapshots are frozen.  Self-loop records are skipped, and labels get
+        dense ids in order of first appearance over the other records,
+        timestamp by timestamp: the one interning rule of both loaders."""
+        records = sorted(keys, key=itemgetter(0))
+        keys.clear()
+        index: dict[str, int] = defaultdict(count().__next__)
+        snapshots: list[list[Edge]] = [[] for _ in range(windows)]
+        for t, u, v in records:
+            if u != v:
+                snapshots[t].append((index[u], index[v]))
+        del records
+        return cls(snapshots, list(index), dropped_self_loops=dropped)
 
     # -- label access ----------------------------------------------------------
 
@@ -261,6 +279,13 @@ class EdgeShrinkage:
 # -- ingestion ------------------------------------------------------------------
 
 
+CHUNK_CHARS = 1 << 18
+"""Characters ``load_edge_list`` reads at a time; each chunk then runs on to
+the end of its last line, so it holds whole lines only."""
+
+_FIELD = r"[^\s,#]++"
+
+
 def _open_source(source) -> IO[str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -272,38 +297,75 @@ def _open_source(source) -> IO[str]:
     return source
 
 
-def parse_edge_records(source) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(raw_time, u_label, v_label)`` records from a text edge list.
+def _chunks(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """``(first line number, text)`` of consecutive chunks of the stream."""
+    lineno = 1
+    # a line end is '\n' only, as when iterating the stream
+    while chunk := stream.read(CHUNK_CHARS):
+        if chunk[-1] != "\n":
+            chunk += stream.readline()
+        yield lineno, chunk
+        lineno += chunk.count("\n")
 
-    Lines are whitespace- or comma-separated; blank lines and ``#`` comments
-    are skipped; extra trailing columns are ignored (face-to-face contact
-    datasets commonly carry metadata columns).
+
+def _uniform_columns(chunk: str) -> tuple[list[int], list[str], list[str]] | None:
+    """Raw times and label columns of a chunk whose every line holds the same
+    number k >= 3 of space- or tab-separated fields, with no ``#`` or comma
+    and a nonnegative integer first field; ``None`` for any other chunk.
+
+    One anchored match checks the layout, so the columns are slices of a
+    single ``str.split`` and each distinct time string is converted once.
     """
-    stream = _open_source(source)
+    k = len(chunk.partition("\n")[0].split())
+    line = rf"[ \t]*+{_FIELD}(?:[ \t]++{_FIELD}){{{k - 1}}}[ \t]*+"
+    if k < 3 or not re.fullmatch(rf"(?:{line}\n)*+(?:{line})?+", chunk):
+        return None
+    tokens = chunk.split()
+    times = tokens[0::k]
     try:
-        for lineno, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) < 3:
-                raise EdgeListFormatError(
-                    f"expected at least 3 fields (time u v), got {len(parts)}", lineno)
-            try:
-                raw_time = int(parts[0])
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"non-integer timestamp {parts[0]!r}", lineno) from None
-            if raw_time < 0:
-                raise EdgeListFormatError(f"negative timestamp {raw_time}", lineno)
-            yield raw_time, parts[1], parts[2]
-    finally:
-        if stream is not source:
-            stream.close()
+        raw = {text: int(text) for text in set(times)}
+    except ValueError:
+        return None
+    if min(raw.values()) < 0:
+        return None
+    return list(map(raw.__getitem__, times)), tokens[1::k], tokens[2::k]
+
+
+def _parse_lines(chunk: str, lineno: int) -> tuple[list[int], list[str], list[str]]:
+    """Raw times and label columns of a chunk read line by line, its first
+    line numbered ``lineno``.
+
+    Lines end at ``'\\n'`` only.  Fields are whitespace- or comma-separated;
+    blank lines and ``#`` comments are skipped; extra trailing columns are
+    ignored (face-to-face contact datasets commonly carry metadata columns).
+    """
+    times: list[int] = []
+    us: list[str] = []
+    vs: list[str] = []
+    for lineno, line in enumerate(chunk.split("\n"), start=lineno):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) < 3:
+            raise EdgeListFormatError(
+                f"expected at least 3 fields (time u v), got {len(parts)}", lineno)
+        try:
+            raw_time = int(parts[0])
+        except ValueError:
+            raise EdgeListFormatError(
+                f"non-integer timestamp {parts[0]!r}", lineno) from None
+        if raw_time < 0:
+            raise EdgeListFormatError(f"negative timestamp {raw_time}", lineno)
+        times.append(raw_time)
+        us.append(parts[1])
+        vs.append(parts[2])
+    return times, us, vs
 
 
 def load_edge_list(source, window: int, time_origin: int | None = None,
-                   pre_windowed: bool = False) -> TemporalGraph:
+                   pre_windowed: bool = False,
+                   timings: dict | None = None) -> TemporalGraph:
     """Load a temporal graph from a raw edge list, discretizing time into windows.
 
     Raw times are bucketed into contiguous windows of equal width starting at
@@ -318,49 +380,97 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     records are dropped; their count, repeats included, is kept on the graph
     as ``dropped_self_loops``.
 
+    The source is read in chunks of about ``CHUNK_CHARS`` characters that end
+    at a line end.  A chunk whose lines all hold the same number of space- or
+    tab-separated fields (at least 3), with no ``#`` or comma, is split in one
+    pass and read column-wise; any other chunk is parsed line by line.  A
+    malformed line raises ``EdgeListFormatError`` with its line number, before
+    the time origin or the time domain is checked.  Each chunk's records
+    collapse into the distinct ``(window, u, v)`` contacts seen so far as soon
+    as it is read, so memory is bounded by one chunk plus the distinct
+    contacts, not by the record count.  Without ``time_origin`` the window of
+    a record is known only at the end: records wait as columns of raw times
+    and labels (three references each), then are windowed and collapsed in
+    one pass.
+
     A time domain of more than ``MAX_TIMESTAMPS`` windows is rejected with
-    ``EdgeListFormatError`` before any per-window storage is allocated.
+    ``EdgeListFormatError`` before any per-window storage is allocated.  When
+    ``timings`` is given, it receives the seconds spent reading (``parse``)
+    and building the graph (``build``).
     """
     if not pre_windowed and window <= 0:
         raise ValueError("window must be a positive duration")
-
-    records = list(parse_edge_records(source))
-    if not records:
+    tick = time.perf_counter()
+    keys: dict[tuple[int, str, str], None] = {}
+    # without an origin, records wait as raw-time columns until the minimum is known
+    deferred = time_origin is None and not pre_windowed
+    raw_times: list[int] = []
+    raw_us: list[str] = []
+    raw_vs: list[str] = []
+    canonical: dict[str, str] = {}
+    intern = canonical.setdefault
+    dropped, low, high = 0, None, None
+    stream = _open_source(source)
+    try:
+        for lineno, chunk in _chunks(stream):
+            times, us, vs = _uniform_columns(chunk) or _parse_lines(chunk, lineno)
+            if not times:
+                continue
+            distinct = set(times)
+            low = min(distinct) if low is None else min(low, min(distinct))
+            high = max(distinct) if high is None else max(high, max(distinct))
+            dropped += sum(map(eq, us, vs))
+            us, vs = map(intern, us, us), map(intern, vs, vs)
+            if deferred:
+                raw_times += times
+                raw_us += us
+                raw_vs += vs
+                continue
+            if not pre_windowed:
+                window_of = {t: (t - time_origin) // window for t in distinct}
+                times = map(window_of.__getitem__, times)
+            keys.update(dict.fromkeys(zip(times, us, vs)))
+    finally:
+        if stream is not source:
+            stream.close()
+    if low is None:
         raise EdgeListFormatError("empty edge list: graph must have at least one timestamp")
 
     if pre_windowed:
-        buckets = [t for t, _, _ in records]
+        t_max = high
     else:
-        origin = time_origin if time_origin is not None else min(t for t, _, _ in records)
-        early = [t for t, _, _ in records if t < origin]
-        if early:
-            raise EdgeListFormatError(
-                f"record at raw time {min(early)} precedes time origin {origin}")
-        buckets = [(t - origin) // window for t, _, _ in records]
-
-    t_max = max(buckets)
+        origin = low if time_origin is None else time_origin
+        if low < origin:
+            raise EdgeListFormatError(f"record at raw time {low} precedes time origin {origin}")
+        t_max = (high - origin) // window
     if t_max >= MAX_TIMESTAMPS:
         raise EdgeListFormatError(
             f"time domain of {t_max + 1} windows exceeds the limit of {MAX_TIMESTAMPS}")
-    snapshots: list[list[tuple[str, str]]] = [[] for _ in range(t_max + 1)]
-    for bucket, (_, u, v) in zip(buckets, records):
-        snapshots[bucket].append((u, v))
-    return TemporalGraph.from_snapshot_edges(snapshots)
+    if deferred:
+        windows = map(floordiv, map(sub, raw_times, repeat(origin)), repeat(window))
+        keys = dict.fromkeys(zip(windows, raw_us, raw_vs))
+        del raw_times, raw_us, raw_vs
+    tock = time.perf_counter()
+    g = TemporalGraph._from_keys(keys, t_max + 1, dropped)
+    if timings is not None:
+        timings["parse"] = tock - tick
+        timings["build"] = time.perf_counter() - tock
+    return g
 
 
 def write_edge_list(g: TemporalGraph, sink) -> int:
     """Emit the graph in pre-windowed format (``t u v`` per line); returns line count."""
     stream = sink if hasattr(sink, "write") else open(sink, "w", encoding="utf-8")
-    count = 0
+    lines = 0
     try:
         for t, snapshot in enumerate(g.snapshots):
             for u, v in sorted(snapshot):
                 stream.write(f"{t}\t{g.label_of(u)}\t{g.label_of(v)}\n")
-                count += 1
+                lines += 1
     finally:
         if stream is not sink:
             stream.close()
-    return count
+    return lines
 
 
 # -- degree-preserving null model -------------------------------------------------

@@ -193,6 +193,30 @@ class TestProvenance:
         assert {"load", "write", "digest"} <= set(timings)
         assert all(seconds >= 0 for seconds in timings.values())
 
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_sidecar_splits_the_load_and_totals_the_run(self, fix1_file, tmp_path, argv):
+        meta = sidecar(fix1_file, tmp_path, argv)
+        timings = meta["timings_seconds"]
+        assert meta["schema_version"] == 1
+        assert set(meta["load_seconds"]) == {"parse", "build"}
+        # every value is rounded to the microsecond
+        assert sum(meta["load_seconds"].values()) <= timings["load"] + 2e-6
+        assert meta["total_seconds"] >= sum(timings.values())
+
+    def test_purity_attrs_read_is_timed(self, fix1_file, tmp_path, monkeypatch):
+        read = analytics.read_attribute_table
+
+        def slow_read(*args, **kwargs):
+            time.sleep(0.05)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "read_attribute_table", slow_read)
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("a F\nb F\nc M\nd M\n")
+        timings = sidecar(fix1_file, tmp_path, ["stats", "--report", "purity",
+                                                "--attrs", attrs])["timings_seconds"]
+        assert timings["attrs"] >= 0.05
+
     def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary
 

@@ -1,5 +1,6 @@
 import gzip
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from spancores import (
     write_edge_list,
 )
 from spancores import graph as graph_module
-from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError, parse_edge_records
+from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 
 from conftest import random_temporal_graph
 
@@ -96,7 +97,7 @@ class TestLoader:
         with pytest.raises(EdgeListFormatError, match="line 2"):
             load_edge_list(b"0 a b\nnonsense\n", window=5)
         with pytest.raises(EdgeListFormatError, match="line 1"):
-            list(parse_edge_records(b"x a b\n"))
+            load_edge_list(b"x a b\n", window=5)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -132,6 +133,74 @@ class TestLoader:
             write_edge_list(fix1, fh)
         back = load_edge_list(path, window=1, pre_windowed=True)
         assert back.snapshots == fix1.snapshots
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x7 a b", "non-integer timestamp 'x7'"),
+        ("-3 a b", "negative timestamp -3"),
+        ("12 a", "expected at least 3 fields"),
+    ])
+    def test_line_number_after_several_chunks(self, monkeypatch, bad, message):
+        monkeypatch.setattr(graph_module, "CHUNK_CHARS", 32)
+        good = [f"{t} v{t % 7} w{t % 5}" for t in range(40)]
+        text = "\n".join(good[:30] + [bad] + good[30:]) + "\n"
+        with pytest.raises(EdgeListFormatError, match=f"^line 31: {message}") as raised:
+            load_edge_list(text.encode(), window=5)
+        assert raised.value.line_number == 31
+
+    @pytest.mark.parametrize("kwargs", [{"window": 1, "time_origin": 10},
+                                        {"window": 1, "pre_windowed": True}])
+    def test_malformed_line_reported_before_origin_and_domain_errors(self, monkeypatch, kwargs):
+        monkeypatch.setattr(graph_module, "CHUNK_CHARS", 32)
+        # a record before the origin and a time past the domain cap come first
+        good = [f"{t} a b" for t in range(10, 30)]
+        text = "\n".join(["3 a b", f"{10**12} a b", *good, "oops"]) + "\n"
+        with pytest.raises(EdgeListFormatError, match="^line 23: expected at least 3 fields"):
+            load_edge_list(text.encode(), **kwargs)
+
+    def test_gzip_loads_like_the_plain_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "CHUNK_CHARS", 256)
+        text = "".join(f"{20 * i} v{i % 11} v{i * 7 % 13}\n" for i in range(400))
+        text += "# mixed tail\n8000,v1,v2\n8020 v2 v3 meta\n"
+        plain, packed = tmp_path / "contacts.txt", tmp_path / "contacts.txt.gz"
+        plain.write_text(text)
+        with gzip.open(packed, "wt") as fh:
+            fh.write(text)
+        for kwargs in ({"window": 60}, {"window": 60, "time_origin": 0},
+                       {"window": 1, "pre_windowed": True}):
+            a, b = load_edge_list(plain, **kwargs), load_edge_list(packed, **kwargs)
+            assert (a.labels, a.snapshots, a.dropped_self_loops) == \
+                   (b.labels, b.snapshots, b.dropped_self_loops)
+            assert all(a.neighbors(t, u) == b.neighbors(t, u)
+                       for t in range(a.t_max + 1) for u in a.vertices)
+
+    def test_only_line_feeds_end_records(self):
+        # a form feed is whitespace to split(), not a line end: "1 c d" is extra columns
+        g = load_edge_list(b"0 a b\x0c1 c d\n2 e f\n", window=1, pre_windowed=True)
+        assert g.labels == ("a", "b", "e", "f")
+
+    def test_peak_memory_is_bounded_by_the_graph(self, tmp_path):
+        """Raw contacts recorded about twice per window load within three times
+        the memory the graph keeps: the load holds one chunk plus the distinct
+        contacts, not every record."""
+        rng = random.Random(5)
+        origin, width, tick = 1_353_300_000, 300, 20
+        lines = []
+        for w in range(400):
+            pairs = {tuple(sorted(rng.sample(range(1000, 1150), 2))) for _ in range(65)}
+            rows = sorted((slot, u, v) for u, v in pairs
+                          for slot in rng.sample(range(width // tick), 2))
+            lines += [f"{origin + w * width + slot * tick} {u} {v}" for slot, u, v in rows]
+        assert len(lines) >= 50_000
+        path = tmp_path / "contacts.txt"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path, window=width, time_origin=origin)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.temporal_edge_count() == len(lines) // 2
+        assert peak <= 3 * retained, (peak, retained)
 
 
 class TestIntervalEdges:

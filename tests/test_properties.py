@@ -5,6 +5,7 @@ against an exhaustive search over definitional scores, and raw edge-list files
 checked against a plain reference loader."""
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_constrained_scan,
                        span_cores, tcs_basic, tcs_efficient, tcs_embeddings)
+from spancores import graph as graph_module
 
 from conftest import as_definitional, definitional_span_cores, per_vertex_rows
 
@@ -124,14 +126,22 @@ def test_segmentations_match_exhaustive_search(case):
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")
+# whitespace to str.split and str.strip, but no line end when a stream is iterated
+ODD_WHITESPACE = ("\x0c", "\x1c", "\x85", "\u2028", "\xa0")
 
 
 @st.composite
 def raw_edge_list(draw):
     """An edge-list text with repeated, reversed and self-loop records in one
-    window, a label seen only in self-loops, unsorted times, empty windows,
-    comments, blank lines, comma separators and extra columns; plus the
-    loader arguments to read it with."""
+    window, a label seen only in self-loops, unsorted times and empty windows;
+    plus the loader arguments to read it with.
+
+    Half of the texts are uniform rows of 3 or 5 fields separated by a space
+    or a tab, the layout the loader splits column-wise.  The other half mix
+    in what sends a chunk line by line: comments, blank lines, comma
+    separators, extra columns, and separators or a second record after
+    whitespace that ends no line (form feed, NEL, U+2028, ...).  Lines end in
+    LF or CRLF, and the last one may lack its line end."""
     label = st.sampled_from(LABELS)
     records = draw(st.lists(st.tuples(st.integers(0, 60), label, label), min_size=1, max_size=40))
     repeats = draw(st.lists(st.tuples(st.sampled_from(records), st.booleans()), max_size=15))
@@ -140,25 +150,33 @@ def raw_edge_list(draw):
         records += [(draw(st.integers(0, 60)), "solo", "solo")] * draw(st.integers(1, 3))
     records = draw(st.permutations(records))
     lines = []
-    for t, u, v in records:
-        sep = draw(st.sampled_from([" ", "\t", ",", " , "]))
-        extra = draw(st.sampled_from(["", f"{sep}meta", f"{sep}x{sep}7"]))
-        lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
-        lines.append(f"{t}{sep}{u}{sep}{v}{extra}")
+    if draw(st.booleans()):
+        sep = draw(st.sampled_from([" ", "\t"]))
+        extra = draw(st.sampled_from(["", f"{sep}1A{sep}2B"]))
+        lines = [f"{t}{sep}{u}{sep}{v}{extra}" for t, u, v in records]
+    else:
+        for t, u, v in records:
+            sep = draw(st.sampled_from([" ", "\t", ",", " , ", *ODD_WHITESPACE]))
+            odd = draw(st.sampled_from(ODD_WHITESPACE))
+            extra = draw(st.sampled_from(["", f"{sep}meta", f"{sep}x{sep}7",
+                                          f"{odd}{t + 1} {draw(label)} {draw(label)}"]))
+            lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
+            lines.append(f"{t}{sep}{u}{sep}{v}{extra}")
     if draw(st.booleans()):
         kwargs = {"window": 1, "pre_windowed": True}
     else:
         low = min(t for t, _, _ in records)
         kwargs = {"window": draw(st.integers(1, 7)),
                   "time_origin": draw(st.sampled_from([None, low, max(0, low - 3)]))}
-    return "\n".join(lines) + "\n", kwargs
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), kwargs
 
 
 def reference_load(text, window, time_origin=None, pre_windowed=False):
     """Labels, snapshots, dropped self-loops and neighbour lists, computed one
-    record at a time."""
+    record at a time from the lines between line feeds."""
     records = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             parts = line.replace(",", " ").split()
@@ -191,15 +209,19 @@ def reference_load(text, window, time_origin=None, pre_windowed=False):
     return tuple(labels), tuple(snapshots), dropped, adjacency
 
 
+def loaded(g):
+    """``reference_load``'s view of a loaded graph."""
+    adjacency = [{u: list(g.neighbors(t, u)) for u in g.vertices if g.neighbors(t, u)}
+                 for t in range(g.t_max + 1)]
+    return g.labels, g.snapshots, g.dropped_self_loops, adjacency
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(raw_edge_list())
 def test_loader_matches_reference(case):
     text, kwargs = case
-    g = load_edge_list(text.encode(), **kwargs)
-    labels, snapshots, dropped, adjacency = reference_load(text, **kwargs)
-    assert g.labels == labels
-    assert g.snapshots == snapshots
-    assert g.dropped_self_loops == dropped
-    for t, adj in enumerate(adjacency):
-        for u in g.vertices:
-            assert list(g.neighbors(t, u)) == adj.get(u, [])
+    expected = reference_load(text, **kwargs)
+    assert loaded(load_edge_list(text.encode(), **kwargs)) == expected
+    # chunks of a line or two: column-wise and line-by-line chunks in one text
+    with mock.patch.object(graph_module, "CHUNK_CHARS", 24):
+        assert loaded(load_edge_list(text.encode(), **kwargs)) == expected
