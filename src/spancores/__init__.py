@@ -10,11 +10,7 @@ from .graph import (
     rewire_null_model,
     write_edge_list,
 )
-from .static_core import (
-    CoreLabeling,
-    core_decomposition,
-    query_constrained_decomposition,
-)
+from .static_core import core_decomposition
 from .span_cores import (
     DecompositionStats,
     SpanCore,
@@ -53,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivityCell",
     "AnomalyReport",
-    "CoreLabeling",
     "DecompositionStats",
     "EdgeListFormatError",
     "Interval",
@@ -73,7 +68,6 @@ __all__ = [
     "naive_span_cores",
     "purity",
     "purity_timeline",
-    "query_constrained_decomposition",
     "query_constrained_scan",
     "read_attribute_table",
     "read_span_cores",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .community_search import _tcs_every_vertex
-from .graph import Interval, TemporalGraph, UnknownLabelError
+from .graph import EdgeListFormatError, Interval, TemporalGraph, UnknownLabelError
 from .maximal_cores import maximal_span_cores
 from .span_cores import SpanCore, SpanCoreSet
 
@@ -93,14 +93,13 @@ def span_length_distribution(cores: Iterable[SpanCore]) -> list[SpanLengthBin]:
 class AnomalyReport:
     """Output of the two-stage anomaly filter.
 
-    ``vertex_filtered`` is the graph after removing edges incident to flagged
-    vertices; ``filtered`` additionally empties flagged timestamps.
-    ``edge_counts[t]`` holds (original, after vertex filter, final) counts.
+    ``filtered`` is the graph after removing edges incident to flagged
+    vertices and emptying flagged timestamps.  ``edge_counts[t]`` holds
+    (original, after the vertex filter alone, final) counts.
     """
 
     flagged_vertex_steps: tuple[tuple[int, int], ...]
     flagged_timestamps: tuple[int, ...]
-    vertex_filtered: TemporalGraph
     filtered: TemporalGraph
     edge_counts: tuple[tuple[int, int, int], ...]
 
@@ -156,7 +155,6 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
     return AnomalyReport(
         flagged_vertex_steps=vertex_steps,
         flagged_timestamps=tuple(flagged_timestamps),
-        vertex_filtered=TemporalGraph(intermediate, g.labels),
         filtered=TemporalGraph(final, g.labels),
         edge_counts=counts,
     )
@@ -184,8 +182,7 @@ def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
 
 
 def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
-                          pool_size: int | None = None, seed: int | None = 0,
-                          max_steps: int | None = None) -> set[int]:
+                          pool_size: int | None = None, seed: int | None = 0) -> set[int]:
     """Sample query vertices that plausibly interact, via a temporal random walk.
 
     A single query vertex is drawn uniformly from the whole vertex set.  For
@@ -208,13 +205,12 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     pool = pool_size if pool_size is not None else 3 * q_size
     if pool < q_size:
         raise ValueError("pool size must be at least q_size")
-    if max_steps is None:
-        max_steps = max(10_000, 200 * pool * (g.t_max + 1))
+    step_limit = max(10_000, 200 * pool * (g.t_max + 1))
 
     current = rng.randrange(g.n)
     visits: Counter[int] = Counter({current: 1})
     t = 0
-    for _ in range(max_steps):
+    for _ in range(step_limit):
         if len(visits) >= pool:
             break
         if rng.random() < p:
@@ -266,7 +262,8 @@ def _next_active_timestamp(g: TemporalGraph, vertex: int, t: int) -> int:
 def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
     """Read a two-column ``vertex_label attribute_value`` table keyed to graph vertices.
 
-    Unknown vertex labels are warned about and skipped.
+    Unknown vertex labels are warned about and skipped; a line with fewer
+    than two fields raises ``EdgeListFormatError`` with its line number.
     """
     stream = source if hasattr(source, "read") else open(source, "r", encoding="utf-8")
     attributes: dict[int, str] = {}
@@ -278,7 +275,7 @@ def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
                 continue
             parts = text.replace(",", " ").split()
             if len(parts) < 2:
-                raise ValueError(f"line {lineno}: expected 'vertex_label value'")
+                raise EdgeListFormatError("expected 'vertex_label value'", lineno)
             label, value = parts[0], parts[1]
             try:
                 attributes[g.index_of(label)] = value

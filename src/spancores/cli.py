@@ -5,7 +5,8 @@ and writes line-oriented results plus a provenance sidecar (input digest,
 parameters, per-phase timings, work counters, peak RSS).  Results are
 deterministic for a fixed configuration and seed; all nondeterministic
 bookkeeping lives in the sidecar.  The phase timings are ``load``, the
-subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``),
+subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``,
+``minimize`` the greedy shrinking of ``tcs --minimize``),
 ``write`` (the result files) and ``digest`` (the input's SHA-256, taken just
 before the sidecar is written).  Beside them, ``load_seconds`` splits the load
 into its ``parse`` and ``build`` sub-phases and ``total_seconds`` is the time
@@ -253,20 +254,21 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     else:
         solution = tcs_efficient(g, query, args.segments, timings=timings)
     run.timings.update(timings)
+    shrunk = {}
+    if args.minimize:
+        shrunk = _timed(run, "minimize", lambda: {
+            i: greedy_minimum_community(g, query, seg.span, seg.members, seg.min_degree)
+            for i, seg in enumerate(solution.segments) if seg.min_degree > 0})
 
     records = []
-    for segment in solution.segments:
-        full_size = len(segment.members)
-        members = segment.members
-        if args.minimize and segment.min_degree > 0:
-            members = frozenset(greedy_minimum_community(
-                g, query, segment.span, segment.members, segment.min_degree))
+    for i, segment in enumerate(solution.segments):
+        members = shrunk.get(i, segment.members)
         records.append({
             "ts": segment.span.start,
             "te": segment.span.end,
             "min_degree": segment.min_degree,
             "size": len(members),
-            "full_size": full_size,
+            "full_size": len(segment.members),
             "vertices": sorted(g.label_of(u) for u in members),
         })
     with run.writing() as sink:

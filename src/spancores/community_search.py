@@ -25,8 +25,8 @@ from typing import Callable, Collection, Sequence
 
 from .graph import Interval, TemporalGraph
 from .maximal_cores import _undominated, _validate_query, query_constrained_scan
-from .span_cores import DecompositionStats, SpanCore, _seeded_intervals
-from .static_core import core_decomposition, query_constrained_decomposition
+from .span_cores import DecompositionStats, SpanCore, _seeded_coreness
+from .static_core import core_decomposition
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,12 @@ def single_tcs(g: TemporalGraph, query: Collection[int],
     Returns order 0 with the full vertex set when the query is not jointly
     inside any core; an empty query yields the unconstrained innermost core.
     """
-    edges = g.interval_edges(interval)
-    return query_constrained_decomposition(g.vertices, edges, query)
+    qs = _validate_query(g, query)
+    coreness = core_decomposition(g.vertices, g.interval_edges(interval))
+    order = min(coreness[q] for q in qs) if qs else max(coreness.values(), default=0)
+    if order == 0:
+        return 0, set(g.vertices)
+    return order, {u for u, c in coreness.items() if c >= order}
 
 
 # profile(te, starts): the scores of [a, te] for each start a, starts ascending
@@ -101,17 +105,10 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
     """
     qs = _validate_query(g, query)
     values: dict[tuple[int, int], int] = {}
-    for span, vertices, edges in _seeded_intervals(g):
-        if stats is not None:
-            stats.record(len(vertices))
-        labeling = core_decomposition(vertices, edges)
-        if qs:
-            coreness = labeling.coreness
-            v = min(coreness.get(q, 0) for q in qs)
-        else:
-            v = labeling.k_max
+    for ts, te, coreness in _seeded_coreness(g, stats):
+        v = min(coreness.get(q, 0) for q in qs) if qs else max(coreness.values())
         if v > 0:
-            values[(span.start, span.end)] = v
+            values[(ts, te)] = v
     return values
 
 
@@ -124,9 +121,9 @@ def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
     every coreness kept is positive.
     """
     tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
-    for span, vertices, edges in _seeded_intervals(g):
-        key = (span.start, span.end)
-        for u, c in core_decomposition(vertices, edges).coreness.items():
+    for ts, te, coreness in _seeded_coreness(g, None):
+        key = (ts, te)  # one key object shared by every vertex's table
+        for u, c in coreness.items():
             tables[u][key] = c
     return tables
 

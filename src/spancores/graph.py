@@ -46,7 +46,8 @@ an empty domain of that size loads in about 120 MB.
 
 
 class EdgeListFormatError(ValueError):
-    """Raised for malformed edge-list input; carries the offending line number."""
+    """Raised for malformed line-oriented input (an edge list or an attribute
+    table); carries the offending line number."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
@@ -476,15 +477,14 @@ def write_edge_list(g: TemporalGraph, sink) -> int:
 # -- degree-preserving null model -------------------------------------------------
 
 
-def rewire_null_model(g: TemporalGraph, seed: int | None = 0,
-                      swap_factor: int = 10) -> TemporalGraph:
+def rewire_null_model(g: TemporalGraph, seed: int | None = 0) -> TemporalGraph:
     """Reshuffle every snapshot by repeated degree-preserving double edge swaps.
 
     Two edges with four distinct endpoints are replaced by their crosswise
     recombination when neither replacement already exists.  Per-vertex degree
     and edge count in every timestamp are preserved exactly; correlations
-    between consecutive snapshots are destroyed.  ``swap_factor * |edges|``
-    swaps are attempted per snapshot.
+    between consecutive snapshots are destroyed.  ``10 * |edges|`` swaps
+    are attempted per snapshot.
     """
     rng = random.Random(seed)
     new_snapshots: list[list[Edge]] = []
@@ -495,7 +495,7 @@ def rewire_null_model(g: TemporalGraph, seed: int | None = 0,
             new_snapshots.append(edges)
             continue
         present = set(edges)
-        for _ in range(swap_factor * m):
+        for _ in range(10 * m):
             i = rng.randrange(m)
             j = rng.randrange(m)
             if i == j:

@@ -78,10 +78,10 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
             if top > bound and all(degree.get(q, 0) > bound for q in query_set):
                 seed = {u for u, d in degree.items() if d > bound}
                 peeled = len(seed)
-                labeling = core_decomposition(
+                coreness = core_decomposition(
                     seed, [e for e in current_edges if e[0] in seed and e[1] in seed])
-                coreness = labeling.coreness
-                order = min((coreness[q] for q in query_set), default=labeling.k_max)
+                order = (min(coreness[q] for q in query_set) if query_set
+                         else max(coreness.values()))
                 if order > bound:
                     found.append(SpanCore(order=order, span=Interval(ts, te), members=frozenset(
                         u for u, c in coreness.items() if c >= order)))

@@ -11,9 +11,10 @@ set.  A vertex with no edge over the interval has coreness 0, so it can
 belong to no span-core there; the endpoint seed also lies inside the order-1
 cores of both parents, as the containment property requires.
 
-Each interval's peel yields all its cores at once as one coreness labelling,
-and ``SpanCoreSet`` keeps exactly that: one labelling per span, from which the
-nested cores are built on demand.
+Each interval's peel yields all its cores at once as one ``{vertex:
+coreness}`` dict, and ``SpanCoreSet`` keeps exactly that: one labelling per
+span, from which the nested cores are built on demand.  The seeded route is
+one stream of ``(ts, te, coreness)``, which community search reads too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Interval, TemporalGraph
-from .static_core import CoreLabeling, core_decomposition
+from .static_core import core_decomposition
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,11 @@ class SpanCoreSet:
                 labels[u] = k
         orders.insert(at, k)
 
-    def _store(self, span: Interval, labeling: CoreLabeling) -> None:
-        """Store all cores of one interval graph at once: orders ``1..k_max``
-        with its positive coreness as the labelling (``k_max >= 1``)."""
-        self._spans[(span.start, span.end)] = (
-            {u: c for u, c in labeling.coreness.items() if c},
-            list(range(1, labeling.k_max + 1)))
+    def _store(self, ts: int, te: int, coreness: dict[int, int]) -> None:
+        """Store all cores of one interval graph with an edge at once: orders
+        1 to its highest coreness, its positive coreness as the labelling."""
+        self._spans[(ts, te)] = ({u: c for u, c in coreness.items() if c},
+                                 list(range(1, max(coreness.values()) + 1)))
 
     def _layers(self) -> Iterator[tuple[int, int, list[tuple[int, list[int]]]]]:
         """Per span, by (ts, te): ``(ts, te, layers)``, where ``layers`` pairs
@@ -171,15 +171,6 @@ class DecompositionStats:
         self.peel_vertices += vertex_count
 
 
-def _cores_of_interval(span: Interval, vertices, edges,
-                       out: SpanCoreSet, stats: DecompositionStats | None) -> None:
-    """Peel one interval graph (``edges`` nonempty) and store its cores of order >= 1."""
-    if stats is not None:
-        stats.record(len(vertices))
-    labeling = core_decomposition(vertices, edges)
-    out._store(span, labeling)
-
-
 def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:
     """Full decomposition per interval, every peel starting from the whole vertex set.
 
@@ -193,7 +184,9 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
         edges = g.snapshots[ts]
         te = ts
         while edges:
-            _cores_of_interval(Interval(ts, te), vertices, edges, out, stats)
+            if stats is not None:
+                stats.record(len(vertices))
+            out._store(ts, te, core_decomposition(vertices, edges))
             if te == g.t_max:
                 break
             te += 1
@@ -201,16 +194,18 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
     return out
 
 
-def _seeded_intervals(g: TemporalGraph) -> Iterator[tuple[Interval, set[int], frozenset[Edge]]]:
-    """Yield (interval, seed vertices, interval edges) in (width, start) order.
+def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
+                     ) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """Yield ``(ts, te, coreness)`` for every interval with a nonempty edge
+    set, in (width, start) order, recording each peel in ``stats``.
 
-    Every yielded interval has a nonempty edge set, and its seed is the set
-    of that edge set's endpoints: exactly the vertices that can have positive
-    coreness there.  Width-1 intervals take their snapshot's edges.  A wider
-    interval becomes ready once both parent subintervals have been processed;
-    its edge set is the intersection of theirs, so only the first parent's
-    edge set waits in ``pending``.  Branches whose edge intersection empties
-    are dropped without ever being enqueued.
+    Each interval's peel is seeded with its edge set's endpoints: exactly
+    the vertices that can have positive coreness there, so every coreness
+    yielded is positive.  Width-1 intervals take their snapshot's edges.  A
+    wider interval becomes ready once both parent subintervals have been
+    processed; its edge set is the intersection of theirs, so only the first
+    parent's edge set waits in ``pending``.  Branches whose edge
+    intersection empties are dropped without ever being enqueued.
     """
     queue: deque[tuple[int, int, frozenset[Edge]]] = deque(
         (t, t, g.snapshots[t]) for t in range(g.t_max + 1) if g.snapshots[t])
@@ -222,7 +217,9 @@ def _seeded_intervals(g: TemporalGraph) -> Iterator[tuple[Interval, set[int], fr
         for u, v in edges:
             endpoints.add(u)
             endpoints.add(v)
-        yield Interval(ts, te), endpoints, edges
+        if stats is not None:
+            stats.record(len(endpoints))
+        yield ts, te, core_decomposition(endpoints, edges)
         for child in ((ts - 1, te), (ts, te + 1)):
             if child[0] < 0 or child[1] > g.t_max:
                 continue
@@ -243,8 +240,8 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
     speedup comes from.
     """
     out = SpanCoreSet()
-    for span, vertices, edges in _seeded_intervals(g):
-        _cores_of_interval(span, vertices, edges, out, stats)
+    for ts, te, coreness in _seeded_coreness(g, stats):
+        out._store(ts, te, coreness)
     return out
 
 

@@ -2,28 +2,17 @@
 
 This is the inner subroutine of every decomposition and search algorithm in
 the package: bucketed peeling in linear time, with deterministic tie-breaking
-(lowest vertex index first among equal minimum degrees).  All functions are
-pure and safe to call concurrently.
+(lowest vertex index first among equal minimum degrees).  Its one product is
+the plain ``{vertex: coreness}`` dict, which holds every core of the graph at
+once; callers cut the cores they need from it.  All functions are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .graph import Edge
-
-
-@dataclass(frozen=True)
-class CoreLabeling:
-    """Per-vertex coreness plus the highest order with a nonempty core."""
-
-    coreness: dict[int, int]
-    k_max: int
-
-    def core(self, k: int) -> set[int]:
-        """The k-core: all vertices with coreness at least ``k``."""
-        return {u for u, c in self.coreness.items() if c >= k}
 
 
 def _build_adjacency(vertices: Collection[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
@@ -82,34 +71,11 @@ def _peel(adj: dict[int, list[int]]) -> dict[int, int]:
     return degree
 
 
-def core_decomposition(vertices: Collection[int], edges: Iterable[Edge]) -> CoreLabeling:
-    """Coreness of every vertex; linear in ``|vertices| + |edges|``.
+def core_decomposition(vertices: Collection[int], edges: Iterable[Edge]) -> dict[int, int]:
+    """``{vertex: coreness}`` for every vertex; linear in ``|vertices| + |edges|``.
 
+    The k-core is the set of vertices with coreness at least ``k``.
     Vertices with no incident edges get coreness 0.  Raises ``ValueError``
     for edges with endpoints outside ``vertices``.
     """
-    coreness = _peel(_build_adjacency(vertices, edges))
-    k_max = max(coreness.values(), default=0)
-    return CoreLabeling(coreness=coreness, k_max=k_max)
-
-
-def query_constrained_decomposition(vertices: Collection[int], edges: Iterable[Edge],
-                                    query: Collection[int]) -> tuple[int, set[int]]:
-    """Highest order whose core still contains every query vertex, and that core.
-
-    An empty query yields the unconstrained innermost core.  When even the
-    1-core excludes some query vertex the order is 0 and the full vertex set
-    is returned as the sentinel core.
-    """
-    vertex_set = set(vertices)
-    missing = [q for q in query if q not in vertex_set]
-    if missing:
-        raise ValueError(f"query vertices {sorted(missing)} outside the vertex set")
-    labeling = core_decomposition(vertex_set, edges)
-    if query:
-        order = min(labeling.coreness[q] for q in query)
-    else:
-        order = labeling.k_max
-    if order == 0:
-        return 0, vertex_set
-    return order, labeling.core(order)
+    return _peel(_build_adjacency(vertices, edges))

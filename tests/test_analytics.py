@@ -143,11 +143,13 @@ class TestAnomalyDetection:
                 flagged_at.setdefault(t, set()).add(u)
             wiped = set(report.flagged_timestamps)
             for t in range(g.t_max + 1):
-                gone = g.snapshots[t] - report.vertex_filtered.snapshots[t]
-                for u, v in gone:
-                    assert u in flagged_at.get(t, ()) or v in flagged_at.get(t, ())
-                if t not in wiped:
-                    assert report.filtered.snapshots[t] == report.vertex_filtered.snapshots[t]
+                bad = flagged_at.get(t, ())
+                untouched = {(u, v) for u, v in g.snapshots[t] if u not in bad and v not in bad}
+                if t in wiped:
+                    assert report.filtered.snapshots[t] == frozenset()
+                    assert report.edge_counts[t][1] == len(untouched)
+                else:
+                    assert report.filtered.snapshots[t] == untouched
 
     def test_counts_never_increase(self, corpus):
         for g in corpus[:10]:
@@ -174,7 +176,7 @@ class TestEmbeddings:
         g = fix1
         rows = tcs_embeddings(g, 2)
         for u in g.vertices:
-            peak = max(core_decomposition(g.vertices, g.snapshots[t]).coreness[u]
+            peak = max(core_decomposition(g.vertices, g.snapshots[t])[u]
                        for t in range(g.t_max + 1))
             assert all(x <= peak for x in rows[u])
 

@@ -131,6 +131,13 @@ class TestOtherCommands:
         assert lines[0] == "t\tmean_purity"
         assert len(lines) == 4
 
+    def test_stats_purity_malformed_attrs_is_input_error(self, fix1_file, tmp_path, capsys):
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("a F\nb\n")
+        assert run(["stats", fix1_file, "--pre-windowed", "--report", "purity",
+                    "--attrs", attrs, "-o", tmp_path / "purity.tsv"]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_stats_span_length(self, fix1_file, tmp_path):
         out = tmp_path / "lengths.tsv"
         assert run(["stats", fix1_file, "--pre-windowed", "--report", "span-length",
@@ -216,6 +223,18 @@ class TestProvenance:
         timings = sidecar(fix1_file, tmp_path, ["stats", "--report", "purity",
                                                 "--attrs", attrs])["timings_seconds"]
         assert timings["attrs"] >= 0.05
+
+    def test_minimize_is_timed(self, fix1_file, tmp_path, monkeypatch):
+        shrink = cli.greedy_minimum_community
+
+        def slow_shrink(*args, **kwargs):
+            time.sleep(0.05)
+            return shrink(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "greedy_minimum_community", slow_shrink)
+        timings = sidecar(fix1_file, tmp_path, ["tcs", "--q", "a", "--h", 2,
+                                                "--minimize"])["timings_seconds"]
+        assert timings["minimize"] >= 0.05
 
     def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary

@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from spancores import (
+    DecompositionStats,
     Interval,
     query_constrained_scan,
     reduced_time_domain,
     single_tcs,
+    span_cores,
     tcs_basic,
     tcs_efficient,
 )
@@ -80,6 +82,14 @@ class TestFullPenaltyTable:
                 for te in range(ts, g.t_max + 1):
                     wider = table.get((max(0, ts - 1), te), 0)
                     assert table.get((ts, te), 0) >= wider
+
+    def test_empty_query_scores_are_the_span_core_top_orders(self, corpus):
+        # both routes read one seeded stream, so they peel the same intervals
+        for g in corpus:
+            table_stats, enum_stats = DecompositionStats(), DecompositionStats()
+            assert penalty_table_full(g, set(), table_stats) == \
+                span_cores(g, enum_stats).top_orders()
+            assert table_stats == enum_stats
 
 
 class TestQueryConstrainedMaximal:

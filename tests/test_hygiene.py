@@ -1,12 +1,15 @@
 """Source hygiene: no module of the package or the tests imports a name it
 never uses.  A name listed in a module's ``__all__`` counts as used, since
-re-exporting it is the module's purpose."""
+re-exporting it is the module's purpose.  Conversely, every name the package
+exports has a user outside the tests: a package module other than
+``__init__.py``, or the benchmark harness in ``perfbench/``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "spancores").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = ROOT / "src" / "spancores"
+SOURCES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -22,14 +25,20 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree: ast.Module) -> set[str]:
+    """The string entries of the module's ``__all__``, if it has one."""
+    exported = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(elt.value for elt in node.value.elts
-                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
-    return used
+            exported.update(elt.value for elt in node.value.elts
+                            if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    return exported
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | exported_names(tree)
 
 
 def test_no_unused_imports():
@@ -40,3 +49,33 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in imported_names(tree).items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def referenced_names(tree: ast.Module, strings: bool = False) -> set[str]:
+    """Names a module reads, imports by name or reaches as an attribute;
+    with ``strings``, also its string constants (the harness names the
+    functions it traces as strings)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_non_test_user():
+    exported = exported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    users: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            users |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        users |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    assert exported, "spancores.__all__ not found"
+    orphans = sorted(exported - users)
+    assert not orphans, f"exported but used only by tests: {orphans}"

@@ -9,8 +9,8 @@ from spancores import (
     naive_span_cores,
     span_cores,
 )
-from spancores import maximal_cores, static_core
-from spancores.static_core import core_decomposition, query_constrained_decomposition
+from spancores import maximal_cores, single_tcs, static_core
+from spancores.static_core import core_decomposition
 
 
 class TestFilterBaseline:
@@ -57,8 +57,7 @@ class TestDirectScan:
     def test_each_output_is_a_true_innermost_core(self, corpus):
         for g in corpus[:40]:
             for core in maximal_span_cores(g):
-                order, members = query_constrained_decomposition(
-                    g.vertices, g.interval_edges(core.span), ())
+                order, members = single_tcs(g, (), core.span)
                 assert (order, members) == (core.order, set(core.members))
 
     def test_per_span_uniqueness(self, corpus):
