@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .community_search import _tcs_every_vertex
 from .graph import EdgeListFormatError, Interval, TemporalGraph, UnknownLabelError
 from .maximal_cores import maximal_span_cores
-from .span_cores import SpanCore, SpanCoreSet
+from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
 
 logger = logging.getLogger(__name__)
 
@@ -163,7 +163,8 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
 # -- embeddings ------------------------------------------------------------------
 
 
-def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
+def tcs_embeddings(g: TemporalGraph, h: int,
+                   stats: DecompositionStats | None = None) -> list[list[int]]:
     """Per-vertex embedding: the temporally ordered minimum degrees of that
     vertex's own h-segment community-search solution.
 
@@ -171,11 +172,12 @@ def tcs_embeddings(g: TemporalGraph, h: int) -> list[list[int]]:
     run once per vertex, but all rows share one seeded span-core enumeration
     that scores every interval for every vertex; each row then costs only
     its reduced-domain DP, and reads its h segment scores from the vertex's
-    score table, with no re-peel and no member sets.
+    score table, with no re-peel and no member sets.  ``stats`` records the
+    enumeration's peels and the DP work summed over the rows.
     """
     if h < 1 or h > g.t_max + 1:
         raise ValueError(f"embedding width h must be within 1..{g.t_max + 1}")
-    return _tcs_every_vertex(g, h)
+    return _tcs_every_vertex(g, h, stats)
 
 
 # -- query sampling ------------------------------------------------------------------

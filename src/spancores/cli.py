@@ -11,7 +11,9 @@ subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``,
 before the sidecar is written).  Beside them, ``load_seconds`` splits the load
 into its ``parse`` and ``build`` sub-phases and ``total_seconds`` is the time
 from the start of ``main`` to the sidecar write; the sidecar layout is
-numbered by ``schema_version``.
+numbered by ``schema_version``.  A run leaves either all of its output files
+or none: each is written to a temporary file beside it and moved into place
+only after the sidecar has been written too.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 input error (including
 an unknown vertex label), 3 internal invariant violation (including any other
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -162,8 +165,27 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+class _StagedFile(io.TextIOWrapper):
+    """A text file written at a temporary path.  Its ``name`` is the path it
+    is moved onto when the run commits, so a reader of a sink's name finds
+    the output there once the run is over."""
+
+    def __init__(self, temporary: Path, destination: Path):
+        super().__init__(open(temporary, "wb"), encoding="utf-8")
+        self.destination = destination
+
+    @property
+    def name(self) -> str:
+        return str(self.destination)
+
+
 class _Run:
-    """Collects results, provenance, and timings for one invocation."""
+    """Collects results, provenance, and timings for one invocation.
+
+    Every output file is written to a temporary file beside it and moved into
+    place by ``commit`` only once the run has written them all, sidecar
+    included; ``discard`` deletes what a failed run left.
+    """
 
     def __init__(self, args, started: float):
         self.args = args
@@ -172,6 +194,22 @@ class _Run:
         self.timings: dict[str, float] = {}
         self.load_timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
+        self._staged: list[tuple[Path, Path]] = []  # (temporary, destination)
+
+    def staged(self, path: Path) -> _StagedFile:
+        """An open text file that ``commit`` moves onto ``path``."""
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        self._staged.append((temporary, path))
+        return _StagedFile(temporary, path)
+
+    def commit(self) -> None:
+        for temporary, path in self._staged:
+            os.replace(temporary, path)
+
+    def discard(self) -> None:
+        """Delete the temporaries that ``commit`` has not moved."""
+        for temporary, _ in self._staged:
+            temporary.unlink(missing_ok=True)
 
     @contextmanager
     def writing(self):
@@ -182,7 +220,7 @@ class _Run:
             sink = sys.stdout
         else:
             self.output.parent.mkdir(parents=True, exist_ok=True)
-            sink = open(self.output, "w", encoding="utf-8")
+            sink = self.staged(self.output)
         try:
             yield sink
         finally:
@@ -210,9 +248,8 @@ class _Run:
         if self.output is None:
             print(json.dumps({"provenance": meta}, sort_keys=True), file=sys.stderr)
         else:
-            side = self.output.with_name(self.output.name + ".meta.json")
-            side.write_text(json.dumps({"provenance": meta}, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+            with self.staged(self.output.with_name(self.output.name + ".meta.json")) as fh:
+                fh.write(json.dumps({"provenance": meta}, indent=2, sort_keys=True) + "\n")
 
 
 def _timed(run: _Run, phase: str, fn):
@@ -248,12 +285,13 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     query = frozenset(g.index_of(label) for label in args.q.split(",") if label)
     if not query:
         raise UsageError("--q must name at least one vertex")
+    stats = DecompositionStats()
     timings: dict[str, float] = {}
-    if args.basic:
-        solution = tcs_basic(g, query, args.segments, timings=timings)
-    else:
-        solution = tcs_efficient(g, query, args.segments, timings=timings)
+    search = tcs_basic if args.basic else tcs_efficient
+    solution = search(g, query, args.segments, stats, timings)
     run.timings.update(timings)
+    run.counters["candidate_ends"] = stats.candidate_ends
+    run.counters["dp_runs"] = stats.dp_runs
     shrunk = {}
     if args.minimize:
         shrunk = _timed(run, "minimize", lambda: {
@@ -289,15 +327,18 @@ def _cmd_anomalies(run: _Run, g: TemporalGraph):
         for t, (orig, mid, fin) in enumerate(report.edge_counts):
             sink.write(f"{t}\t{orig}\t{mid}\t{fin}\t{int(t in flagged)}\n")
         graph_path = run.output.with_name(run.output.name + ".filtered.edges")
-        with open(graph_path, "w", encoding="utf-8") as fh:
+        with run.staged(graph_path) as fh:
             write_edge_list(report.filtered, fh)
     run.counters["flagged_timestamps"] = len(report.flagged_timestamps)
     run.counters["flagged_vertex_steps"] = len(report.flagged_vertex_steps)
 
 
 def _cmd_embed(run: _Run, g: TemporalGraph):
+    stats = DecompositionStats()
     rows = _timed(run, "solve",
-                  lambda: analytics.tcs_embeddings(g, run.args.segments))
+                  lambda: analytics.tcs_embeddings(g, run.args.segments, stats))
+    run.counters["candidate_ends"] = stats.candidate_ends
+    run.counters["dp_runs"] = stats.dp_runs
     with run.writing() as sink:
         header = "\t".join(["vertex"] + [f"x{j}" for j in range(run.args.segments)])
         sink.write(header + "\n")
@@ -367,6 +408,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     started = time.perf_counter()
     parser = build_parser()
+    run = None
     try:
         args = parser.parse_args(argv)
         run = _Run(args, started)
@@ -374,6 +416,7 @@ def main(argv=None) -> int:
         run.counters["temporal_edges"] = graph.temporal_edge_count()
         _HANDLERS[args.command](run, graph)
         run.write_provenance()
+        run.commit()
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -393,6 +436,9 @@ def main(argv=None) -> int:
     except (KeyError, RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if run is not None:
+            run.discard()
 
 
 if __name__ == "__main__":

@@ -5,23 +5,26 @@ minimum degree.
 The per-interval subproblem is solved by the highest-order core containing the
 query, whose order acts as the interval's score.  Segmenting the domain is
 then classic optimal sequence segmentation by dynamic programming over one
-score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` for
-each start ``a``, and the DP asks it at the exact start of every candidate
-segment.  The basic route (the test oracle) reads a table of every interval's
-score and runs the DP over every timestamp; the efficient route answers by
-dominance lookup over the query-constrained maximal cores and runs the DP only
-over a reduced set of candidate segment ends, which is sufficient for
-optimality.  Both share one solver body and differ only in the profile and
-the candidate ends they hand it.
+score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` at the
+exact start ``a`` of every candidate segment ending at ``te``, as runs of
+equal score.  The score never falls as ``a`` grows, so each score value
+forms one run at most, and the DP answers each run with one range-minimum
+query (see ``_segment_dp``).  The basic route (the test
+oracle) reads a table of every interval's score and runs the DP over every
+timestamp; the efficient route answers by dominance lookup over the
+query-constrained maximal cores and runs the DP only over a reduced set of
+candidate segment ends, which is sufficient for optimality.  Both share one
+solver body and differ only in the profile and the candidate ends they hand
+it.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .graph import Interval, TemporalGraph
 from .maximal_cores import _undominated, _validate_query, query_constrained_scan
@@ -56,22 +59,54 @@ def single_tcs(g: TemporalGraph, query: Collection[int],
 
     Returns order 0 with the full vertex set when the query is not jointly
     inside any core; an empty query yields the unconstrained innermost core.
+    Only the interval edges' endpoints are peeled: any other vertex has
+    coreness 0.
     """
     qs = _validate_query(g, query)
-    coreness = core_decomposition(g.vertices, g.interval_edges(interval))
-    order = min(coreness[q] for q in qs) if qs else max(coreness.values(), default=0)
+    edges = g.interval_edges(interval)
+    coreness = core_decomposition({u for edge in edges for u in edge}, edges)
+    order = min(coreness.get(q, 0) for q in qs) if qs else max(coreness.values(), default=0)
     if order == 0:
         return 0, set(g.vertices)
     return order, {u for u, c in coreness.items() if c >= order}
 
 
-# profile(te, starts): the scores of [a, te] for each start a, starts ascending
-Profile = Callable[[int, Sequence[int]], list[int]]
+# profile(te, starts) -> runs: the scores of [a, te] for the ascending starts
+# a, as (first start index, value) pairs with nondecreasing values; the first
+# run begins at index 0 and each run lasts until the next one begins
+Profile = Callable[[int, Sequence[int]], list[tuple[int, int]]]
+
+
+def _runs(steps: Iterable[tuple[int, int]], starts: Sequence[int]) -> list[tuple[int, int]]:
+    """The runs over ``starts`` of a step function of the start that is 0
+    before its first step and takes each ``(first start, value)`` step's value
+    from that start on; the steps ascend in start and never fall in value."""
+    runs = [(0, 0)]
+    for a, value in steps:
+        if value <= runs[-1][1]:
+            continue
+        j = bisect_left(starts, a)
+        if j == len(starts):
+            break
+        if runs[-1][0] == j:  # the previous step covers no asked start
+            runs[-1] = (j, value)
+        else:
+            runs.append((j, value))
+    return runs
 
 
 def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
-    """The profile of a ``{(ts, te): score}`` table; missing intervals score 0."""
-    return lambda te, starts: [scores.get((a, te), 0) for a in starts]
+    """The profile of a ``{(ts, te): score}`` table; missing intervals score 0.
+
+    The table must be anti-monotone in the span, as every score table of
+    span-cores is: then each end's stored starts run contiguously up to the
+    end with nondecreasing scores, and its runs are read off its stored
+    entries alone, whatever the starts asked.
+    """
+    by_end: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for (ts, te), value in scores.items():
+        by_end[te].append((ts, value))
+    return lambda te, starts: _runs(sorted(by_end.get(te, ())), starts)
 
 
 def _dominance_profile(cores: Collection[SpanCore]) -> Profile:
@@ -79,16 +114,19 @@ def _dominance_profile(cores: Collection[SpanCore]) -> Profile:
 
     The score of an interval is the highest order among the cores whose span
     contains it (0 if none), so no per-interval table is materialized: per
-    end, a running maximum over the cores reaching it, by start, answers
-    each start by bisection.
+    end, the running maximum by start over the cores reaching it steps up
+    exactly where a core beats every earlier one.
     """
     spans = sorted((c.span.start, c.span.end, c.order) for c in cores)
 
-    def profile(te: int, starts: Sequence[int]) -> list[int]:
-        eligible = [(s, k) for s, e, k in spans if e >= te]
-        firsts = [s for s, _ in eligible]
-        peaks = list(accumulate((k for _, k in eligible), max, initial=0))
-        return [peaks[bisect_right(firsts, a)] for a in starts]
+    def profile(te: int, starts: Sequence[int]) -> list[tuple[int, int]]:
+        steps = []
+        peak = 0
+        for s, e, k in spans:
+            if e >= te and k > peak:
+                peak = k
+                steps.append((s, k))
+        return _runs(steps, starts)
 
     return profile
 
@@ -112,7 +150,8 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
     return values
 
 
-def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
+def _vertex_score_tables(g: TemporalGraph, stats: DecompositionStats | None
+                         ) -> list[dict[tuple[int, int], int]]:
     """``penalty_table_full(g, {u})``'s scores for every vertex u at once.
 
     One seeded enumeration pass keeps, per vertex, its coreness on each
@@ -121,7 +160,7 @@ def _vertex_score_tables(g: TemporalGraph) -> list[dict[tuple[int, int], int]]:
     every coreness kept is positive.
     """
     tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
-    for ts, te, coreness in _seeded_coreness(g, None):
+    for ts, te, coreness in _seeded_coreness(g, stats):
         key = (ts, te)  # one key object shared by every vertex's table
         for u, c in coreness.items():
             tables[u][key] = c
@@ -153,43 +192,81 @@ def reduced_time_domain(t_max: int, h: int, spans: Collection[Interval]) -> Redu
     return ReducedDomain(timestamps=tuple(sorted(chosen)))
 
 
-def _segment_dp(ends: Sequence[int], profile: Profile, h: int):
+def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
+                stats: DecompositionStats | None = None):
     """Optimal segmentation DP over candidate end timestamps.
 
     ``P[r][i]`` is the least cost (negated summed score) of splitting the
-    prefix ending at ``ends[r]`` into ``i + 1`` nonempty segments; ``R[r][i]``
-    records the chosen previous end index.  The segment after end index
-    ``split`` starts at ``ends[split] + 1``.  Ties go to the smallest split
-    index, making reconstruction deterministic.
+    prefix ending at ``ends[r]`` into ``i + 1`` nonempty segments (``None``
+    when ``i > r``); ``R[r][i]`` records the chosen previous end index.  The
+    segment after end index ``split`` starts at ``ends[split] + 1``.  Ties go
+    to the smallest split index, making reconstruction deterministic.
+
+    The DP fills one column i at a time.  Within one run of end r's profile
+    the segment score is fixed, so the best split there is the leftmost
+    minimum of column i - 1 over the run's range: a sparse table of
+    ``(cost, split)`` pairs over that column answers it with two lookups,
+    tuple order giving the leftmost split on ties, and the runs are tried
+    from the left, a later one winning only when strictly cheaper.  With
+    ``|D| = len(ends)`` the cost is O(h * |D| * (runs + log |D|)) instead of
+    the O(h * |D|^2) of trying every split.  ``stats`` counts the candidate
+    ends and the range queries answered (``dp_runs``).
     """
     n = len(ends)
     starts = [0] + [e + 1 for e in ends[:-1]]
-    P: list[list[int | None]] = [[None] * h for _ in range(n)]
-    R: list[list[int]] = [[-1] * h for _ in range(n)]
+    # per end r: (first start index, last start index, score) of each run
+    ranges = []
     for r in range(n):
-        scores = profile(ends[r], starts[:r + 1])
-        P[r][0] = -scores[0]
-        for i in range(1, min(h, r + 1)):
+        runs = profile(ends[r], starts[:r + 1])
+        lasts = [j - 1 for j, _ in runs[1:]] + [r]
+        ranges.append([(j, last, value) for (j, value), last in zip(runs, lasts)])
+    column: list[int | None] = [-first_run[2] for first_run, *_ in ranges]
+    P: list[list[int | None]] = [[cost] + [None] * (h - 1) for cost in column]
+    R: list[list[int]] = [[-1] * h for _ in range(n)]
+    log2 = [0, 0]  # log2[m]: the table level whose two windows cover m splits
+    while len(log2) <= n:
+        log2.append(log2[len(log2) // 2] + 1)
+    queries = 0
+    for i in range(1, min(h, n)):
+        # level k holds the least (cost, split) of column[split : split + 2**k],
+        # for split = i - 1, i, ...; the segment starting at start index j
+        # follows split j - 1
+        level = list(zip(column[i - 1:n - 1], range(i - 1, n - 1)))
+        table = [level]
+        width = 1
+        while len(level) > width:
+            level = list(map(min, level, level[width:]))
+            table.append(level)
+            width *= 2
+        column = [None] * n
+        for r in range(i, n):
             best = None
-            best_split = -1
-            for split in range(i - 1, r):
-                prev = P[split][i - 1]
-                if prev is None:
+            for first, last, value in ranges[r]:
+                if last < i:
                     continue
-                cost = prev - scores[split + 1]
+                # the run's splits, as offsets into the table's levels
+                lo = first - i if first > i else 0
+                hi = last - i
+                k = log2[hi - lo + 1]
+                a, b = table[k][lo], table[k][hi + 1 - (1 << k)]
+                cost, split = a if a < b else b
+                cost -= value
                 if best is None or cost < best:
-                    best = cost
-                    best_split = split
-            P[r][i] = best
+                    best, best_split = cost, split
+                queries += 1
+            column[r] = P[r][i] = best
             R[r][i] = best_split
+    if stats is not None:
+        stats.candidate_ends += n
+        stats.dp_runs += queries
     return P, R
 
 
-def _best_segmentation(ends: Sequence[int], profile: Profile,
-                       h: int) -> tuple[list[Interval], int]:
+def _best_segmentation(ends: Sequence[int], profile: Profile, h: int,
+                       stats: DecompositionStats | None) -> tuple[list[Interval], int]:
     """The spans and objective of the DP's optimal h-segmentation over ``ends``."""
     n = len(ends)
-    P, R = _segment_dp(ends, profile, h)
+    P, R = _segment_dp(ends, profile, h, stats)
     objective = P[n - 1][h - 1]
     if objective is None:
         raise RuntimeError(f"internal: no feasible {h}-segmentation over {n} boundaries")
@@ -226,7 +303,8 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
         raise ValueError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
 
 
-def _solve(g: TemporalGraph, query: Collection[int], h: int, timings: dict | None,
+def _solve(g: TemporalGraph, query: Collection[int], h: int,
+           stats: DecompositionStats | None, timings: dict | None,
            prepare: Callable[[frozenset[int]], tuple[Profile, Sequence[int]]]) -> Segmentation:
     """Shared solver body: ``prepare`` validates the query and returns the
     score profile plus the ascending candidate segment ends (always
@@ -236,7 +314,7 @@ def _solve(g: TemporalGraph, query: Collection[int], h: int, timings: dict | Non
     tick = time.perf_counter()
     profile, ends = prepare(qs)
     tock = time.perf_counter()
-    result = _materialize(g, qs, *_best_segmentation(ends, profile, h))
+    result = _materialize(g, qs, *_best_segmentation(ends, profile, h, stats))
     if timings is not None:
         timings["precompute"] = tock - tick
         timings["solve"] = time.perf_counter() - tock
@@ -247,7 +325,7 @@ def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
               stats: DecompositionStats | None = None,
               timings: dict | None = None) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
-    return _solve(g, query, h, timings,
+    return _solve(g, query, h, stats, timings,
                   lambda qs: (_table_profile(penalty_table_full(g, qs, stats)),
                               range(g.t_max + 1)))
 
@@ -266,22 +344,24 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
         domain = reduced_time_domain(g.t_max, h, [core.span for core in cores])
         return _dominance_profile(cores), domain.timestamps
 
-    return _solve(g, query, h, timings, prepare)
+    return _solve(g, query, h, stats, timings, prepare)
 
 
-def _tcs_every_vertex(g: TemporalGraph, h: int) -> list[list[int]]:
+def _tcs_every_vertex(g: TemporalGraph, h: int,
+                      stats: DecompositionStats | None) -> list[list[int]]:
     """The segment scores of ``tcs_efficient(g, {u}, h)`` for every vertex u,
     in index order, from one enumeration pass shared by all of them.
 
     A vertex's undominated positive scores are exactly the spans of
     ``query_constrained_scan(g, {u})``, so each DP sees the same candidate
     ends and the same interval scores as ``tcs_efficient``'s; a row reads
-    its segments' scores from the vertex's table, with no re-peel.
+    its segments' scores from the vertex's table, with no re-peel.  ``stats``
+    records the enumeration's peels and every row's DP work.
     """
     rows = []
-    for scores in _vertex_score_tables(g):
+    for scores in _vertex_score_tables(g, stats):
         spans = [Interval(ts, te) for ts, te in _undominated(scores)]
         ends = reduced_time_domain(g.t_max, h, spans).timestamps
-        segments, _ = _best_segmentation(ends, _table_profile(scores), h)
+        segments, _ = _best_segmentation(ends, _table_profile(scores), h, stats)
         rows.append([scores.get((s.start, s.end), 0) for s in segments])
     return rows

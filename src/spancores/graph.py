@@ -27,8 +27,8 @@ import re
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import eq, floordiv, itemgetter, sub
+from itertools import chain, count, repeat, starmap
+from operator import eq, floordiv, itemgetter, lt, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -101,6 +101,16 @@ def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
     return adj
 
 
+def _reject(snapshots: Sequence[Sequence[Edge]], n: int) -> None:
+    """Raise for the first self-loop or out-of-range pair among canonical ones."""
+    for t, pairs in enumerate(snapshots):
+        for u, v in pairs:
+            if u == v:
+                raise ValueError(f"self-loop ({u},{u}) at timestamp {t}")
+            if u < 0 or v >= n:
+                raise ValueError(f"edge ({u},{v}) out of vertex range at timestamp {t}")
+
+
 class TemporalGraph:
     """Immutable undirected temporal graph over dense integer vertex ids.
 
@@ -125,22 +135,25 @@ class TemporalGraph:
             raise ValueError("vertex labels must be unique")
         self.dropped_self_loops = dropped_self_loops
 
+        # C-level passes check the pairs; only pairs not yet canonical take a
+        # Python loop, as does the error path
+        lists = [list(snapshot) for snapshot in snapshots]
+        if not all(starmap(lt, chain.from_iterable(lists))):
+            lists = [[(u, v) if u < v else (v, u) for u, v in pairs] for pairs in lists]
+            if not all(starmap(lt, chain.from_iterable(lists))):
+                _reject(lists, n)
+        ids = set(chain.from_iterable(chain.from_iterable(lists)))
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            _reject(lists, n)
         empty: frozenset[Edge] = frozenset()
         frozen: list[frozenset[Edge]] = []
         ordered: list[tuple[Edge, ...]] = []
-        for t, snapshot in enumerate(snapshots):
-            if not snapshot:
-                frozen.append(empty)
-                ordered.append(())
-                continue
-            distinct = tuple(dict.fromkeys([(u, v) if u < v else (v, u) for u, v in snapshot]))
-            for u, v in distinct:
-                if u == v:
-                    raise ValueError(f"self-loop ({u},{u}) at timestamp {t}")
-                if u < 0 or v >= n:
-                    raise ValueError(f"edge ({u},{v}) out of vertex range at timestamp {t}")
-            frozen.append(frozenset(distinct))
-            ordered.append(distinct)
+        for pairs in lists:
+            distinct = frozenset(pairs) if pairs else empty
+            frozen.append(distinct)
+            # repeats, reversed ones included, collapse to their first appearance
+            ordered.append(tuple(pairs) if len(distinct) == len(pairs)
+                           else tuple(dict.fromkeys(pairs)))
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
         self._ordered = tuple(ordered)
         self._adjacency: tuple[dict[int, list[int]], ...] | None = None
@@ -169,14 +182,16 @@ class TemporalGraph:
         appearance, emptying ``keys`` so that they are freed before the
         snapshots are frozen.  Self-loop records are skipped, and labels get
         dense ids in order of first appearance over the other records,
-        timestamp by timestamp: the one interning rule of both loaders."""
+        timestamp by timestamp: the one interning rule of both loaders.  The
+        pairs come out canonical, so the constructor only checks them."""
         records = sorted(keys, key=itemgetter(0))
         keys.clear()
         index: dict[str, int] = defaultdict(count().__next__)
         snapshots: list[list[Edge]] = [[] for _ in range(windows)]
         for t, u, v in records:
             if u != v:
-                snapshots[t].append((index[u], index[v]))
+                a, b = index[u], index[v]
+                snapshots[t].append((a, b) if a < b else (b, a))
         del records
         return cls(snapshots, list(index), dropped_self_loops=dropped)
 

@@ -161,10 +161,14 @@ class DecompositionStats:
     subroutine.  The seeded enumeration feeds each interval's edge endpoints,
     so there ``peel_vertices`` counts edge endpoints summed over intervals;
     the naive route feeds the whole vertex set every time; the maximal scan
-    counts each interval it visits, one it settles without a peel as 0."""
+    counts each interval it visits, one it settles without a peel as 0.
+    Community search adds the segmentation DP's candidate ends and the range
+    queries it answered, one per (end, profile run, segment count)."""
 
     intervals_processed: int = 0
     peel_vertices: int = 0
+    candidate_ends: int = 0
+    dp_runs: int = 0
 
     def record(self, vertex_count: int) -> None:
         self.intervals_processed += 1

@@ -62,6 +62,44 @@ def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:
     return [[seg.min_degree for seg in tcs_efficient(g, {u}, h).segments] for u in g.vertices]
 
 
+def quadratic_segment_dp(ends, profile, h):
+    """The segmentation DP by trying every split: the oracle of
+    ``community_search._segment_dp``.
+
+    ``profile(te, starts)`` gives the score of ``[a, te]`` for each start
+    ``a`` (use ``expand_runs`` to read a run profile).  ``P`` and ``R`` mean
+    what they mean for ``_segment_dp``, ties going to the smallest split.
+    """
+    n = len(ends)
+    starts = [0] + [e + 1 for e in ends[:-1]]
+    P: list[list[int | None]] = [[None] * h for _ in range(n)]
+    R: list[list[int]] = [[-1] * h for _ in range(n)]
+    for r in range(n):
+        scores = profile(ends[r], starts[:r + 1])
+        P[r][0] = -scores[0]
+        for i in range(1, min(h, r + 1)):
+            best = None
+            best_split = -1
+            for split in range(i - 1, r):
+                prev = P[split][i - 1]
+                if prev is None:
+                    continue
+                cost = prev - scores[split + 1]
+                if best is None or cost < best:
+                    best = cost
+                    best_split = split
+            P[r][i] = best
+            R[r][i] = best_split
+    return P, R
+
+
+def expand_runs(runs, count):
+    """The per-start values of ``count`` starts from a profile's
+    ``(first start index, value)`` runs."""
+    firsts = [j for j, _ in runs[1:]] + [count]
+    return [value for (j, value), end in zip(runs, firsts) for _ in range(j, end)]
+
+
 def definitional_span_cores(g: TemporalGraph) -> dict[tuple[int, int, int], frozenset[int]]:
     """``{(k, ts, te): members}`` for every span-core, straight from the
     definition and without any package algorithm.

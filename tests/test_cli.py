@@ -236,6 +236,14 @@ class TestProvenance:
                                                 "--minimize"])["timings_seconds"]
         assert timings["minimize"] >= 0.05
 
+    @pytest.mark.parametrize("argv", [["tcs", "--q", "a", "--h", 2],
+                                      ["tcs", "--q", "a", "--h", 2, "--basic"],
+                                      ["embed", "--h", 2]], ids=["tcs", "tcs-basic", "embed"])
+    def test_sidecar_counts_the_segmentation_work(self, fix1_file, tmp_path, argv):
+        counters = sidecar(fix1_file, tmp_path, argv)["counters"]
+        assert counters["candidate_ends"] > 0
+        assert counters["dp_runs"] > 0
+
     def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary
 
@@ -290,6 +298,23 @@ class TestErrorHandling:
         monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
         assert run(["decompose", fix1_file, "--pre-windowed", "-o", tmp_path / "c.jsonl"]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, writer", [
+        (["decompose"], "write_span_cores"),
+        (["anomalies", "--tr", 5, "--ratio", 1.5], "write_edge_list"),
+        (["anomalies", "--tr", 5, "--ratio", 1.5], "_digest"),
+    ], ids=["result", "extra-file", "sidecar"])
+    def test_failed_write_leaves_no_file(self, fix1_file, tmp_path, monkeypatch, argv, writer):
+        def broken(*args):
+            if len(args) > 1:  # a result writer: write part of the file first
+                args[1].write("partial\n")
+            raise RuntimeError("writer failed part-way")
+
+        monkeypatch.setattr(cli, writer, broken)
+        outdir = tmp_path / "out"
+        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:],
+                    "-o", outdir / "result.txt"]) == 3
+        assert list(outdir.iterdir()) == []
 
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate", "x"]) == 1

@@ -1,10 +1,11 @@
 """Property tests over wider random corpora than the fixed one: graphs of up
 to 20 vertices and 30 timestamps built from persistent group contacts, checked
 for embeddings and against the span-core definition, segmentations checked
-against an exhaustive search over definitional scores, and raw edge-list files
-checked against a plain reference loader."""
+against an exhaustive search over definitional scores, the segmentation DP
+checked against the quadratic one over random step profiles, and raw
+edge-list files checked against a plain reference loader."""
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from unittest import mock
 
 import pytest
@@ -16,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_constrained_scan,
                        span_cores, tcs_basic, tcs_efficient, tcs_embeddings)
 from spancores import graph as graph_module
+from spancores.community_search import _segment_dp
 
-from conftest import as_definitional, definitional_span_cores, per_vertex_rows
+from conftest import (as_definitional, definitional_span_cores, expand_runs, per_vertex_rows,
+                      quadratic_segment_dp)
 
 
 @st.composite
@@ -123,6 +126,33 @@ def test_segmentations_match_exhaustive_search(case):
     assert tcs_efficient(g, query, h).objective == expected
     for u, row in zip(g.vertices, tcs_embeddings(g, h)):
         assert sum(row) == exhaustive_objective(cores, g.t_max, {u}, h)
+
+
+@st.composite
+def step_profiles(draw):
+    """Up to 70 ascending candidate ends, a segment count h of at most their
+    number, and per end the runs of a nondecreasing step profile over its
+    starts.  Values rise by 0, 1 or 2 from run to run, so equal neighbouring
+    runs and equal costs within the DP's columns are common."""
+    n = draw(st.integers(1, 70))
+    ends = list(accumulate(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                           initial=-1))[1:]
+    runs = {}
+    for r, te in enumerate(ends):
+        firsts = sorted(draw(st.sets(st.integers(1, r), max_size=4))) if r else []
+        rises = draw(st.lists(st.integers(0, 2), min_size=len(firsts) + 1,
+                              max_size=len(firsts) + 1))
+        runs[te] = list(zip([0] + firsts, accumulate(rises)))
+    return ends, runs, draw(st.integers(1, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(step_profiles())
+def test_segment_dp_matches_the_quadratic_one(case):
+    ends, runs, h = case
+    expected = quadratic_segment_dp(
+        ends, lambda te, starts: expand_runs(runs[te], len(starts)), h)
+    assert _segment_dp(ends, lambda te, starts: runs[te], h) == expected
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")
