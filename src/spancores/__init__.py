@@ -2,6 +2,10 @@
 search over discrete-time networks, with the downstream analytics built on
 them (anomaly filtering, purity statistics, community-search embeddings)."""
 
+import time
+
+_IMPORT_STARTED = time.perf_counter()  # where the CLI sidecar's ``import_seconds`` starts
+
 from .graph import (
     EdgeListFormatError,
     Interval,

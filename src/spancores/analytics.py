@@ -8,24 +8,20 @@ vertex, followed by a small segmentation DP per vertex."""
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .community_search import _tcs_every_vertex
-from .graph import EdgeListFormatError, Interval, TemporalGraph, UnknownLabelError
+from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
+                    UnknownLabelError)
 from .maximal_cores import maximal_span_cores
 from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_SPAN = 2  # single-window cores are short interactions, not structure
 
 
-@dataclass(frozen=True)
-class ActivityCell:
+class ActivityCell(NamedTuple):
     """Peak order among cores starting at ``start`` with span length ``span_length``."""
 
     start: int
@@ -62,8 +58,9 @@ def purity_timeline(cores: Iterable[SpanCore], attributes: Mapping[int, str],
         try:
             scored.append((core.span, purity(core, attributes)))
         except ValueError:
-            logger.warning("skipping core %s/%s: no labeled member",
-                           core.order, core.span)
+            import logging  # only when warning: importing the package does not load it
+            logging.getLogger(__name__).warning("skipping core %s/%s: no labeled member",
+                                                core.order, core.span)
     timeline: list[float | None] = []
     for t in range(t_max + 1):
         values = [p for span, p in scored if span.covers(t)]
@@ -71,8 +68,7 @@ def purity_timeline(cores: Iterable[SpanCore], attributes: Mapping[int, str],
     return timeline
 
 
-@dataclass(frozen=True)
-class SpanLengthBin:
+class SpanLengthBin(NamedTuple):
     length: int
     count: int
     percent: float
@@ -89,8 +85,7 @@ def span_length_distribution(cores: Iterable[SpanCore]) -> list[SpanLengthBin]:
 # -- anomaly detection ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnomalyReport:
+class AnomalyReport(NamedTuple):
     """Output of the two-stage anomaly filter.
 
     ``filtered`` is the graph after removing edges incident to flagged
@@ -115,9 +110,9 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
     original counts as an infinite ratio).
     """
     if tr < 1:
-        raise ValueError("span threshold tr must be at least 1")
+        raise ParameterError("span threshold tr must be at least 1")
     if ratio <= 1:
-        raise ValueError("edge-count ratio threshold must exceed 1")
+        raise ParameterError("edge-count ratio threshold must exceed 1")
 
     long_spans = [core.span for core in maximal_span_cores(g)
                   if core.span.length > tr]
@@ -176,7 +171,7 @@ def tcs_embeddings(g: TemporalGraph, h: int,
     enumeration's peels and the DP work summed over the rows.
     """
     if h < 1 or h > g.t_max + 1:
-        raise ValueError(f"embedding width h must be within 1..{g.t_max + 1}")
+        raise ParameterError(f"embedding width h must be within 1..{g.t_max + 1}")
     return _tcs_every_vertex(g, h, stats)
 
 
@@ -197,16 +192,18 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     probability proportional to visit frequency.
     """
     if q_size < 1:
-        raise ValueError("q_size must be at least 1")
+        raise ParameterError("q_size must be at least 1")
+    if q_size > g.n:
+        raise ParameterError(f"cannot sample {q_size} query vertices from {g.n}")
     rng = random.Random(seed)
     if q_size == 1:
         return {rng.randrange(g.n)}
     if g.temporal_edge_count() == 0:
-        raise ValueError("cannot sample interacting vertices from an edgeless graph")
+        raise ParameterError("cannot sample interacting vertices from an edgeless graph")
 
     pool = pool_size if pool_size is not None else 3 * q_size
     if pool < q_size:
-        raise ValueError("pool size must be at least q_size")
+        raise ParameterError("pool size must be at least q_size")
     step_limit = max(10_000, 200 * pool * (g.t_max + 1))
 
     current = rng.randrange(g.n)
@@ -226,9 +223,10 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
             t = 0 if t == g.t_max else t + 1
     else:
         if len(visits) < q_size:
-            raise ValueError("random walk could not reach enough distinct vertices")
-        logger.warning("query sampling stopped early with %d of %d pool vertices",
-                       len(visits), pool)
+            raise ParameterError("random walk could not reach enough distinct vertices")
+        import logging
+        logging.getLogger(__name__).warning(
+            "query sampling stopped early with %d of %d pool vertices", len(visits), pool)
 
     chosen: set[int] = set()
     candidates = sorted(visits)
@@ -287,5 +285,7 @@ def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
         if stream is not source:
             stream.close()
     if unknown:
-        logger.warning("skipped %d attribute rows with unknown vertex labels", unknown)
+        import logging
+        logging.getLogger(__name__).warning(
+            "skipped %d attribute rows with unknown vertex labels", unknown)
     return attributes

@@ -9,15 +9,18 @@ subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``,
 ``minimize`` the greedy shrinking of ``tcs --minimize``),
 ``write`` (the result files) and ``digest`` (the input's SHA-256, taken just
 before the sidecar is written).  Beside them, ``load_seconds`` splits the load
-into its ``parse`` and ``build`` sub-phases and ``total_seconds`` is the time
-from the start of ``main`` to the sidecar write; the sidecar layout is
-numbered by ``schema_version``.  A run leaves either all of its output files
-or none: each is written to a temporary file beside it and moved into place
-only after the sidecar has been written too.
+into its ``parse`` and ``build`` sub-phases, ``total_seconds`` is the time
+from the start of ``main`` to the sidecar write and ``import_seconds`` the
+time from the first line of the package's ``__init__`` to the end of this
+module's body; the sidecar layout is numbered by ``schema_version``.  A run
+leaves either all of its output files or none: each is written to a
+temporary file beside it and moved into place only after the sidecar has
+been written too.
 
-Exit codes: 0 success, 1 usage or parameter error, 2 input error (including
-an unknown vertex label), 3 internal invariant violation (including any other
-``KeyError``).
+Exit codes: 0 success, 1 usage or parameter error (``ParameterError``), 2
+input error (including an unknown vertex label and any ``OSError``), 3
+internal error: any other ``ValueError``, ``KeyError``, ``RuntimeError`` or
+``AssertionError``.
 """
 
 from __future__ import annotations
@@ -34,25 +37,21 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import analytics
+from . import _IMPORT_STARTED, analytics
 from .community_search import tcs_basic, tcs_efficient
-from .graph import (EdgeListFormatError, TemporalGraph, UnknownLabelError, load_edge_list,
-                    rewire_null_model, write_edge_list)
+from .graph import (EdgeListFormatError, ParameterError, TemporalGraph, UnknownLabelError,
+                    load_edge_list, rewire_null_model, write_edge_list)
 from .maximal_cores import filter_maximal, maximal_span_cores
 from .min_community import greedy_minimum_community
 from .span_cores import DecompositionStats, naive_span_cores, span_cores, write_span_cores
 
 OUTPUT_DIR_ENV = "SPANCORES_OUTPUT_DIR"
-SCHEMA_VERSION = 1
-
-
-class UsageError(Exception):
-    pass
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ParameterError(message)
 
 
 def _seed_value(text: str) -> int:
@@ -61,7 +60,7 @@ def _seed_value(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"--seed must be an integer or 'random', got {text!r}") from None
+        raise ParameterError(f"--seed must be an integer or 'random', got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,10 +148,10 @@ def _resolve_output(raw: str) -> Path | None:
 def _load(args, timings: dict) -> TemporalGraph:
     if args.pre_windowed:
         if args.window is not None or args.time_origin is not None:
-            raise UsageError("--pre-windowed takes neither --window nor --time-origin")
+            raise ParameterError("--pre-windowed takes neither --window nor --time-origin")
         return load_edge_list(args.input, window=1, pre_windowed=True, timings=timings)
     if args.window is None:
-        raise UsageError("--window is required unless --pre-windowed is given")
+        raise ParameterError("--window is required unless --pre-windowed is given")
     return load_edge_list(args.input, window=args.window,
                           time_origin=args.time_origin, timings=timings)
 
@@ -235,6 +234,7 @@ class _Run:
         digest = _timed(self, "digest", lambda: _digest(args.input))
         meta = {
             "schema_version": SCHEMA_VERSION,
+            "import_seconds": round(_IMPORT_SECONDS, 6),
             "command": args.command,
             "input": {"path": args.input, "sha256": digest},
             "parameters": parameters,
@@ -284,7 +284,7 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     args = run.args
     query = frozenset(g.index_of(label) for label in args.q.split(",") if label)
     if not query:
-        raise UsageError("--q must name at least one vertex")
+        raise ParameterError("--q must name at least one vertex")
     stats = DecompositionStats()
     timings: dict[str, float] = {}
     search = tcs_basic if args.basic else tcs_efficient
@@ -318,7 +318,7 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
 
 def _cmd_anomalies(run: _Run, g: TemporalGraph):
     if run.output is None:
-        raise UsageError("anomalies requires -o/--output (it writes a table and a graph)")
+        raise ParameterError("anomalies requires -o/--output (it writes a table and a graph)")
     report = _timed(run, "solve",
                     lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio))
     with run.writing() as sink:
@@ -360,7 +360,7 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
             for row in analytics.span_length_distribution(maximal_span_cores(g))])
     else:
         if not args.attrs:
-            raise UsageError("stats --report purity requires --attrs")
+            raise ParameterError("stats --report purity requires --attrs")
         attributes = _timed(run, "attrs", lambda: analytics.read_attribute_table(args.attrs, g))
         header = "t\tmean_purity"
         rows = _timed(run, "solve", lambda: [
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         run.write_provenance()
         run.commit()
         return 0
-    except UsageError as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except EdgeListFormatError as exc:
@@ -430,16 +430,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, RuntimeError, AssertionError) as exc:
+    except (ValueError, KeyError, RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     finally:
         if run is not None:
             run.discard()
 
+
+_IMPORT_SECONDS = time.perf_counter() - _IMPORT_STARTED
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -23,17 +23,15 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .graph import Interval, TemporalGraph
+from .graph import Interval, ParameterError, TemporalGraph
 from .maximal_cores import _undominated, _validate_query, query_constrained_scan
 from .span_cores import DecompositionStats, SpanCore, _seeded_coreness
 from .static_core import core_decomposition
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One community: its interval, member set, and minimum interval degree."""
 
     span: Interval
@@ -41,15 +39,11 @@ class Segment:
     min_degree: int
 
 
-@dataclass(frozen=True)
-class Segmentation:
+class Segmentation(NamedTuple):
     """An ordered partition of the time domain into scored communities."""
 
     segments: tuple[Segment, ...]
     objective: int
-
-    def spans(self) -> list[Interval]:
-        return [seg.span for seg in self.segments]
 
 
 def single_tcs(g: TemporalGraph, query: Collection[int],
@@ -167,8 +161,7 @@ def _vertex_score_tables(g: TemporalGraph, stats: DecompositionStats | None
     return tables
 
 
-@dataclass(frozen=True)
-class ReducedDomain:
+class ReducedDomain(NamedTuple):
     """Candidate segment-boundary timestamps.
 
     ``timestamps`` is sorted ascending, always contains the last timestamp,
@@ -298,9 +291,9 @@ def _materialize(g: TemporalGraph, query: frozenset[int], spans: Sequence[Interv
 
 def _validate_h(g: TemporalGraph, h: int) -> None:
     if h < 1:
-        raise ValueError("segment count h must be at least 1")
+        raise ParameterError("segment count h must be at least 1")
     if h > g.t_max + 1:
-        raise ValueError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
+        raise ParameterError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
 
 
 def _solve(g: TemporalGraph, query: Collection[int], h: int,

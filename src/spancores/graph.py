@@ -20,17 +20,16 @@ one chunk plus the distinct contacts, not every record.
 
 from __future__ import annotations
 
-import gzip
 import io
 import random
 import re
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain, count, repeat, starmap
 from operator import eq, floordiv, itemgetter, lt, sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -56,20 +55,53 @@ class EdgeListFormatError(ValueError):
         self.line_number = line_number
 
 
+class ParameterError(ValueError):
+    """Raised for an invalid parameter or option; the CLI exits 1 on it."""
+
+
 class UnknownLabelError(KeyError):
     """Raised by ``TemporalGraph.index_of`` for a label the graph does not have."""
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed interval of timestamps ``[start, end]`` with ``start <= end``."""
+class _Record:
+    """An immutable record whose fields read one tuple, ``_values``: records
+    of a class compare, hash and print by it, as frozen dataclasses do."""
 
-    start: int
-    end: int
+    __slots__ = ("_values",)
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid interval [{self.start}, {self.end}]")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class Interval(_Record):
+    """Closed interval of timestamps ``[start, end]`` with ``start <= end``,
+    ordered by start, then end."""
+
+    __slots__ = ()
+    _fields = ("start", "end")
+    start = property(lambda self: self._values[0])
+    end = property(lambda self: self._values[1])
+
+    def __init__(self, start: int, end: int):
+        if start < 0 or end < start:
+            raise ValueError(f"invalid interval [{start}, {end}]")
+        self._values = (start, end)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values < other._values
 
     @property
     def length(self) -> int:
@@ -87,10 +119,6 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{self.start},{self.end}]"
-
-
-def canonical_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
@@ -276,8 +304,7 @@ class TemporalGraph:
                              persistent=current, vanishing=tuple(vanishing))
 
 
-@dataclass(frozen=True)
-class EdgeShrinkage:
+class EdgeShrinkage(NamedTuple):
     """Per-start family of vanishing edge sets; see ``TemporalGraph.edge_shrinkage``.
 
     ``vanishing[i]`` holds the edges present in the interval ending at
@@ -306,6 +333,7 @@ def _open_source(source) -> IO[str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
         if path.suffix == ".gz":
+            import gzip
             return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
         return open(path, "r", encoding="utf-8")
     if isinstance(source, (bytes, bytearray)):
@@ -415,7 +443,7 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     and building the graph (``build``).
     """
     if not pre_windowed and window <= 0:
-        raise ValueError("window must be a positive duration")
+        raise ParameterError("window must be a positive duration")
     tick = time.perf_counter()
     keys: dict[tuple[int, str, str], None] = {}
     # without an origin, records wait as raw-time columns until the minimum is known
@@ -521,8 +549,8 @@ def rewire_null_model(g: TemporalGraph, seed: int | None = 0) -> TemporalGraph:
                 continue
             if rng.random() < 0.5:
                 w, z = z, w
-            e1 = canonical_edge(u, z)
-            e2 = canonical_edge(w, v)
+            e1 = (u, z) if u < z else (z, u)
+            e2 = (w, v) if w < v else (v, w)
             if e1 in present or e2 in present:
                 continue
             present.discard(edges[i])

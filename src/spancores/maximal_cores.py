@@ -14,9 +14,10 @@ are none (or, for a query, when some query vertex is not among them).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Collection
 
-from .graph import Edge, Interval, TemporalGraph
+from .graph import Edge, Interval, ParameterError, TemporalGraph
 from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
 from .static_core import core_decomposition
 
@@ -51,13 +52,17 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     highest of them, ``top``, grow alongside.  Every vertex of a core of order
     above ``bound`` has degree above ``bound``, so an interval where ``top``
     is not above it, or where some query vertex is not, has order 0 there
-    without a peel.
+    without a peel.  A start where some query vertex has no edge is skipped
+    whole: that vertex has degree 0 on every ``[ts, te]``, so every order
+    there is 0 and neither frontier moves.
     """
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
     frontier = [0] * (g.t_max + 1)
 
     for ts in range(g.t_max + 1):
+        if query_set and not query_set <= set(chain.from_iterable(g.snapshots[ts])):
+            continue
         shrinkage = g.edge_shrinkage(ts)
         last = shrinkage.last_nonempty_end
         if last is None:
@@ -105,7 +110,7 @@ def _validate_query(g: TemporalGraph, query: Collection[int]) -> frozenset[int]:
     qs = frozenset(query)
     for q in qs:
         if not (0 <= q < g.n):
-            raise ValueError(f"query vertex {q} outside 0..{g.n - 1}")
+            raise ParameterError(f"query vertex {q} outside 0..{g.n - 1}")
     return qs
 
 

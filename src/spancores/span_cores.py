@@ -22,26 +22,28 @@ from __future__ import annotations
 import bisect
 import json
 from collections import deque
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator
 
-from .graph import Edge, Interval, TemporalGraph
+from .graph import Edge, Interval, TemporalGraph, _Record
 from .static_core import core_decomposition
 
 
-@dataclass(frozen=True)
-class SpanCore:
+class SpanCore(_Record):
     """A span-core: order, span, and its (maximal) member set."""
 
-    order: int
-    span: Interval
-    members: frozenset[int]
+    __slots__ = ()
+    _fields = ("order", "span", "members")
+    order = property(lambda self: self._values[0])
+    span = property(lambda self: self._values[1])
+    members = property(lambda self: self._values[2])
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"span-core order must be positive, got {self.order}")
-        if not self.members:
+    def __init__(self, order: int, span: Interval, members: frozenset[int]):
+        if order < 1:
+            raise ValueError(f"span-core order must be positive, got {order}")
+        if not members:
             raise ValueError("span-core member set must be nonempty")
+        self._values = (order, span, members)
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -155,20 +157,21 @@ class SpanCoreSet:
         return out
 
 
-@dataclass
-class DecompositionStats:
+class DecompositionStats(SimpleNamespace):
     """Work counters: intervals processed and total vertices fed to the peeling
     subroutine.  The seeded enumeration feeds each interval's edge endpoints,
     so there ``peel_vertices`` counts edge endpoints summed over intervals;
     the naive route feeds the whole vertex set every time; the maximal scan
-    counts each interval it visits, one it settles without a peel as 0.
-    Community search adds the segmentation DP's candidate ends and the range
-    queries it answered, one per (end, profile run, segment count)."""
+    counts each interval it visits, one it settles without a peel as 0, and
+    a query-constrained scan visits no interval of a start where some query
+    vertex has no edge.  Community search adds the segmentation DP's
+    candidate ends and the range queries it answered, one per (end, profile
+    run, segment count).  Counters print and compare by value."""
 
-    intervals_processed: int = 0
-    peel_vertices: int = 0
-    candidate_ends: int = 0
-    dp_runs: int = 0
+    def __init__(self, intervals_processed: int = 0, peel_vertices: int = 0,
+                 candidate_ends: int = 0, dp_runs: int = 0):
+        super().__init__(intervals_processed=intervals_processed, peel_vertices=peel_vertices,
+                         candidate_ends=candidate_ends, dp_runs=dp_runs)
 
     def record(self, vertex_count: int) -> None:
         self.intervals_processed += 1

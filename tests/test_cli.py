@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import spancores
 from spancores import analytics, cli, load_edge_list
 from spancores.cli import main
 
@@ -204,7 +209,10 @@ class TestProvenance:
     def test_sidecar_splits_the_load_and_totals_the_run(self, fix1_file, tmp_path, argv):
         meta = sidecar(fix1_file, tmp_path, argv)
         timings = meta["timings_seconds"]
-        assert meta["schema_version"] == 1
+        assert meta["schema_version"] == 2
+        # the import precedes main, so it is a field of its own and no phase
+        assert 0 < meta["import_seconds"] < 60
+        assert "import" not in timings
         assert set(meta["load_seconds"]) == {"parse", "build"}
         # every value is rounded to the microsecond
         assert sum(meta["load_seconds"].values()) <= timings["load"] + 2e-6
@@ -316,6 +324,35 @@ class TestErrorHandling:
                     "-o", outdir / "result.txt"]) == 3
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--h", 9],
+        ["anomalies", "--tr", 0, "--ratio", 1.5],
+        ["anomalies", "--tr", 5, "--ratio", 1],
+        ["sample-queries", "--q-size", 0],
+        ["sample-queries", "--q-size", 5],
+        ["sample-queries", "--q-size", 2, "--pool", 1],
+    ], ids=["h", "tr", "ratio", "q-size", "q-size-over-n", "pool"])
+    def test_parameter_out_of_range_is_usage_error(self, fix1_file, tmp_path, argv, capsys):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:],
+                    "-o", outdir / "result.txt"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_other_value_error_is_internal_error(self, fix1_file, tmp_path, monkeypatch,
+                                                 capsys):
+        def broken(g, stats=None):
+            raise ValueError("span-core (1, 0, 0) is not nested with the stored cores")
+
+        monkeypatch.setattr(cli, "span_cores", broken)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run(["decompose", fix1_file, "--pre-windowed",
+                    "-o", outdir / "result.txt"]) == 3
+        assert "internal error" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate", "x"]) == 1
 
@@ -324,3 +361,21 @@ class TestErrorHandling:
         monkeypatch.setenv("SPANCORES_OUTPUT_DIR", str(outdir))
         assert run(["decompose", fix1_file, "--pre-windowed", "-o", "cores.jsonl"]) == 0
         assert (outdir / "cores.jsonl").exists()
+
+
+def test_import_loads_no_introspection_or_logging_module():
+    """A fresh ``import spancores.cli`` loads none of these stdlib modules
+    beyond what a bare interpreter loads on the same host (its site hooks
+    may load some); each would add to every CLI process's start-up."""
+    heavy = ["dataclasses", "inspect", "ast", "logging", "traceback"]
+    src = str(Path(spancores.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def loaded(statement):
+        probe = f"import sys; {statement}; print(*[m for m in {heavy!r} if m in sys.modules])"
+        child = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
+                               capture_output=True, text=True)
+        return set(child.stdout.split())
+
+    assert loaded("import spancores.cli") <= loaded("pass")

@@ -35,7 +35,7 @@ def brute_force_objective(g, query, h):
 
 
 def assert_partition(segmentation, t_max):
-    spans = segmentation.spans()
+    spans = [seg.span for seg in segmentation.segments]
     assert spans[0].start == 0
     assert spans[-1].end == t_max
     for left, right in zip(spans, spans[1:]):
@@ -182,12 +182,12 @@ class TestBasicSearch:
         a = g.index_of("a")
         one = tcs_basic(g, {a}, 1)
         assert one.objective == 1
-        assert one.spans() == [Interval(0, 2)]
+        assert [seg.span for seg in one.segments] == [Interval(0, 2)]
         assert one.segments[0].members == frozenset({0, 1})
 
         two = tcs_basic(g, {a}, 2)
         assert two.objective == 3
-        assert two.spans() == [Interval(0, 0), Interval(1, 2)]
+        assert [seg.span for seg in two.segments] == [Interval(0, 0), Interval(1, 2)]
         assert two.segments[0].min_degree == 2
         assert two.segments[1].min_degree == 1
 
@@ -205,7 +205,7 @@ class TestBasicSearch:
         d = g.index_of("d")
         result = tcs_efficient(g, {d}, 2)
         assert result.objective == 1
-        assert result.spans() == [Interval(0, 0), Interval(1, 2)]
+        assert [seg.span for seg in result.segments] == [Interval(0, 0), Interval(1, 2)]
         assert result.segments[1].min_degree == 0
         assert result.segments[1].members == frozenset({d})
 
@@ -310,4 +310,4 @@ class TestDpState:
         # both 2-splits of FIX-1 for query a score 3; the earlier split wins
         g = fix1
         result = tcs_basic(g, {g.index_of("a")}, 2)
-        assert result.spans()[0] == Interval(0, 0)
+        assert result.segments[0].span == Interval(0, 0)

@@ -9,8 +9,17 @@ from spancores import (
     naive_span_cores,
     span_cores,
 )
-from spancores import maximal_cores, single_tcs, static_core
+from spancores import maximal_cores, query_constrained_scan, single_tcs, static_core
 from spancores.static_core import core_decomposition
+
+from conftest import definitional_span_cores
+
+
+def definitional_query_maximal(g, query):
+    """``filter_maximal`` over the definitional span-cores that contain ``query``."""
+    return filter_maximal(SpanCoreSet(
+        SpanCore(k, Interval(ts, te), members)
+        for (k, ts, te), members in definitional_span_cores(g).items() if query <= members))
 
 
 class TestFilterBaseline:
@@ -103,3 +112,28 @@ class TestDirectScan:
             monkeypatch.setattr(module, "core_decomposition", counting)
         maximal_span_cores(fix1)
         assert peeled == [2, 3, 1]
+
+
+class TestQueryScan:
+    def test_starts_without_the_query_are_skipped(self, monkeypatch):
+        # a triangle 1-2-3 throughout, and vertex 0 joined to it only at
+        # timestamps 1, 2 and 4: the query {0, 1} lacks 0 at every other start
+        triangle = [(1, 2), (1, 3), (2, 3)]
+        joined = triangle + [(0, 1), (0, 2)]
+        g = TemporalGraph([triangle, joined, joined, triangle, joined, triangle],
+                          [f"v{i}" for i in range(4)])
+        starts = []
+        shrink = TemporalGraph.edge_shrinkage
+
+        def recording(self, start):
+            starts.append(start)
+            return shrink(self, start)
+
+        monkeypatch.setattr(TemporalGraph, "edge_shrinkage", recording)
+        stats = DecompositionStats()
+        found = query_constrained_scan(g, {0, 1}, stats)
+        assert starts == [1, 2, 4]
+        # each start visits every end up to the last timestamp
+        assert stats.intervals_processed == 5 + 4 + 2
+        assert SpanCoreSet(iter(found)) == definitional_query_maximal(g, frozenset({0, 1}))
+        assert {(c.order, c.span) for c in found} == {(2, Interval(1, 2)), (2, Interval(4, 4))}
