@@ -18,9 +18,10 @@ temporary file beside it and moved into place only after the sidecar has
 been written too.
 
 Exit codes: 0 success, 1 usage or parameter error (``ParameterError``), 2
-input error (including an unknown vertex label and any ``OSError``), 3
-internal error: any other ``ValueError``, ``KeyError``, ``RuntimeError`` or
-``AssertionError``.
+input error (including an unknown vertex label and any ``OSError`` outside
+the output side), 3 internal error: any other ``ValueError``, ``KeyError``,
+``RuntimeError`` or ``AssertionError``, 4 output error (``OutputError``: an
+``OSError`` while creating, writing or moving an output file).
 """
 
 from __future__ import annotations
@@ -46,7 +47,20 @@ from .min_community import greedy_minimum_community
 from .span_cores import DecompositionStats, naive_span_cores, span_cores, write_span_cores
 
 OUTPUT_DIR_ENV = "SPANCORES_OUTPUT_DIR"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+
+class OutputError(OSError):
+    """An ``OSError`` on the output side of a run."""
+
+
+@contextmanager
+def _output_side():
+    """Re-raise an ``OSError`` of the block as an ``OutputError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,7 +197,9 @@ class _Run:
 
     Every output file is written to a temporary file beside it and moved into
     place by ``commit`` only once the run has written them all, sidecar
-    included; ``discard`` deletes what a failed run left.
+    included; ``discard`` deletes what a failed run left.  An ``OSError`` in
+    ``writing``, ``commit`` or the sidecar write, which are the only callers
+    of ``staged``, is raised as an ``OutputError``.
     """
 
     def __init__(self, args, started: float):
@@ -202,8 +218,9 @@ class _Run:
         return _StagedFile(temporary, path)
 
     def commit(self) -> None:
-        for temporary, path in self._staged:
-            os.replace(temporary, path)
+        with _output_side():
+            for temporary, path in self._staged:
+                os.replace(temporary, path)
 
     def discard(self) -> None:
         """Delete the temporaries that ``commit`` has not moved."""
@@ -215,17 +232,18 @@ class _Run:
         """The result sink (stdout for ``-o -``); everything written inside
         the block, extra files included, is timed as the ``write`` phase."""
         tick = time.perf_counter()
-        if self.output is None:
-            sink = sys.stdout
-        else:
-            self.output.parent.mkdir(parents=True, exist_ok=True)
-            sink = self.staged(self.output)
-        try:
-            yield sink
-        finally:
-            if sink is not sys.stdout:
-                sink.close()
-            self.timings["write"] = time.perf_counter() - tick
+        with _output_side():
+            if self.output is None:
+                sink = sys.stdout
+            else:
+                self.output.parent.mkdir(parents=True, exist_ok=True)
+                sink = self.staged(self.output)
+            try:
+                yield sink
+            finally:
+                if sink is not sys.stdout:
+                    sink.close()
+                self.timings["write"] = time.perf_counter() - tick
 
     def write_provenance(self):
         args = self.args
@@ -248,7 +266,8 @@ class _Run:
         if self.output is None:
             print(json.dumps({"provenance": meta}, sort_keys=True), file=sys.stderr)
         else:
-            with self.staged(self.output.with_name(self.output.name + ".meta.json")) as fh:
+            path = self.output.with_name(self.output.name + ".meta.json")
+            with _output_side(), self.staged(path) as fh:
                 fh.write(json.dumps({"provenance": meta}, indent=2, sort_keys=True) + "\n")
 
 
@@ -286,10 +305,8 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     if not query:
         raise ParameterError("--q must name at least one vertex")
     stats = DecompositionStats()
-    timings: dict[str, float] = {}
     search = tcs_basic if args.basic else tcs_efficient
-    solution = search(g, query, args.segments, stats, timings)
-    run.timings.update(timings)
+    solution = _timed(run, "solve", lambda: search(g, query, args.segments, stats))
     run.counters["candidate_ends"] = stats.candidate_ends
     run.counters["dp_runs"] = stats.dp_runs
     shrunk = {}
@@ -427,6 +444,9 @@ def main(argv=None) -> int:
     except UnknownLabelError as exc:
         print(f"input error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

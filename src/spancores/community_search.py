@@ -20,7 +20,6 @@ it.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
@@ -297,35 +296,27 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
 
 
 def _solve(g: TemporalGraph, query: Collection[int], h: int,
-           stats: DecompositionStats | None, timings: dict | None,
+           stats: DecompositionStats | None,
            prepare: Callable[[frozenset[int]], tuple[Profile, Sequence[int]]]) -> Segmentation:
     """Shared solver body: ``prepare`` validates the query and returns the
     score profile plus the ascending candidate segment ends (always
     including the last timestamp); the DP and materialization follow."""
     _validate_h(g, h)
     qs = frozenset(query)
-    tick = time.perf_counter()
     profile, ends = prepare(qs)
-    tock = time.perf_counter()
-    result = _materialize(g, qs, *_best_segmentation(ends, profile, h, stats))
-    if timings is not None:
-        timings["precompute"] = tock - tick
-        timings["solve"] = time.perf_counter() - tock
-    return result
+    return _materialize(g, qs, *_best_segmentation(ends, profile, h, stats))
 
 
 def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
-              stats: DecompositionStats | None = None,
-              timings: dict | None = None) -> Segmentation:
+              stats: DecompositionStats | None = None) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
-    return _solve(g, query, h, stats, timings,
+    return _solve(g, query, h, stats,
                   lambda qs: (_table_profile(penalty_table_full(g, qs, stats)),
                               range(g.t_max + 1)))
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
-                  stats: DecompositionStats | None = None,
-                  timings: dict | None = None) -> Segmentation:
+                  stats: DecompositionStats | None = None) -> Segmentation:
     """Temporal community search over the reduced boundary domain.
 
     Interval scores are answered by dominance lookup over the
@@ -337,7 +328,7 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
         domain = reduced_time_domain(g.t_max, h, [core.span for core in cores])
         return _dominance_profile(cores), domain.timestamps
 
-    return _solve(g, query, h, stats, timings, prepare)
+    return _solve(g, query, h, stats, prepare)
 
 
 def _tcs_every_vertex(g: TemporalGraph, h: int,

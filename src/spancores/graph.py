@@ -190,27 +190,13 @@ class TemporalGraph:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_snapshot_edges(cls, snapshots: Sequence[Iterable[tuple[str, str]]]) -> "TemporalGraph":
-        """Build from per-timestamp lists of label pairs.
-
-        Repeated pairs within a timestamp collapse to their first appearance
-        before any label is indexed; labels are indexed in order of first
-        appearance over the distinct pairs.  Self-loop records are dropped and
-        counted, repeats included, in ``dropped_self_loops``.
-        """
-        records = [(t, str(a), str(b)) for t, snapshot in enumerate(snapshots)
-                   for a, b in snapshot]
-        dropped = sum(u == v for _, u, v in records)
-        return cls._from_keys(dict.fromkeys(records), len(snapshots), dropped)
-
-    @classmethod
     def _from_keys(cls, keys: dict[tuple[int, str, str], None], windows: int,
                    dropped: int) -> "TemporalGraph":
         """Build from distinct ``(t, u, v)`` label records in order of first
         appearance, emptying ``keys`` so that they are freed before the
         snapshots are frozen.  Self-loop records are skipped, and labels get
         dense ids in order of first appearance over the other records,
-        timestamp by timestamp: the one interning rule of both loaders.  The
+        timestamp by timestamp: the interning rule of ``load_edge_list``.  The
         pairs come out canonical, so the constructor only checks them."""
         records = sorted(keys, key=itemgetter(0))
         keys.clear()

@@ -36,17 +36,6 @@ def _score(adj: dict[int, list[int]], selected: set[int],
     return gain - deficit
 
 
-def candidate_score(g: TemporalGraph, interval: Interval, universe: Collection[int],
-                    selected: Collection[int], candidate: int, target: int) -> int:
-    """Greedy admission score of ``candidate`` against the currently selected set."""
-    selected_set = set(selected)
-    if candidate in selected_set:
-        raise ValueError(f"vertex {candidate} is already selected")
-    adj = _induced_adjacency(g, interval, universe)
-    degree = {u: sum(1 for w in adj[u] if w in selected_set) for u in adj}
-    return _score(adj, selected_set, degree, candidate, target)
-
-
 def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
                              interval: Interval, universe: Collection[int],
                              target: int) -> set[int]:

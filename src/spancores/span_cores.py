@@ -4,12 +4,11 @@ A span-core of order ``k`` with span ``[ts, te]`` is a maximal nonempty vertex
 set in which every member keeps at least ``k`` neighbors inside the set at
 every timestamp of the span.  Two routes are provided: a naive sweep that runs
 a full core decomposition per interval over the whole vertex set (the
-correctness oracle), and a seeded enumeration that processes intervals by
-increasing width, builds each wider interval's edge set by intersecting its
-two parent subintervals' edge sets, and peels only the endpoints of that edge
-set.  A vertex with no edge over the interval has coreness 0, so it can
-belong to no span-core there; the endpoint seed also lies inside the order-1
-cores of both parents, as the containment property requires.
+correctness oracle), and a seeded enumeration that walks each start's window
+end forward, intersecting one snapshot more into the interval edge set at
+each step, and peels only the endpoints of that edge set.  A vertex with no
+edge over the interval has coreness 0, so it can belong to no span-core
+there.
 
 Each interval's peel yields all its cores at once as one ``{vertex:
 coreness}`` dict, and ``SpanCoreSet`` keeps exactly that: one labelling per
@@ -21,11 +20,10 @@ from __future__ import annotations
 
 import bisect
 import json
-from collections import deque
 from types import SimpleNamespace
 from typing import Iterator
 
-from .graph import Edge, Interval, TemporalGraph, _Record
+from .graph import Interval, TemporalGraph, _Record
 from .static_core import core_decomposition
 
 
@@ -204,43 +202,32 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
 def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
                      ) -> Iterator[tuple[int, int, dict[int, int]]]:
     """Yield ``(ts, te, coreness)`` for every interval with a nonempty edge
-    set, in (width, start) order, recording each peel in ``stats``.
+    set, in (start, end) order, recording each peel in ``stats``.
 
-    Each interval's peel is seeded with its edge set's endpoints: exactly
-    the vertices that can have positive coreness there, so every coreness
-    yielded is positive.  Width-1 intervals take their snapshot's edges.  A
-    wider interval becomes ready once both parent subintervals have been
-    processed; its edge set is the intersection of theirs, so only the first
-    parent's edge set waits in ``pending``.  Branches whose edge
-    intersection empties are dropped without ever being enqueued.
+    Per start, the window end walks forward while the interval edge set,
+    one snapshot intersected in per step, stays nonempty.  Each interval's
+    peel is seeded with its edge set's endpoints: exactly the vertices that
+    can have positive coreness there, so every coreness yielded is positive.
     """
-    queue: deque[tuple[int, int, frozenset[Edge]]] = deque(
-        (t, t, g.snapshots[t]) for t in range(g.t_max + 1) if g.snapshots[t])
-    # pending[(ts, te)] holds the first parent's edge set until the second arrives
-    pending: dict[tuple[int, int], frozenset[Edge]] = {}
-    while queue:
-        ts, te, edges = queue.popleft()
-        endpoints: set[int] = set()
-        for u, v in edges:
-            endpoints.add(u)
-            endpoints.add(v)
-        if stats is not None:
-            stats.record(len(endpoints))
-        yield ts, te, core_decomposition(endpoints, edges)
-        for child in ((ts - 1, te), (ts, te + 1)):
-            if child[0] < 0 or child[1] > g.t_max:
-                continue
-            held = pending.pop(child, None)
-            if held is None:
-                pending[child] = edges
-            else:
-                child_edges = held & edges
-                if child_edges:
-                    queue.append((child[0], child[1], child_edges))
+    for ts in range(g.t_max + 1):
+        edges = g.snapshots[ts]
+        te = ts
+        while edges:
+            endpoints: set[int] = set()
+            for u, v in edges:
+                endpoints.add(u)
+                endpoints.add(v)
+            if stats is not None:
+                stats.record(len(endpoints))
+            yield ts, te, core_decomposition(endpoints, edges)
+            if te == g.t_max:
+                break
+            te += 1
+            edges &= g.snapshots[te]
 
 
 def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:
-    """All span-cores via width-ordered seeded enumeration.
+    """All span-cores via the seeded per-start enumeration.
 
     Output is set-equal to ``naive_span_cores``; only the per-interval peel
     sets differ (edge endpoints instead of every vertex), which is where the

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from spancores import TemporalGraph, tcs_efficient
+from spancores import TemporalGraph, load_edge_list, tcs_efficient
 
 # Canonical 4-vertex, 3-timestamp fixture used throughout: a triangle abc that
 # decays to a single edge ab, plus a pendant d attached only at t=0.
@@ -12,11 +12,14 @@ FIX1_SNAPSHOTS = [
     [("a", "b"), ("a", "c"), ("b", "c")],
     [("a", "b")],
 ]
+# the same records as a pre-windowed edge list, one "t u v" line each
+FIX1_TEXT = "".join(f"{t} {a} {b}\n" for t, snapshot in enumerate(FIX1_SNAPSHOTS)
+                    for a, b in snapshot)
 
 
 @pytest.fixture
 def fix1() -> TemporalGraph:
-    return TemporalGraph.from_snapshot_edges(FIX1_SNAPSHOTS)
+    return load_edge_list(FIX1_TEXT.encode(), window=1, pre_windowed=True)
 
 
 def random_temporal_graph(rng: random.Random, n: int, t: int, p: float) -> TemporalGraph:
@@ -28,13 +31,13 @@ def random_temporal_graph(rng: random.Random, n: int, t: int, p: float) -> Tempo
 
 
 def build_corpus(count: int = 200, base_seed: int = 1000) -> list[TemporalGraph]:
-    """Deterministic random-graph corpus: |V| <= 12, |T| <= 6, edge prob in {.2,.4,.6}."""
+    """Deterministic random-graph corpus: |V| <= 12, |T| <= 12, edge prob in {.2,.4,.6}."""
     graphs = []
     probabilities = (0.2, 0.4, 0.6)
     for i in range(count):
         rng = random.Random(base_seed + i)
         n = rng.randint(4, 12)
-        t = rng.randint(1, 6)
+        t = rng.randint(1, 12)
         graphs.append(random_temporal_graph(rng, n, t, probabilities[i % 3]))
     return graphs
 

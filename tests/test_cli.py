@@ -11,17 +11,13 @@ import spancores
 from spancores import analytics, cli, load_edge_list
 from spancores.cli import main
 
-from conftest import FIX1_SNAPSHOTS
+from conftest import FIX1_TEXT
 
 
 @pytest.fixture
 def fix1_file(tmp_path):
-    lines = []
-    for t, snapshot in enumerate(FIX1_SNAPSHOTS):
-        for a, b in snapshot:
-            lines.append(f"{t} {a} {b}")
     path = tmp_path / "fix1.tsv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(FIX1_TEXT)
     return path
 
 
@@ -209,7 +205,7 @@ class TestProvenance:
     def test_sidecar_splits_the_load_and_totals_the_run(self, fix1_file, tmp_path, argv):
         meta = sidecar(fix1_file, tmp_path, argv)
         timings = meta["timings_seconds"]
-        assert meta["schema_version"] == 2
+        assert meta["schema_version"] == 3
         # the import precedes main, so it is a field of its own and no phase
         assert 0 < meta["import_seconds"] < 60
         assert "import" not in timings
@@ -251,6 +247,14 @@ class TestProvenance:
         counters = sidecar(fix1_file, tmp_path, argv)["counters"]
         assert counters["candidate_ends"] > 0
         assert counters["dp_runs"] > 0
+
+    @pytest.mark.parametrize("extra", [[], ["--basic"], ["--minimize"]],
+                             ids=["tcs", "tcs-basic", "tcs-minimize"])
+    def test_tcs_reports_the_common_phases(self, fix1_file, tmp_path, extra):
+        argv = ["tcs", "--q", "a", "--h", 2, *extra]
+        timings = sidecar(fix1_file, tmp_path, argv)["timings_seconds"]
+        phases = {"load", "solve", "write", "digest"}
+        assert set(timings) == (phases | {"minimize"} if "--minimize" in extra else phases)
 
     def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary
@@ -352,6 +356,20 @@ class TestErrorHandling:
                     "-o", outdir / "result.txt"]) == 3
         assert "internal error" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("blocker", ["parent-is-a-file", "output-is-a-directory"])
+    def test_output_failure_is_output_error(self, fix1_file, tmp_path, capsys, blocker):
+        afile = tmp_path / "out" / "afile"
+        output = afile / "out.jsonl"
+        if blocker == "parent-is-a-file":
+            afile.parent.mkdir()
+            afile.write_text("")
+        else:  # the run fails only when it moves its result into place
+            output.mkdir(parents=True)
+        before = sorted(afile.parent.rglob("*"))
+        assert run(["decompose", fix1_file, "--pre-windowed", "-o", output]) == 4
+        assert "output error" in capsys.readouterr().err
+        assert sorted(afile.parent.rglob("*")) == before
 
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate", "x"]) == 1

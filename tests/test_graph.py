@@ -16,7 +16,7 @@ from spancores import (
 from spancores import graph as graph_module
 from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 
-from conftest import random_temporal_graph
+from conftest import FIX1_SNAPSHOTS, random_temporal_graph
 
 
 def rebuilt_edges(shrink, te):
@@ -61,9 +61,15 @@ class TestLoader:
         assert len(g.snapshots[0]) == 1
 
     def test_self_loops_dropped_with_counter(self):
-        g = TemporalGraph.from_snapshot_edges([[("a", "a"), ("a", "b")]])
+        g = load_edge_list(b"0 a a\n0 a b\n", window=1, pre_windowed=True)
         assert g.dropped_self_loops == 1
         assert len(g.snapshots[0]) == 1
+
+    def test_fix1_fixture(self, fix1):
+        # labels are interned in first appearance, snapshot by snapshot
+        assert fix1.labels == ("a", "b", "c", "d")
+        assert fix1.snapshots == tuple(edges_by_labels(fix1, pairs) for pairs in FIX1_SNAPSHOTS)
+        assert fix1.dropped_self_loops == 0
 
     def test_empty_buckets_retained(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -9,11 +9,18 @@ from spancores import (
     single_tcs,
     tcs_efficient,
 )
-from spancores.min_community import candidate_score
+from spancores.min_community import _induced_adjacency, _score
 
 
 def min_induced_degree(g, interval, members):
     return min(g.induced_degree(interval, members, u) for u in members)
+
+
+def candidate_score(g, interval, universe, selected, candidate, target):
+    """The greedy's admission score of ``candidate`` against ``selected``."""
+    adj = _induced_adjacency(g, interval, universe)
+    degree = {u: sum(1 for w in adj[u] if w in selected) for u in adj}
+    return _score(adj, set(selected), degree, candidate, target)
 
 
 class TestCandidateScore:
@@ -31,10 +38,6 @@ class TestCandidateScore:
         g = fix1
         a, b, d = g.index_of("a"), g.index_of("b"), g.index_of("d")
         assert candidate_score(g, Interval(0, 0), set(g.vertices), {a, b}, d, 2) == -2
-
-    def test_rejects_selected_candidate(self, fix1):
-        with pytest.raises(ValueError):
-            candidate_score(fix1, Interval(0, 0), {0, 1}, {0}, 0, 1)
 
 
 class TestGreedy:

@@ -74,7 +74,8 @@ class TestSeededEnumeration:
         stats = DecompositionStats()
         cores = span_cores(g, stats)
         assert all(core.span.length == 1 for core in cores)
-        # the width-2 interval has an empty edge intersection and is never enqueued
+        # the width-2 interval has an empty edge intersection, so the walk from
+        # start 0 stops before reaching it
         assert stats.intervals_processed == 2
 
     def test_oracle_equivalence_sample(self, corpus):
