@@ -13,9 +13,9 @@ query (see ``_segment_dp``).  The basic route (the test
 oracle) reads a table of every interval's score and runs the DP over every
 timestamp; the efficient route answers by dominance lookup over the
 query-constrained maximal cores and runs the DP only over a reduced set of
-candidate segment ends, which is sufficient for optimality.  Both share one
-solver body and differ only in the profile and the candidate ends they hand
-it.
+candidate segment ends, which is sufficient for optimality.  Each route
+builds its own profile and candidate ends, then runs the same DP and
+materializes the segments the same way.
 """
 
 from __future__ import annotations
@@ -141,23 +141,6 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
         if v > 0:
             values[(ts, te)] = v
     return values
-
-
-def _vertex_score_tables(g: TemporalGraph, stats: DecompositionStats | None
-                         ) -> list[dict[tuple[int, int], int]]:
-    """``penalty_table_full(g, {u})``'s scores for every vertex u at once.
-
-    One seeded enumeration pass keeps, per vertex, its coreness on each
-    interval the enumeration reaches; entry u of the result is that vertex's
-    score table.  Every peeled vertex is an endpoint of an interval edge, so
-    every coreness kept is positive.
-    """
-    tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
-    for ts, te, coreness in _seeded_coreness(g, stats):
-        key = (ts, te)  # one key object shared by every vertex's table
-        for u, c in coreness.items():
-            tables[u][key] = c
-    return tables
 
 
 class ReducedDomain(NamedTuple):
@@ -295,24 +278,13 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
         raise ParameterError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
 
 
-def _solve(g: TemporalGraph, query: Collection[int], h: int,
-           stats: DecompositionStats | None,
-           prepare: Callable[[frozenset[int]], tuple[Profile, Sequence[int]]]) -> Segmentation:
-    """Shared solver body: ``prepare`` validates the query and returns the
-    score profile plus the ascending candidate segment ends (always
-    including the last timestamp); the DP and materialization follow."""
-    _validate_h(g, h)
-    qs = frozenset(query)
-    profile, ends = prepare(qs)
-    return _materialize(g, qs, *_best_segmentation(ends, profile, h, stats))
-
-
 def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
               stats: DecompositionStats | None = None) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
-    return _solve(g, query, h, stats,
-                  lambda qs: (_table_profile(penalty_table_full(g, qs, stats)),
-                              range(g.t_max + 1)))
+    _validate_h(g, h)
+    qs = frozenset(query)
+    profile = _table_profile(penalty_table_full(g, qs, stats))
+    return _materialize(g, qs, *_best_segmentation(range(g.t_max + 1), profile, h, stats))
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
@@ -323,12 +295,11 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
     query-constrained maximal cores.  The objective always equals
     ``tcs_basic``'s; the chosen segmentation may differ where ties exist.
     """
-    def prepare(qs: frozenset[int]):
-        cores = query_constrained_scan(g, qs, stats)
-        domain = reduced_time_domain(g.t_max, h, [core.span for core in cores])
-        return _dominance_profile(cores), domain.timestamps
-
-    return _solve(g, query, h, stats, prepare)
+    _validate_h(g, h)
+    qs = frozenset(query)
+    cores = query_constrained_scan(g, qs, stats)
+    ends = reduced_time_domain(g.t_max, h, [core.span for core in cores]).timestamps
+    return _materialize(g, qs, *_best_segmentation(ends, _dominance_profile(cores), h, stats))
 
 
 def _tcs_every_vertex(g: TemporalGraph, h: int,
@@ -336,14 +307,22 @@ def _tcs_every_vertex(g: TemporalGraph, h: int,
     """The segment scores of ``tcs_efficient(g, {u}, h)`` for every vertex u,
     in index order, from one enumeration pass shared by all of them.
 
-    A vertex's undominated positive scores are exactly the spans of
-    ``query_constrained_scan(g, {u})``, so each DP sees the same candidate
-    ends and the same interval scores as ``tcs_efficient``'s; a row reads
-    its segments' scores from the vertex's table, with no re-peel.  ``stats``
-    records the enumeration's peels and every row's DP work.
+    The pass keeps, per vertex, its coreness on each interval it reaches:
+    the vertex's ``penalty_table_full(g, {u})`` score table, all positive,
+    since every peeled vertex is an endpoint of an interval edge.  A
+    vertex's undominated positive scores are exactly the spans of
+    ``query_constrained_scan(g, {u})``, so each per-vertex DP sees the same
+    candidate ends and the same interval scores as ``tcs_efficient``'s; a
+    row reads its segments' scores from the vertex's table, with no re-peel.
+    ``stats`` records the enumeration's peels and every row's DP work.
     """
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
+    for ts, te, coreness in _seeded_coreness(g, stats):
+        key = (ts, te)  # one key object shared by every vertex's table
+        for u, c in coreness.items():
+            tables[u][key] = c
     rows = []
-    for scores in _vertex_score_tables(g, stats):
+    for scores in tables:
         spans = [Interval(ts, te) for ts, te in _undominated(scores)]
         ends = reduced_time_domain(g.t_max, h, spans).timestamps
         segments, _ = _best_segmentation(ends, _table_profile(scores), h, stats)

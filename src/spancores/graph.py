@@ -29,7 +29,7 @@ from functools import total_ordering
 from itertools import chain, count, repeat, starmap
 from operator import eq, floordiv, itemgetter, lt, sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -261,48 +261,31 @@ class TemporalGraph:
 
     # -- per-start edge shrinkage, replayed backward by the maximal-core scan ----
 
-    def edge_shrinkage(self, start: int) -> "EdgeShrinkage":
-        """Decompose the snapshot at ``start`` by how long each edge persists.
+    def edge_shrinkage(self, start: int) -> tuple[frozenset[Edge], ...]:
+        """The edges of the snapshot at ``start``, grouped by how long each
+        persists, one group per end.
 
         Walking the window end forward from ``start``, the interval edge set
-        only shrinks.  The result records, for each end ``t`` short of the
-        last nonempty end, the edges that vanish when the window is extended
-        past ``t``, plus the edges that persist through the last nonempty end.
-        Folding the vanishing sets back onto the persistent set reconstructs
-        every intermediate interval edge set exactly.
+        only shrinks.  Group ``i`` holds the edges present through
+        ``start + i`` and gone at ``start + i + 1``; the last group holds the
+        edges that reach the last nonempty end.  The groups partition the
+        snapshot, and the union of ``groups[te - start:]`` is the edge set of
+        ``[start, te]``.  An empty snapshot gives ``()``.
         """
-        if start > self.t_max:
+        if not 0 <= start <= self.t_max:
             raise ValueError(f"start {start} outside time domain [0,{self.t_max}]")
         current = self.snapshots[start]
         if not current:
-            return EdgeShrinkage(start=start, last_nonempty_end=None,
-                                 persistent=frozenset(), vanishing=())
-        vanishing: list[frozenset[Edge]] = []
-        t = start
-        while t < self.t_max:
-            shrunk = current & self.snapshots[t + 1]
+            return ()
+        groups: list[frozenset[Edge]] = []
+        for t in range(start + 1, self.t_max + 1):
+            shrunk = current & self.snapshots[t]
             if not shrunk:
                 break
-            vanishing.append(current - shrunk)
+            groups.append(current - shrunk)
             current = shrunk
-            t += 1
-        return EdgeShrinkage(start=start, last_nonempty_end=t,
-                             persistent=current, vanishing=tuple(vanishing))
-
-
-class EdgeShrinkage(NamedTuple):
-    """Per-start family of vanishing edge sets; see ``TemporalGraph.edge_shrinkage``.
-
-    ``vanishing[i]`` holds the edges present in the interval ending at
-    ``start + i`` but not in the one ending at ``start + i + 1``.  The sets are
-    pairwise disjoint and together with ``persistent`` partition the snapshot
-    at ``start``.
-    """
-
-    start: int
-    last_nonempty_end: int | None
-    persistent: frozenset[Edge]
-    vanishing: tuple[frozenset[Edge], ...]
+        groups.append(current)
+        return tuple(groups)
 
 
 # -- ingestion ------------------------------------------------------------------

@@ -47,14 +47,15 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     (every interval's innermost core when it is empty).
 
     For each start, interval ends run from the last end with a nonempty edge
-    set down to the start itself; the interval edge set is rebuilt by folding
-    vanishing-edge sets back in, and the degrees of their endpoints and the
-    highest of them, ``top``, grow alongside.  Every vertex of a core of order
-    above ``bound`` has degree above ``bound``, so an interval where ``top``
-    is not above it, or where some query vertex is not, has order 0 there
-    without a peel.  A start where some query vertex has no edge is skipped
-    whole: that vertex has degree 0 on every ``[ts, te]``, so every order
-    there is 0 and neither frontier moves.
+    set down to the start itself; the interval edge set is rebuilt by adding
+    back each end's edge group (``TemporalGraph.edge_shrinkage``), and the
+    degrees of their endpoints and the highest of them, ``top``, grow
+    alongside.  Every vertex of a core of order above ``bound`` has degree
+    above ``bound``, so an interval where ``top`` is not above it, or where
+    some query vertex is not, has order 0 there without a peel.  A start
+    where some query vertex has no edge is skipped whole: that vertex has
+    degree 0 on every ``[ts, te]``, so every order there is 0 and neither
+    frontier moves.
     """
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
@@ -63,16 +64,13 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     for ts in range(g.t_max + 1):
         if query_set and not query_set <= set(chain.from_iterable(g.snapshots[ts])):
             continue
-        shrinkage = g.edge_shrinkage(ts)
-        last = shrinkage.last_nonempty_end
-        if last is None:
-            continue
+        groups = g.edge_shrinkage(ts)
         degree: dict[int, int] = {}
         top = 0
         current_edges: list[Edge] = []
         rolling = 0  # innermost order of [ts, te + 1], possibly understated (see below)
-        for te in range(last, ts - 1, -1):
-            refill = shrinkage.persistent if te == last else shrinkage.vanishing[te - ts]
+        for te in range(ts + len(groups) - 1, ts - 1, -1):
+            refill = groups[te - ts]
             current_edges.extend(refill)
             for u, v in refill:
                 du = degree[u] = degree.get(u, 0) + 1
@@ -103,7 +101,7 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
 def maximal_span_cores(g: TemporalGraph,
                        stats: DecompositionStats | None = None) -> SpanCoreSet:
     """All maximal span-cores, computed directly without full decompositions."""
-    return SpanCoreSet(iter(_scan_maximal(g, frozenset(), stats)))
+    return SpanCoreSet(_scan_maximal(g, frozenset(), stats))
 
 
 def _validate_query(g: TemporalGraph, query: Collection[int]) -> frozenset[int]:

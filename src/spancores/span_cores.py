@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import json
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import Interval, TemporalGraph, _Record
 from .static_core import core_decomposition
@@ -68,7 +68,7 @@ class SpanCoreSet:
     objects on demand, while ``top_orders`` reads the orders alone; two sets are equal when they hold the same cores.
     """
 
-    def __init__(self, cores: Iterator[SpanCore] | None = None):
+    def __init__(self, cores: Iterable[SpanCore] | None = None):
         self._spans: dict[tuple[int, int], tuple[dict[int, int], list[int]]] = {}
         if cores is not None:
             for core in cores:

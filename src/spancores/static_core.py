@@ -1,11 +1,12 @@
 """Classic k-core peeling on a materialized (vertex set, edge set) pair.
 
 This is the inner subroutine of every decomposition and search algorithm in
-the package: bucketed peeling in linear time, with deterministic tie-breaking
-(lowest vertex index first among equal minimum degrees).  Its one product is
-the plain ``{vertex: coreness}`` dict, which holds every core of the graph at
-once; callers cut the cores they need from it.  All functions are pure and
-safe to call concurrently.
+the package: bucketed peeling in linear time.  Ties between equal degrees
+fall to the vertex set's iteration order, which can change the peel order
+but never a coreness.  Its one product is the plain ``{vertex: coreness}``
+dict, keyed in the vertex set's order, which holds every core of the graph
+at once; callers cut the cores they need from it.  All functions are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _peel(adj: dict[int, list[int]]) -> dict[int, int]:
     degree = {u: len(nbrs) for u, nbrs in adj.items()}
     max_degree = max(degree.values())
 
-    # counting sort by (degree, vertex index)
+    # counting sort by degree, stable in the vertex set's order
     counts = [0] * (max_degree + 1)
     for d in degree.values():
         counts[d] += 1
@@ -45,7 +46,7 @@ def _peel(adj: dict[int, list[int]]) -> dict[int, int]:
     fill = bin_start.copy()
     order: list[int] = [0] * n
     position: dict[int, int] = {}
-    for u in sorted(adj):
+    for u in adj:
         p = fill[degree[u]]
         order[p] = u
         position[u] = p

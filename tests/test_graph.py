@@ -19,11 +19,6 @@ from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 from conftest import FIX1_SNAPSHOTS, random_temporal_graph
 
 
-def rebuilt_edges(shrink, te):
-    """The edge set of [shrink.start, te], folded back from the shrinkage family."""
-    return set(shrink.persistent).union(*shrink.vanishing[te - shrink.start:])
-
-
 def edges_by_labels(g, pairs):
     return frozenset(
         tuple(sorted((g.index_of(a), g.index_of(b)))) for a, b in pairs
@@ -254,41 +249,48 @@ class TestInducedDegree:
 class TestEdgeShrinkage:
     def test_fix1_start0(self, fix1):
         g = fix1
-        shrink = g.edge_shrinkage(0)
-        assert shrink.last_nonempty_end == 2
-        assert shrink.vanishing[0] == edges_by_labels(g, [("c", "d")])
-        assert shrink.vanishing[1] == edges_by_labels(g, [("a", "c"), ("b", "c")])
-        assert shrink.persistent == edges_by_labels(g, [("a", "b")])
+        assert g.edge_shrinkage(0) == (
+            edges_by_labels(g, [("c", "d")]),
+            edges_by_labels(g, [("a", "c"), ("b", "c")]),
+            edges_by_labels(g, [("a", "b")]),
+        )
 
-    def test_vanishing_sets_disjoint(self, fix1):
-        shrink = fix1.edge_shrinkage(0)
-        assert not (shrink.vanishing[0] & shrink.vanishing[1])
+    def test_vanishing_sets_disjoint(self, corpus):
+        for g in corpus[:40]:
+            for ts in range(g.t_max + 1):
+                groups = g.edge_shrinkage(ts)
+                for i, group in enumerate(groups):
+                    for other in groups[i + 1:]:
+                        assert not (group & other)
 
     def test_storage_bounded_by_first_snapshot(self, corpus):
         for g in corpus[:40]:
             for ts in range(g.t_max + 1):
-                shrink = g.edge_shrinkage(ts)
-                stored = len(shrink.persistent) + sum(len(s) for s in shrink.vanishing)
-                assert stored == len(g.snapshots[ts])
+                groups = g.edge_shrinkage(ts)
+                assert sum(len(group) for group in groups) == len(g.snapshots[ts])
 
     def test_reconstruction_bit_exact(self, corpus):
         for g in corpus[:40]:
             for ts in range(g.t_max + 1):
-                shrink = g.edge_shrinkage(ts)
-                last = shrink.last_nonempty_end
-                if last is None:
+                groups = g.edge_shrinkage(ts)
+                if not groups:
                     assert g.snapshots[ts] == frozenset()
                     continue
+                last = ts + len(groups) - 1
                 for te in range(ts, last + 1):
-                    assert rebuilt_edges(shrink, te) == g.interval_edges(Interval(ts, te))
+                    rebuilt = frozenset().union(*groups[te - ts:])
+                    assert rebuilt == g.interval_edges(Interval(ts, te))
                 if last < g.t_max:
                     assert g.interval_edges(Interval(ts, last + 1)) == frozenset()
 
     def test_empty_snapshot_gives_empty_family(self):
         g = TemporalGraph([[], [(0, 1)]], ["a", "b"])
-        shrink = g.edge_shrinkage(0)
-        assert shrink.last_nonempty_end is None
-        assert shrink.vanishing == ()
+        assert g.edge_shrinkage(0) == ()
+
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_start_outside_domain_rejected(self, fix1, start):
+        with pytest.raises(ValueError, match="outside time domain"):
+            fix1.edge_shrinkage(start)
 
 
 class TestConstruction:
