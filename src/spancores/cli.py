@@ -354,6 +354,7 @@ def _cmd_embed(run: _Run, g: TemporalGraph):
     stats = DecompositionStats()
     rows = _timed(run, "solve",
                   lambda: analytics.tcs_embeddings(g, run.args.segments, stats))
+    run.counters["peel_vertices"] = stats.peel_vertices
     run.counters["candidate_ends"] = stats.candidate_ends
     run.counters["dp_runs"] = stats.dp_runs
     with run.writing() as sink:

@@ -52,19 +52,23 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     degrees of their endpoints and the highest of them, ``top``, grow
     alongside.  Every vertex of a core of order above ``bound`` has degree
     above ``bound``, so an interval where ``top`` is not above it, or where
-    some query vertex is not, has order 0 there without a peel.  A start
-    where some query vertex has no edge is skipped whole: that vertex has
-    degree 0 on every ``[ts, te]``, so every order there is 0 and neither
-    frontier moves.
+    some query vertex is not, has order 0 there without a peel.  Neither
+    is an interval peeled whose edge set equals that of ``[ts, te + 1]``
+    or ``[ts - 1, te]``.  A start where some query vertex has no edge is
+    skipped whole: that vertex has degree 0 on every ``[ts, te]``, so every
+    order there is 0 and neither frontier moves.
     """
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
     frontier = [0] * (g.t_max + 1)
+    previous: dict[int, int] = {}  # |E[ts - 1, te]| per end te
 
     for ts in range(g.t_max + 1):
         if query_set and not query_set <= set(chain.from_iterable(g.snapshots[ts])):
+            previous = {}
             continue
         groups = g.edge_shrinkage(ts)
+        counts: dict[int, int] = {}
         degree: dict[int, int] = {}
         top = 0
         current_edges: list[Edge] = []
@@ -76,9 +80,16 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
                 du = degree[u] = degree.get(u, 0) + 1
                 dv = degree[v] = degree.get(v, 0) + 1
                 top = max(top, du, dv)
+            counts[te] = len(current_edges)
             bound = max(frontier[te], rolling)
             order = peeled = 0
-            if top > bound and all(degree.get(q, 0) > bound for q in query_set):
+            # No refill means E[ts, te] = E[ts, te + 1], and as many edges as
+            # [ts - 1, te] means E[ts, te] = E[ts - 1, te].  Either way the
+            # interval is dominated by one with the same cores, and
+            # max(frontier[te], rolling) already covers its order, because
+            # the previous start's frontier is non-increasing in t.
+            if (refill and counts[te] != previous.get(te) and top > bound
+                    and all(degree.get(q, 0) > bound for q in query_set)):
                 seed = {u for u, d in degree.items() if d > bound}
                 peeled = len(seed)
                 coreness = core_decomposition(
@@ -95,6 +106,7 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
             # maximum keeps both frontiers exact.
             rolling = max(rolling, order)
             frontier[te] = max(frontier[te], rolling)
+        previous = counts
     return found
 
 

@@ -8,7 +8,8 @@ correctness oracle), and a seeded enumeration that walks each start's window
 end forward, intersecting one snapshot more into the interval edge set at
 each step, and peels only the endpoints of that edge set.  A vertex with no
 edge over the interval has coreness 0, so it can belong to no span-core
-there.
+there.  An interval whose edge set equals that of ``[ts, te - 1]`` or
+``[ts - 1, te]`` reuses that interval's cores without a peel.
 
 Each interval's peel yields all its cores at once as one ``{vertex:
 coreness}`` dict, and ``SpanCoreSet`` keeps exactly that: one labelling per
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -66,6 +68,8 @@ class SpanCoreSet:
     breaks this, as it rejects a second core for one (order, span).
     ``get``, ``in``, iteration and ``sorted_cores`` build ``SpanCore``
     objects on demand, while ``top_orders`` reads the orders alone; two sets are equal when they hold the same cores.
+    Spans stored from one coreness dict share it as their labelling, so
+    ``add`` stores a new labelling rather than change one in place.
     """
 
     def __init__(self, cores: Iterable[SpanCore] | None = None):
@@ -92,28 +96,36 @@ class SpanCoreSet:
                 or any(labels.get(u, 0) < floor for u in members)):
             raise ValueError(f"span-core {core.key} is not nested with the stored "
                              "cores of its span")
+        labels = dict(labels)
         for u in members:
             if labels.get(u, 0) < k:
                 labels[u] = k
-        orders.insert(at, k)
+        self._spans[key] = (labels, orders[:at] + [k] + orders[at:])
 
     def _store(self, ts: int, te: int, coreness: dict[int, int]) -> None:
         """Store all cores of one interval graph with an edge at once: orders
-        1 to its highest coreness, its positive coreness as the labelling."""
-        self._spans[(ts, te)] = ({u: c for u, c in coreness.items() if c},
-                                 list(range(1, max(coreness.values()) + 1)))
+        1 to its highest coreness, its positive coreness as the labelling,
+        which is ``coreness`` itself, uncopied, when it has no zero."""
+        if 0 in coreness.values():
+            coreness = {u: c for u, c in coreness.items() if c}
+        self._spans[(ts, te)] = (coreness, list(range(1, max(coreness.values()) + 1)))
 
     def _layers(self) -> Iterator[tuple[int, int, list[tuple[int, list[int]]]]]:
         """Per span, by (ts, te): ``(ts, te, layers)``, where ``layers`` pairs
         each stored order, highest first, with the members labelled that
         order; the core of an order is the union of its layer and those
-        before it."""
+        before it.  A span whose labelling is the previous span's gets the
+        previous ``layers`` object."""
+        previous = layers = None
         for ts, te in sorted(self._spans):
             labels, orders = self._spans[(ts, te)]
-            layers: dict[int, list[int]] = {k: [] for k in reversed(orders)}
-            for u, c in labels.items():
-                layers[c].append(u)
-            yield ts, te, list(layers.items())
+            if labels is not previous:
+                previous = labels
+                grouped: dict[int, list[int]] = {k: [] for k in reversed(orders)}
+                for u, c in labels.items():
+                    grouped[c].append(u)
+                layers = list(grouped.items())
+            yield ts, te, layers
 
     def top_orders(self) -> dict[tuple[int, int], int]:
         """``{(ts, te): k}``: each span's highest stored order."""
@@ -157,9 +169,9 @@ class SpanCoreSet:
 
 class DecompositionStats(SimpleNamespace):
     """Work counters: intervals processed and total vertices fed to the peeling
-    subroutine.  The seeded enumeration feeds each interval's edge endpoints,
-    so there ``peel_vertices`` counts edge endpoints summed over intervals;
-    the naive route feeds the whole vertex set every time; the maximal scan
+    subroutine.  The seeded enumeration counts only the peels it runs, one
+    per distinct interval edge set, each fed that set's endpoints; the naive
+    route feeds the whole vertex set to every interval; the maximal scan
     counts each interval it visits, one it settles without a peel as 0, and
     a query-constrained scan visits no interval of a start where some query
     vertex has no edge.  Community search adds the segmentation DP's
@@ -205,33 +217,43 @@ def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
     set, in (start, end) order, recording each peel in ``stats``.
 
     Per start, the window end walks forward while the interval edge set,
-    one snapshot intersected in per step, stays nonempty.  Each interval's
-    peel is seeded with its edge set's endpoints: exactly the vertices that
-    can have positive coreness there, so every coreness yielded is positive.
+    one snapshot intersected in per step, stays nonempty.  ``E[ts, te]``
+    lies inside ``E[ts, te - 1]`` and contains ``E[ts - 1, te]``, so when its
+    size equals either one's, it is that set and the neighbour's coreness
+    dict is yielded again, the same object.  Any other edge set is peeled,
+    seeded with its endpoints: exactly the vertices that can have positive
+    coreness there, so every coreness yielded is positive.
     """
+    previous: dict[int, tuple[int, dict[int, int]]] = {}  # start ts - 1, per end
     for ts in range(g.t_max + 1):
+        current: dict[int, tuple[int, dict[int, int]]] = {}
         edges = g.snapshots[ts]
         te = ts
+        count = 0
         while edges:
-            endpoints: set[int] = set()
-            for u, v in edges:
-                endpoints.add(u)
-                endpoints.add(v)
-            if stats is not None:
-                stats.record(len(endpoints))
-            yield ts, te, core_decomposition(endpoints, edges)
+            if len(edges) != count:
+                count = len(edges)
+                count_left, coreness = previous.get(te, (0, None))
+                if count_left != count:
+                    endpoints = set(chain.from_iterable(edges))
+                    if stats is not None:
+                        stats.record(len(endpoints))
+                    coreness = core_decomposition(endpoints, edges)
+            current[te] = (count, coreness)
+            yield ts, te, coreness
             if te == g.t_max:
                 break
             te += 1
             edges &= g.snapshots[te]
+        previous = current
 
 
 def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> SpanCoreSet:
     """All span-cores via the seeded per-start enumeration.
 
-    Output is set-equal to ``naive_span_cores``; only the per-interval peel
-    sets differ (edge endpoints instead of every vertex), which is where the
-    speedup comes from.
+    Output is set-equal to ``naive_span_cores``; only edge endpoints are
+    peeled, instead of every vertex, and once per distinct interval edge
+    set, whose spans share one stored labelling.
     """
     out = SpanCoreSet()
     for ts, te, coreness in _seeded_coreness(g, stats):
@@ -252,7 +274,9 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     lines come straight from each span's labelling: labels are sorted and
     JSON-encoded once per call, and a span's cores grow from its highest
     order down, one layer of label ranks merged in per order, so no per-core
-    member set or record dict is built.
+    member set or record dict is built.  A span that shares the previous
+    span's labelling reuses its rendered records, with only ``ts`` and
+    ``te`` changed.
     """
     stream = sink if hasattr(sink, "write") else open(sink, "w", encoding="utf-8")
     by_label = sorted(g.vertices, key=g.labels.__getitem__)
@@ -262,18 +286,21 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     encoded = [json.dumps(g.labels[u]) for u in by_label]
     flag = '"maximal": true, ' if maximal else ""
     count = 0
+    previous = None
     try:
         for ts, te, layers in cores._layers():
-            members: list[int] = []
-            lines = []
-            for k, layer in layers:
-                members.extend(map(rank.__getitem__, layer))
-                members.sort()
-                lines.append(f'{{"k": {k}, {flag}"size": {len(members)}, "te": {te}, "ts": {ts}, '
-                             f'"vertices": [{", ".join([encoded[r] for r in members])}]}}\n')
-            lines.reverse()
-            stream.write("".join(lines))
-            count += len(lines)
+            if layers is not previous:
+                previous = layers
+                members: list[int] = []
+                records = []  # per core, the text before te and after ts
+                for k, layer in layers:
+                    members.extend(map(rank.__getitem__, layer))
+                    members.sort()
+                    records.append((f'{{"k": {k}, {flag}"size": {len(members)}, "te": ',
+                                    f', "vertices": [{", ".join([encoded[r] for r in members])}]}}\n'))
+                records.reverse()
+            stream.write("".join([f'{head}{te}, "ts": {ts}{tail}' for head, tail in records]))
+            count += len(records)
     except OSError as exc:
         raise OSError(f"failed writing span-cores to {getattr(sink, 'name', sink)}: {exc}") from exc
     finally:

@@ -18,11 +18,12 @@ from .graph import Edge
 
 def _build_adjacency(vertices: Collection[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {u: [] for u in vertices}
-    for u, v in edges:
-        if u not in adj or v not in adj:
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside the vertex set")
-        adj[u].append(v)
-        adj[v].append(u)
+    try:
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    except KeyError:
+        raise ValueError(f"edge ({u},{v}) has an endpoint outside the vertex set") from None
     return adj
 
 

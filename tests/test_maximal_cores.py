@@ -113,6 +113,25 @@ class TestDirectScan:
         maximal_span_cores(fix1)
         assert peeled == [2, 3, 1]
 
+    def test_repeated_snapshot_skips_the_dominated_peels(self, fix1, monkeypatch):
+        # FIX-1's first snapshot twice: the triangle abc with pendant cd.
+        # [0,1] peels all four vertices; [0,0] refills no edge and [1,1] has
+        # as many edges as [0,1], so neither peels, although c's degree 3
+        # is above their bound 2
+        g = TemporalGraph([fix1.snapshots[0], fix1.snapshots[0]], fix1.labels)
+        peeled = []
+
+        def counting(vertices, edges):
+            peeled.append(len(vertices))
+            return core_decomposition(vertices, edges)
+
+        monkeypatch.setattr(maximal_cores, "core_decomposition", counting)
+        stats = DecompositionStats()
+        result = maximal_span_cores(g, stats)
+        assert peeled == [4]
+        assert (stats.intervals_processed, stats.peel_vertices) == (3, 4)
+        assert [(c.order, c.span) for c in result] == [(2, Interval(0, 1))]
+
 
 class TestQueryScan:
     def test_starts_without_the_query_are_skipped(self, monkeypatch):

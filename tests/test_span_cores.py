@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import random
@@ -19,6 +20,9 @@ from spancores import (
 )
 
 from conftest import as_definitional, definitional_span_cores
+
+# the package's ``span_cores`` attribute is the function of the same name
+span_cores_module = importlib.import_module("spancores.span_cores")
 
 
 def members(g, core):
@@ -108,12 +112,34 @@ class TestSeededEnumeration:
             assert len(cores) == len(expected)
 
     def test_peels_only_edge_endpoints(self, fix1):
-        # [0,0] has all four vertices on edges, [1,1] and [0,1] the triangle,
-        # [2,2], [1,2] and [0,2] the edge ab
+        # [0,0] has all four vertices on edges, [0,1] the triangle, [0,2] the
+        # edge ab; [1,1] reuses [0,1], and [1,2] and [2,2] reuse [0,2]
         stats = DecompositionStats()
         span_cores(fix1, stats)
-        assert stats.intervals_processed == 6
-        assert stats.peel_vertices == 4 + 3 + 2 + 3 + 2 + 2
+        assert stats.intervals_processed == 3
+        assert stats.peel_vertices == 4 + 3 + 2
+
+    def test_peels_each_distinct_edge_set_once(self, corpus, monkeypatch):
+        # an interval is peeled exactly when its edge set differs from both
+        # [ts, te - 1] and [ts - 1, te], the intervals it can reuse
+        peeled = []
+
+        def recording(vertices, edges):
+            peeled.append(frozenset(edges))
+            return core_decomposition(vertices, edges)
+
+        monkeypatch.setattr(span_cores_module, "core_decomposition", recording)
+        for g in corpus[:60]:
+            oracle = naive_span_cores(g)
+            peeled.clear()
+            stats = DecompositionStats()
+            assert span_cores(g, stats) == oracle
+            edges = {(ts, te): g.interval_edges(Interval(ts, te))
+                     for ts in range(g.t_max + 1) for te in range(ts, g.t_max + 1)}
+            expected = [e for (ts, te), e in sorted(edges.items())
+                        if e and e != edges.get((ts, te - 1)) and e != edges.get((ts - 1, te))]
+            assert peeled == expected
+            assert stats.intervals_processed == len(expected)
 
     def test_never_feeds_more_peel_vertices_than_naive(self, corpus):
         for g in corpus[:60]:
@@ -206,6 +232,29 @@ class TestSpanCoreSetContract:
                         if len(core.members) > 1:
                             assert SpanCore(core.order, core.span,
                                             core.members - {min(core.members)}) not in other
+
+    def test_add_to_a_span_sharing_its_labelling(self, fix1):
+        # [0,2], [1,2] and [2,2] all have the edge set {ab} and share one
+        # stored labelling; a core added to one of them, or rejected there,
+        # leaves the other two as they were
+        cores = span_cores(fix1)
+        shared = cores._spans[(0, 2)][0]
+        assert cores._spans[(1, 2)][0] is shared and cores._spans[(2, 2)][0] is shared
+        before = io.StringIO()
+        write_span_cores(cores, before, fix1)
+        with pytest.raises(ValueError, match="not nested"):
+            cores.add(span_core(2, 0, 2, {0, 2}))
+        cores.add(span_core(2, 0, 2, {0, 1}))
+        assert cores.get(2, Interval(0, 2)) == span_core(2, 0, 2, {0, 1})
+        for ts in (1, 2):
+            assert cores.get(2, Interval(ts, 2)) is None
+            assert cores.get(1, Interval(ts, 2)) == span_core(1, ts, 2, {0, 1})
+        after = io.StringIO()
+        write_span_cores(cores, after, fix1)
+        stored = '{"k": 1, "size": 2, "te": 2, "ts": 0, "vertices": ["a", "b"]}\n'
+        added = stored.replace('"k": 1', '"k": 2')
+        assert stored in before.getvalue()
+        assert after.getvalue() == before.getvalue().replace(stored, stored + added)
 
     def test_missing_orders_and_spans(self):
         cores = SpanCoreSet([span_core(1, 0, 0, {0, 1, 2, 3}), span_core(3, 0, 0, {0, 1})])
