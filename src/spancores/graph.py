@@ -15,16 +15,25 @@ of uniform space- or tab-separated rows is split in one pass and read
 column-wise; any other chunk is parsed line by line, which keeps exact line
 numbers in errors.  Each chunk's records collapse into the distinct
 ``(window, u, v)`` contacts before the next chunk is read, so a load holds
-one chunk plus the distinct contacts, not every record.
+one chunk plus the distinct contacts, not every record.  Contact data meets
+the same pairs again and again, so a loaded graph holds one tuple object per
+distinct vertex pair, shared by every snapshot it occurs in: far fewer
+objects, and snapshot intersections match shared pairs by identity before
+comparing them.  A load builds tuples, lists, dicts and frozensets that never
+refer back to one another, so no collection during a load can free
+anything; the cyclic collector is paused while it runs instead of walking
+the growing heap hundreds of times.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import random
 import re
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from functools import total_ordering
 from itertools import chain, count, repeat, starmap
 from operator import eq, floordiv, itemgetter, lt, sub
@@ -197,16 +206,20 @@ class TemporalGraph:
         snapshots are frozen.  Self-loop records are skipped, and labels get
         dense ids in order of first appearance over the other records,
         timestamp by timestamp: the interning rule of ``load_edge_list``.  The
-        pairs come out canonical, so the constructor only checks them."""
+        pairs come out canonical, so the constructor only checks them, and
+        each distinct pair is one tuple object wherever it occurs."""
         records = sorted(keys, key=itemgetter(0))
         keys.clear()
         index: dict[str, int] = defaultdict(count().__next__)
+        pairs: dict[Edge, Edge] = {}
+        share = pairs.setdefault
         snapshots: list[list[Edge]] = [[] for _ in range(windows)]
         for t, u, v in records:
             if u != v:
                 a, b = index[u], index[v]
-                snapshots[t].append((a, b) if a < b else (b, a))
-        del records
+                pair = (a, b) if a < b else (b, a)
+                snapshots[t].append(share(pair, pair))
+        del records, pairs, share
         return cls(snapshots, list(index), dropped_self_loops=dropped)
 
     # -- label access ----------------------------------------------------------
@@ -291,9 +304,16 @@ class TemporalGraph:
 # -- ingestion ------------------------------------------------------------------
 
 
-CHUNK_CHARS = 1 << 18
+CHUNK_CHARS = 1 << 16
 """Characters ``load_edge_list`` reads at a time; each chunk then runs on to
-the end of its last line, so it holds whole lines only."""
+the end of its last line, so it holds whole lines only.
+
+A load's peak is the distinct contacts plus one chunk's transients: its
+tokens, column lists and collapsed records, about 13 bytes traced per
+character read.  At 64 KiB those stay under 1 MB, so the peak stays within
+a small multiple of the graph the load keeps, which shrinks once pairs are
+shared; larger chunks read no faster, since the per-record work dominates.
+"""
 
 _FIELD = r"[^\s,#]++"
 
@@ -376,6 +396,21 @@ def _parse_lines(chunk: str, lineno: int) -> tuple[list[int], list[str], list[st
     return times, us, vs
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block (or, as a decorator,
+    the call), then restore the caller's setting: a collector the caller had
+    disabled stays disabled, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_edge_list(source, window: int, time_origin: int | None = None,
                    pre_windowed: bool = False,
                    timings: dict | None = None) -> TemporalGraph:
@@ -405,6 +440,9 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     a record is known only at the end: records wait as columns of raw times
     and labels (three references each), then are windowed and collapsed in
     one pass.
+
+    Each distinct vertex pair is one tuple object, shared by every snapshot
+    that holds it, and the cyclic collector is paused for the whole load.
 
     A time domain of more than ``MAX_TIMESTAMPS`` windows is rejected with
     ``EdgeListFormatError`` before any per-window storage is allocated.  When

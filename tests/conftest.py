@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -20,6 +21,16 @@ FIX1_TEXT = "".join(f"{t} {a} {b}\n" for t, snapshot in enumerate(FIX1_SNAPSHOTS
 @pytest.fixture
 def fix1() -> TemporalGraph:
     return load_edge_list(FIX1_TEXT.encode(), window=1, pre_windowed=True)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request) -> bool:
+    """Run the test with the cyclic garbage collector on, then off; the
+    test gets the setting it starts with, and the old one is restored."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 def random_temporal_graph(rng: random.Random, n: int, t: int, p: float) -> TemporalGraph:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -310,6 +311,53 @@ class TestErrorHandling:
         monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
         assert run(["decompose", fix1_file, "--pre-windowed", "-o", tmp_path / "c.jsonl"]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_other_os_error_is_internal_error(self, fix1_file, tmp_path, monkeypatch, capsys):
+        def broken(run, g):
+            raise OSError("a failure on neither the input nor the output side")
+
+        monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
+        assert run(["decompose", fix1_file, "--pre-windowed", "-o", tmp_path / "c.jsonl"]) == 3
+        assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["attrs", "digest"])
+    def test_input_side_os_error_is_input_error(self, fix1_file, tmp_path, monkeypatch, capsys,
+                                                reader):
+        attrs = tmp_path / "attrs.txt"
+        if reader == "attrs":
+            attrs = tmp_path / "absent.txt"
+        else:
+            attrs.write_text("a F\nb M\n")
+
+            def broken(path):
+                raise FileNotFoundError(f"{path} vanished before its digest")
+
+            monkeypatch.setattr(cli, "_digest", broken)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run(["stats", fix1_file, "--pre-windowed", "--report", "purity",
+                    "--attrs", attrs, "-o", outdir / "purity.tsv"]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_collector_paused_then_restored(self, fix1_file, tmp_path, monkeypatch, collector):
+        seen = []
+        decompose = cli._HANDLERS["decompose"]
+
+        def spy(run, g):
+            seen.append(gc.isenabled())
+            decompose(run, g)
+
+        monkeypatch.setitem(cli._HANDLERS, "decompose", spy)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not an edge list\n")
+        for _ in range(2):
+            assert run(["decompose", fix1_file, "--pre-windowed",
+                        "-o", tmp_path / "cores.jsonl"]) == 0
+            assert gc.isenabled() is collector
+            assert run(["decompose", bad, "--window", 5]) == 2
+            assert gc.isenabled() is collector
+        assert seen == [False, False]
 
     @pytest.mark.parametrize("argv, writer", [
         (["decompose"], "write_span_cores"),

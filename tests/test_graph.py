@@ -1,3 +1,4 @@
+import gc
 import gzip
 import random
 import tracemalloc
@@ -178,6 +179,33 @@ class TestLoader:
         # a form feed is whitespace to split(), not a line end: "1 c d" is extra columns
         g = load_edge_list(b"0 a b\x0c1 c d\n2 e f\n", window=1, pre_windowed=True)
         assert g.labels == ("a", "b", "e", "f")
+
+    @pytest.mark.parametrize("kwargs", [{"window": 2}, {"window": 2, "time_origin": 0},
+                                        {"window": 1, "pre_windowed": True}])
+    def test_each_distinct_pair_is_one_tuple(self, kwargs):
+        # pairs recur across windows, and "b a" repeats "a b" reversed
+        text = b"0 a b\n0 b c\n1 a b\n2 b a\n2 c b\n3 c d\n4 a b\n4 d c\n5 b c\n"
+        g = load_edge_list(text, **kwargs)
+        pairs = [pair for snapshot in g.snapshots for pair in snapshot]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs)) == 3
+
+    @pytest.mark.parametrize("text", [b"# ok\n0 a b\n1 b a\n", b"# bad\n0 a b\nx a b\n"],
+                             ids=["loads", "raises"])
+    def test_collector_paused_then_restored(self, monkeypatch, collector, text):
+        seen = []
+        parse = graph_module._parse_lines
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return parse(*args)
+
+        monkeypatch.setattr(graph_module, "_parse_lines", spy)
+        try:
+            load_edge_list(text, window=1, pre_windowed=True)
+        except EdgeListFormatError:
+            assert b"x" in text
+        assert seen == [False]
+        assert gc.isenabled() is collector
 
     def test_peak_memory_is_bounded_by_the_graph(self, tmp_path):
         """Raw contacts recorded about twice per window load within three times
