@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .community_search import _tcs_every_vertex
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
-                    UnknownLabelError)
+                    UnknownLabelError, _decoded)
 from .maximal_cores import maximal_span_cores
 from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
 
@@ -99,7 +99,8 @@ class AnomalyReport(NamedTuple):
     edge_counts: tuple[tuple[int, int, int], ...]
 
 
-def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
+def detect_anomalies(g: TemporalGraph, tr: int, ratio: float,
+                     stats: DecompositionStats | None = None) -> AnomalyReport:
     """Flag steady long-lived group contacts and filter them out.
 
     Maximal cores with span longer than ``tr`` mark anomalously persistent
@@ -107,14 +108,15 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float) -> AnomalyReport:
     is flagged at every covered timestamp and its edges removed there.
     Timestamps whose original-to-filtered edge-count ratio then exceeds
     ``ratio`` are emptied entirely (a filtered count of zero with a nonzero
-    original counts as an infinite ratio).
+    original counts as an infinite ratio).  ``stats`` receives the maximal
+    scan's work.
     """
     if tr < 1:
         raise ParameterError("span threshold tr must be at least 1")
     if ratio <= 1:
         raise ParameterError("edge-count ratio threshold must exceed 1")
 
-    long_spans = [core.span for core in maximal_span_cores(g)
+    long_spans = [core.span for core in maximal_span_cores(g, stats)
                   if core.span.length > tr]
 
     flagged: dict[int, set[int]] = {}
@@ -259,11 +261,12 @@ def _next_active_timestamp(g: TemporalGraph, vertex: int, t: int) -> int:
 # -- attribute ingestion ---------------------------------------------------------------
 
 
+@_decoded()
 def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
     """Read a two-column ``vertex_label attribute_value`` table keyed to graph vertices.
 
     Unknown vertex labels are warned about and skipped; a line with fewer
-    than two fields raises ``EdgeListFormatError`` with its line number.
+    than two fields, or text that is not UTF-8, raises ``EdgeListFormatError``.
     """
     stream = source if hasattr(source, "read") else open(source, "r", encoding="utf-8")
     attributes: dict[int, str] = {}

@@ -18,12 +18,12 @@ temporary file beside it and moved into place only after the sidecar has
 been written too.
 
 Exit codes: 0 success, 1 usage or parameter error (``ParameterError``), 2
-input error (a malformed input, an unknown vertex label, or ``InputError``:
-an ``OSError`` while reading the edge list or the ``--attrs`` table, or
-while re-reading the input for its digest), 3 internal error: any other
-``ValueError``, ``KeyError``, ``RuntimeError``, ``AssertionError`` or
-``OSError``, 4 output error (``OutputError``: an ``OSError`` while creating,
-writing or moving an output file).
+input error (a malformed input or one that is not UTF-8 text, an unknown
+vertex label, or ``InputError``: an ``OSError`` while reading the edge list
+or the ``--attrs`` table, or while re-reading the input for its digest), 3
+internal error: any other ``ValueError``, ``KeyError``, ``RuntimeError``,
+``AssertionError`` or ``OSError``, 4 output error (``OutputError``: an
+``OSError`` while creating, writing or moving an output file).
 
 ``main`` keeps the cyclic garbage collector paused for its whole run and
 restores the caller's setting when it returns.  A run loads its graph first
@@ -352,8 +352,10 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
 def _cmd_anomalies(run: _Run, g: TemporalGraph):
     if run.output is None:
         raise ParameterError("anomalies requires -o/--output (it writes a table and a graph)")
+    stats = DecompositionStats()
     report = _timed(run, "solve",
-                    lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio))
+                    lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio, stats))
+    run.counters["peel_vertices"] = stats.peel_vertices
     with run.writing() as sink:
         sink.write("t\toriginal_edges\tvertex_filtered_edges\tfinal_edges\tflagged\n")
         flagged = set(report.flagged_timestamps)

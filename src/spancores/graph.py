@@ -11,11 +11,12 @@ to share across threads: two threads racing on that first call only build the
 same index twice, and either copy serves every later call.
 
 ``load_edge_list`` streams a raw edge list in chunks of whole lines.  A chunk
-of uniform space- or tab-separated rows is split in one pass and read
-column-wise; any other chunk is parsed line by line, which keeps exact line
-numbers in errors.  Each chunk's records collapse into the distinct
-``(window, u, v)`` contacts before the next chunk is read, so a load holds
-one chunk plus the distinct contacts, not every record.  Contact data meets
+of uniform rows is tokenized by one ``str.split``, with a sentinel token
+marking each line end, and read column-wise; any other chunk is parsed line
+by line, which keeps exact line numbers in errors.  Each chunk's records
+collapse into the distinct ``(window, u, v)`` contacts before the next chunk
+is read, so a load holds one chunk plus the distinct contacts, not every
+record.  Contact data meets
 the same pairs again and again, so a loaded graph holds one tuple object per
 distinct vertex pair, shared by every snapshot it occurs in: far fewer
 objects, and snapshot intersections match shared pairs by identity before
@@ -30,7 +31,6 @@ from __future__ import annotations
 import gc
 import io
 import random
-import re
 import time
 from collections import defaultdict
 from contextlib import contextmanager
@@ -304,18 +304,21 @@ class TemporalGraph:
 # -- ingestion ------------------------------------------------------------------
 
 
+# a chunk's time texts, each distinct one's raw time, and its two label columns
+_Columns = tuple[list[str], dict[str, int], list[str], list[str]]
+
 CHUNK_CHARS = 1 << 16
 """Characters ``load_edge_list`` reads at a time; each chunk then runs on to
 the end of its last line, so it holds whole lines only.
 
 A load's peak is the distinct contacts plus one chunk's transients: its
-tokens, column lists and collapsed records, about 13 bytes traced per
-character read.  At 64 KiB those stay under 1 MB, so the peak stays within
-a small multiple of the graph the load keeps, which shrinks once pairs are
-shared; larger chunks read no faster, since the per-record work dominates.
+tokens, column lists and collapsed records.  Those are about 13 bytes traced
+per character read on 21-character raw contact records and 27 on
+12-character pre-windowed rows, so 0.8 to 1.8 MB at 64 KiB, and the peak
+stays within a small multiple of the graph the load keeps, which shrinks
+once pairs are shared; larger chunks read no faster, since the per-record
+work dominates.
 """
-
-_FIELD = r"[^\s,#]++"
 
 
 def _open_source(source) -> IO[str]:
@@ -330,6 +333,18 @@ def _open_source(source) -> IO[str]:
     return source
 
 
+@contextmanager
+def _decoded():
+    """Raise a ``UnicodeDecodeError`` of the block (or, as a decorator, the
+    call) as ``EdgeListFormatError``: a line-oriented input must be UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise EdgeListFormatError(
+            f"input is not UTF-8 text: {exc.reason} "
+            f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
 def _chunks(stream: IO[str]) -> Iterator[tuple[int, str]]:
     """``(first line number, text)`` of consecutive chunks of the stream."""
     lineno = 1
@@ -341,38 +356,48 @@ def _chunks(stream: IO[str]) -> Iterator[tuple[int, str]]:
         lineno += chunk.count("\n")
 
 
-def _uniform_columns(chunk: str) -> tuple[list[int], list[str], list[str]] | None:
-    """Raw times and label columns of a chunk whose every line holds the same
-    number k >= 3 of space- or tab-separated fields, with no ``#`` or comma
+def _uniform_columns(chunk: str) -> _Columns | None:
+    """Time texts, their raw times and the label columns of a chunk whose
+    every line holds the same number k >= 3 of fields, with no ``#`` or NUL
     and a nonnegative integer first field; ``None`` for any other chunk.
 
-    One anchored match checks the layout, so the columns are slices of a
-    single ``str.split`` and each distinct time string is converted once.
+    One ``str.split`` tokenizes the chunk, with a NUL token after each line:
+    the chunk is uniform iff there are ``(k + 1)`` tokens per line and every
+    ``(k + 1)``-th one is a NUL.  ``split`` and ``_parse_lines`` break fields
+    at the same whitespace and commas, and lines end only at ``'\\n'``, so
+    the columns are exactly what the line-by-line parse would read.
     """
-    k = len(chunk.partition("\n")[0].split())
-    line = rf"[ \t]*+{_FIELD}(?:[ \t]++{_FIELD}){{{k - 1}}}[ \t]*+"
-    if k < 3 or not re.fullmatch(rf"(?:{line}\n)*+(?:{line})?+", chunk):
+    if "#" in chunk or "\0" in chunk:
         return None
-    tokens = chunk.split()
-    times = tokens[0::k]
+    tokens = chunk.replace(",", " ").replace("\n", " \0 ").split()
+    lines = chunk.count("\n")
+    if chunk[-1] != "\n":
+        tokens.append("\0")
+        lines += 1
+    stride, rest = divmod(len(tokens), lines)
+    if rest or stride < 4 or tokens[stride - 1::stride].count("\0") != lines:
+        return None
+    times = tokens[0::stride]
+    distinct = set(times)
     try:
-        raw = {text: int(text) for text in set(times)}
+        raw = dict(zip(distinct, map(int, distinct)))
     except ValueError:
         return None
     if min(raw.values()) < 0:
         return None
-    return list(map(raw.__getitem__, times)), tokens[1::k], tokens[2::k]
+    return times, raw, tokens[1::stride], tokens[2::stride]
 
 
-def _parse_lines(chunk: str, lineno: int) -> tuple[list[int], list[str], list[str]]:
-    """Raw times and label columns of a chunk read line by line, its first
-    line numbered ``lineno``.
+def _parse_lines(chunk: str, lineno: int) -> _Columns:
+    """Time texts, their raw times and the label columns of a chunk read line
+    by line, its first line numbered ``lineno``.
 
     Lines end at ``'\\n'`` only.  Fields are whitespace- or comma-separated;
     blank lines and ``#`` comments are skipped; extra trailing columns are
     ignored (face-to-face contact datasets commonly carry metadata columns).
     """
-    times: list[int] = []
+    times: list[str] = []
+    raw: dict[str, int] = {}
     us: list[str] = []
     vs: list[str] = []
     for lineno, line in enumerate(chunk.split("\n"), start=lineno):
@@ -390,10 +415,11 @@ def _parse_lines(chunk: str, lineno: int) -> tuple[list[int], list[str], list[st
                 f"non-integer timestamp {parts[0]!r}", lineno) from None
         if raw_time < 0:
             raise EdgeListFormatError(f"negative timestamp {raw_time}", lineno)
-        times.append(raw_time)
+        raw[parts[0]] = raw_time
+        times.append(parts[0])
         us.append(parts[1])
         vs.append(parts[2])
-    return times, us, vs
+    return times, raw, us, vs
 
 
 @contextmanager
@@ -411,6 +437,7 @@ def _collector_paused():
 
 
 @_collector_paused()
+@_decoded()
 def load_edge_list(source, window: int, time_origin: int | None = None,
                    pre_windowed: bool = False,
                    timings: dict | None = None) -> TemporalGraph:
@@ -429,17 +456,19 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     as ``dropped_self_loops``.
 
     The source is read in chunks of about ``CHUNK_CHARS`` characters that end
-    at a line end.  A chunk whose lines all hold the same number of space- or
-    tab-separated fields (at least 3), with no ``#`` or comma, is split in one
-    pass and read column-wise; any other chunk is parsed line by line.  A
-    malformed line raises ``EdgeListFormatError`` with its line number, before
-    the time origin or the time domain is checked.  Each chunk's records
-    collapse into the distinct ``(window, u, v)`` contacts seen so far as soon
-    as it is read, so memory is bounded by one chunk plus the distinct
-    contacts, not by the record count.  Without ``time_origin`` the window of
-    a record is known only at the end: records wait as columns of raw times
-    and labels (three references each), then are windowed and collapsed in
-    one pass.
+    at a line end.  A chunk whose lines all hold the same number of fields (at
+    least 3), with no ``#`` or NUL, is split in one pass and read
+    column-wise, commas and CRLF line ends included; any other chunk is
+    parsed line by line.  Either way each distinct time text is converted
+    once, and maps straight to its window.  A malformed line raises
+    ``EdgeListFormatError`` with its line number, before the time origin or
+    the time domain is checked; input that is not UTF-8 text raises it too.
+    Each chunk's records collapse into the distinct ``(window, u, v)``
+    contacts seen so far as soon as it is read, so memory is bounded by one
+    chunk plus the distinct contacts, not by the record count.  Without
+    ``time_origin`` the window of a record is known only at the end: records
+    wait as columns of raw times and labels (three references each), then are
+    windowed and collapsed in one pass.
 
     Each distinct vertex pair is one tuple object, shared by every snapshot
     that holds it, and the cyclic collector is paused for the whole load.
@@ -464,23 +493,22 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     stream = _open_source(source)
     try:
         for lineno, chunk in _chunks(stream):
-            times, us, vs = _uniform_columns(chunk) or _parse_lines(chunk, lineno)
+            times, raw, us, vs = _uniform_columns(chunk) or _parse_lines(chunk, lineno)
             if not times:
                 continue
-            distinct = set(times)
-            low = min(distinct) if low is None else min(low, min(distinct))
-            high = max(distinct) if high is None else max(high, max(distinct))
+            values = raw.values()
+            low = min(values) if low is None else min(low, min(values))
+            high = max(values) if high is None else max(high, max(values))
             dropped += sum(map(eq, us, vs))
             us, vs = map(intern, us, us), map(intern, vs, vs)
             if deferred:
-                raw_times += times
+                raw_times += map(raw.__getitem__, times)
                 raw_us += us
                 raw_vs += vs
                 continue
-            if not pre_windowed:
-                window_of = {t: (t - time_origin) // window for t in distinct}
-                times = map(window_of.__getitem__, times)
-            keys.update(dict.fromkeys(zip(times, us, vs)))
+            window_of = raw if pre_windowed else {
+                text: (t - time_origin) // window for text, t in raw.items()}
+            keys.update(dict.fromkeys(zip(map(window_of.__getitem__, times), us, vs)))
     finally:
         if stream is not source:
             stream.close()

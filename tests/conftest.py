@@ -188,6 +188,50 @@ def benchmark_graph(n: int = 2000, t: int = 100, seed: int = 7) -> TemporalGraph
     return TemporalGraph(snapshots, [str(i) for i in range(n)])
 
 
+def reference_load(text, window, time_origin=None, pre_windowed=False):
+    """Labels, snapshots, dropped self-loops and neighbour lists, computed one
+    record at a time from the lines between line feeds."""
+    records = []
+    for line in text.split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            parts = line.replace(",", " ").split()
+            records.append((int(parts[0]), parts[1], parts[2]))
+    if pre_windowed:
+        origin, window = 0, 1
+    else:
+        origin = min(t for t, _, _ in records) if time_origin is None else time_origin
+    windows = [[] for _ in range(max((t - origin) // window for t, _, _ in records) + 1)]
+    for t, u, v in records:
+        windows[(t - origin) // window].append((u, v))
+    labels, index, dropped, snapshots, adjacency = [], {}, 0, [], []
+    for pairs in windows:
+        edges, adj = set(), {}
+        for a, b in pairs:
+            if a == b:
+                dropped += 1
+                continue
+            for label in (a, b):
+                if label not in index:
+                    index[label] = len(labels)
+                    labels.append(label)
+            e = tuple(sorted((index[a], index[b])))
+            if e not in edges:
+                edges.add(e)
+                adj.setdefault(e[0], []).append(e[1])
+                adj.setdefault(e[1], []).append(e[0])
+        snapshots.append(frozenset(edges))
+        adjacency.append(adj)
+    return tuple(labels), tuple(snapshots), dropped, adjacency
+
+
+def loaded(g):
+    """``reference_load``'s view of a loaded graph."""
+    adjacency = [{u: list(g.neighbors(t, u)) for u in g.vertices if g.neighbors(t, u)}
+                 for t in range(g.t_max + 1)]
+    return g.labels, g.snapshots, g.dropped_self_loops, adjacency
+
+
 # -- acceptance reporting: one pass/fail line per criterion in the summary ------
 
 _acceptance_results: list[str] = []

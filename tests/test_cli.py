@@ -1,4 +1,5 @@
 import gc
+import gzip
 import json
 import os
 import subprocess
@@ -100,6 +101,18 @@ class TestOtherCommands:
         filtered = out.with_name(out.name + ".filtered.edges")
         g = load_edge_list(filtered, window=1, pre_windowed=True)
         assert g.t_max == 2
+
+    def test_anomalies_reports_its_peel_work(self, fix1_file, tmp_path):
+        counters = {}
+        for argv in (["anomalies", "--tr", 1, "--ratio", 1.5], ["maximal"]):
+            out = tmp_path / f"{argv[0]}.out"
+            assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", out]) == 0
+            meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+            counters[argv[0]] = meta["provenance"]["counters"]
+        # anomalies runs one maximal scan, and no other peel
+        assert counters["anomalies"]["peel_vertices"] > 0
+        assert counters["anomalies"]["peel_vertices"] == counters["maximal"]["peel_vertices"]
+        assert "intervals_processed" not in counters["anomalies"]
 
     def test_anomalies_requires_output(self, fix1_file):
         assert run(["anomalies", fix1_file, "--pre-windowed",
@@ -333,6 +346,27 @@ class TestErrorHandling:
                 raise FileNotFoundError(f"{path} vanished before its digest")
 
             monkeypatch.setattr(cli, "_digest", broken)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run(["stats", fix1_file, "--pre-windowed", "--report", "purity",
+                    "--attrs", attrs, "-o", outdir / "purity.tsv"]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("packing", ["plain", "gzip"])
+    def test_undecodable_input_is_input_error(self, tmp_path, capsys, packing):
+        data = FIX1_TEXT.encode() + b"3 a \xff\n"
+        path = tmp_path / ("bad.tsv" if packing == "plain" else "bad.tsv.gz")
+        path.write_bytes(data if packing == "plain" else gzip.compress(data))
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run(["decompose", path, "--pre-windowed", "-o", outdir / "cores.jsonl"]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_undecodable_attrs_is_input_error(self, fix1_file, tmp_path, capsys):
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_bytes(b"a F\nb \xff\n")
         outdir = tmp_path / "out"
         outdir.mkdir()
         assert run(["stats", fix1_file, "--pre-windowed", "--report", "purity",

@@ -17,7 +17,7 @@ from spancores import (
 from spancores import graph as graph_module
 from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 
-from conftest import FIX1_SNAPSHOTS, random_temporal_graph
+from conftest import FIX1_SNAPSHOTS, loaded, random_temporal_graph, reference_load
 
 
 def edges_by_labels(g, pairs):
@@ -230,6 +230,74 @@ class TestLoader:
             tracemalloc.stop()
         assert g.temporal_edge_count() == len(lines) // 2
         assert peak <= 3 * retained, (peak, retained)
+
+    def test_undecodable_bytes_are_a_format_error(self):
+        with pytest.raises(EdgeListFormatError, match="not UTF-8 text.*0xff"):
+            load_edge_list(b"0 a b\n1 b \xff\n", window=1, pre_windowed=True)
+
+
+LOAD_KWARGS = [{"window": 2}, {"window": 2, "time_origin": 0},
+               {"window": 1, "pre_windowed": True}]
+
+
+class TestChunkRoutes:
+    """A chunk of uniform rows is read column-wise from one ``str.split``;
+    any other chunk goes line by line with its original text."""
+
+    @pytest.fixture
+    def line_by_line(self, monkeypatch):
+        """The first line number of each chunk parsed line by line."""
+        calls = []
+        parse = graph_module._parse_lines
+
+        def spy(chunk, lineno):
+            calls.append(lineno)
+            return parse(chunk, lineno)
+
+        monkeypatch.setattr(graph_module, "_parse_lines", spy)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        "0,a,b\n1,b,c\n3,c,a\n1,a,a\n",
+        "0 a b\r\n1\tb\tc\r\n3 c a\r\n1 a a\r\n",
+        "0, a ,b,x\r\n1 ,b, c,y\r\n3,c ,a , z\r\n1,a,a,w",
+    ], ids=["comma", "crlf", "both-and-no-final-line-end"])
+    @pytest.mark.parametrize("kwargs", LOAD_KWARGS)
+    def test_commas_and_crlf_load_column_wise(self, line_by_line, text, kwargs):
+        g = load_edge_list(text.encode(), **kwargs)
+        assert line_by_line == []
+        assert loaded(g) == reference_load(text, **kwargs)
+
+    def test_comma_separated_chunks_load_column_wise(self, line_by_line, monkeypatch):
+        monkeypatch.setattr(graph_module, "CHUNK_CHARS", 32)
+        text = "".join(f"{20 * i},v{i % 11},v{i * 7 % 13}\r\n" for i in range(200))
+        g = load_edge_list(text.encode(), window=60)
+        assert line_by_line == []
+        assert loaded(g) == reference_load(text, window=60)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 11\n1 12 13 14\n", 1),
+        ("".join(f"{t} 11 12\n" for t in range(30)) + "30 11\n31 12 13 14\n", 31),
+        ("0 11 12 13\n1 12\n", 2),
+    ], ids=["short-first", "after-thirty-lines", "short-last"])
+    def test_lines_of_two_and_four_fields_raise_at_the_short_line(self, line_by_line, text,
+                                                                  line):
+        # three fields a line on average; in the first two cases every fourth
+        # token from the first is an integer too, so only the line ends tell
+        with pytest.raises(EdgeListFormatError,
+                           match=f"^line {line}: expected at least 3 fields"):
+            load_edge_list(text.encode(), window=1, pre_windowed=True)
+        assert line_by_line == [1]
+
+    @pytest.mark.parametrize("text", [
+        "0 a#1 b\n1 b c#\n2 c a #note\n",
+        "0 a\0x b\n1 b c\n2 c a\0\n",
+    ], ids=["hash-in-label", "nul-in-label"])
+    @pytest.mark.parametrize("kwargs", LOAD_KWARGS)
+    def test_hash_or_nul_in_a_label_loads_line_by_line(self, line_by_line, text, kwargs):
+        g = load_edge_list(text.encode(), **kwargs)
+        assert line_by_line == [1]
+        assert loaded(g) == reference_load(text, **kwargs)
 
 
 class TestIntervalEdges:

@@ -19,8 +19,8 @@ from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_
 from spancores import graph as graph_module
 from spancores.community_search import _segment_dp
 
-from conftest import (as_definitional, definitional_span_cores, expand_runs, per_vertex_rows,
-                      quadratic_segment_dp)
+from conftest import (as_definitional, definitional_span_cores, expand_runs, loaded,
+                      per_vertex_rows, quadratic_segment_dp, reference_load)
 
 
 @st.composite
@@ -168,10 +168,10 @@ def raw_edge_list(draw):
 
     Half of the texts are uniform rows of 3 or 5 fields separated by a space
     or a tab, the layout the loader splits column-wise.  The other half mix
-    in what sends a chunk line by line: comments, blank lines, comma
-    separators, extra columns, and separators or a second record after
-    whitespace that ends no line (form feed, NEL, U+2028, ...).  Lines end in
-    LF or CRLF, and the last one may lack its line end."""
+    in comma separators and what sends a chunk line by line: comments, blank
+    lines, extra columns, and separators or a second record after whitespace
+    that ends no line (form feed, NEL, U+2028, ...).  Lines end in LF or
+    CRLF, and the last one may lack its line end."""
     label = st.sampled_from(LABELS)
     records = draw(st.lists(st.tuples(st.integers(0, 60), label, label), min_size=1, max_size=40))
     repeats = draw(st.lists(st.tuples(st.sampled_from(records), st.booleans()), max_size=15))
@@ -200,50 +200,6 @@ def raw_edge_list(draw):
                   "time_origin": draw(st.sampled_from([None, low, max(0, low - 3)]))}
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from([end, ""])), kwargs
-
-
-def reference_load(text, window, time_origin=None, pre_windowed=False):
-    """Labels, snapshots, dropped self-loops and neighbour lists, computed one
-    record at a time from the lines between line feeds."""
-    records = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            parts = line.replace(",", " ").split()
-            records.append((int(parts[0]), parts[1], parts[2]))
-    if pre_windowed:
-        origin, window = 0, 1
-    else:
-        origin = min(t for t, _, _ in records) if time_origin is None else time_origin
-    windows = [[] for _ in range(max((t - origin) // window for t, _, _ in records) + 1)]
-    for t, u, v in records:
-        windows[(t - origin) // window].append((u, v))
-    labels, index, dropped, snapshots, adjacency = [], {}, 0, [], []
-    for pairs in windows:
-        edges, adj = set(), {}
-        for a, b in pairs:
-            if a == b:
-                dropped += 1
-                continue
-            for label in (a, b):
-                if label not in index:
-                    index[label] = len(labels)
-                    labels.append(label)
-            e = tuple(sorted((index[a], index[b])))
-            if e not in edges:
-                edges.add(e)
-                adj.setdefault(e[0], []).append(e[1])
-                adj.setdefault(e[1], []).append(e[0])
-        snapshots.append(frozenset(edges))
-        adjacency.append(adj)
-    return tuple(labels), tuple(snapshots), dropped, adjacency
-
-
-def loaded(g):
-    """``reference_load``'s view of a loaded graph."""
-    adjacency = [{u: list(g.neighbors(t, u)) for u in g.vertices if g.neighbors(t, u)}
-                 for t in range(g.t_max + 1)]
-    return g.labels, g.snapshots, g.dropped_self_loops, adjacency
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
