@@ -128,32 +128,26 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float,
         for t in span:
             flagged.setdefault(t, set()).update(endpoints)
 
-    intermediate: list[list] = []
+    flagged_timestamps = []
+    final: list = []
+    counts = []
     for t, snapshot in enumerate(g.snapshots):
         bad = flagged.get(t)
-        if bad:
-            intermediate.append([e for e in snapshot if e[0] not in bad and e[1] not in bad])
-        else:
-            intermediate.append(list(snapshot))
-
-    flagged_timestamps = []
-    final: list[list] = []
-    for t, kept in enumerate(intermediate):
-        original = len(g.snapshots[t])
+        kept = [e for e in snapshot if e[0] not in bad and e[1] not in bad] if bad else snapshot
+        original = len(snapshot)
         if original > 0 and (len(kept) == 0 or original / len(kept) > ratio):
             flagged_timestamps.append(t)
-            final.append([])
+            final.append(())
         else:
             final.append(kept)
+        counts.append((original, len(kept), len(final[t])))
 
     vertex_steps = tuple((t, u) for t in sorted(flagged) for u in sorted(flagged[t]))
-    counts = tuple((len(g.snapshots[t]), len(intermediate[t]), len(final[t]))
-                   for t in range(g.t_max + 1))
     return AnomalyReport(
         flagged_vertex_steps=vertex_steps,
         flagged_timestamps=tuple(flagged_timestamps),
         filtered=TemporalGraph(final, g.labels),
-        edge_counts=counts,
+        edge_counts=tuple(counts),
     )
 
 

@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--attrs", help="two-column 'vertex_label value' file (purity)")
     p.add_argument("--min-span", type=int, default=analytics.DEFAULT_MIN_SPAN,
-                   help="discard cores with spans shorter than this")
+                   help="discard cores with spans shorter than this (activity and "
+                   "purity; span-length ignores it)")
 
     p = sub.add_parser("reshuffle", help="degree-preserving per-timestamp null model")
     add_common(p)
@@ -323,6 +324,7 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     stats = DecompositionStats()
     search = tcs_basic if args.basic else tcs_efficient
     solution = _timed(run, "solve", lambda: search(g, query, args.segments, stats))
+    run.counters["peel_vertices"] = stats.peel_vertices
     run.counters["candidate_ends"] = stats.candidate_ends
     run.counters["dp_runs"] = stats.dp_runs
     shrunk = {}

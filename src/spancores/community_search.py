@@ -45,19 +45,22 @@ class Segmentation(NamedTuple):
     objective: int
 
 
-def single_tcs(g: TemporalGraph, query: Collection[int],
-               interval: Interval) -> tuple[int, set[int]]:
+def single_tcs(g: TemporalGraph, query: Collection[int], interval: Interval,
+               stats: DecompositionStats | None = None) -> tuple[int, set[int]]:
     """Best community for one fixed interval: the highest-order core of the
     interval graph that still contains every query vertex.
 
     Returns order 0 with the full vertex set when the query is not jointly
     inside any core; an empty query yields the unconstrained innermost core.
-    Only the interval edges' endpoints are peeled: any other vertex has
-    coreness 0.
+    Only the interval edges' endpoints are peeled, and recorded in ``stats``:
+    any other vertex has coreness 0.
     """
     qs = _validate_query(g, query)
     edges = g.interval_edges(interval)
-    coreness = core_decomposition({u for edge in edges for u in edge}, edges)
+    endpoints = {u for edge in edges for u in edge}
+    if stats is not None:
+        stats.record(len(endpoints))
+    coreness = core_decomposition(endpoints, edges)
     order = min(coreness.get(q, 0) for q in qs) if qs else max(coreness.values(), default=0)
     if order == 0:
         return 0, set(g.vertices)
@@ -256,11 +259,12 @@ def _best_segmentation(ends: Sequence[int], profile: Profile, h: int,
 
 
 def _materialize(g: TemporalGraph, query: frozenset[int], spans: Sequence[Interval],
-                 objective: int) -> Segmentation:
-    """Each span's community, checked against the DP's objective."""
+                 objective: int, stats: DecompositionStats | None) -> Segmentation:
+    """Each span's community, checked against the DP's objective; ``stats``
+    records its peels."""
     segments: list[Segment] = []
     for span in spans:
-        order, members = single_tcs(g, query, span)
+        order, members = single_tcs(g, query, span, stats)
         if order == 0:
             # any vertex set scores 0 here; the query itself is the least misleading
             members = set(query)
@@ -284,7 +288,7 @@ def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
     _validate_h(g, h)
     qs = frozenset(query)
     profile = _table_profile(penalty_table_full(g, qs, stats))
-    return _materialize(g, qs, *_best_segmentation(range(g.t_max + 1), profile, h, stats))
+    return _materialize(g, qs, *_best_segmentation(range(g.t_max + 1), profile, h, stats), stats)
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
@@ -299,7 +303,8 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
     qs = frozenset(query)
     cores = query_constrained_scan(g, qs, stats)
     ends = reduced_time_domain(g.t_max, h, [core.span for core in cores]).timestamps
-    return _materialize(g, qs, *_best_segmentation(ends, _dominance_profile(cores), h, stats))
+    return _materialize(g, qs, *_best_segmentation(ends, _dominance_profile(cores), h, stats),
+                        stats)
 
 
 def _tcs_every_vertex(g: TemporalGraph, h: int,

@@ -538,18 +538,12 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
 
 
 def write_edge_list(g: TemporalGraph, sink) -> int:
-    """Emit the graph in pre-windowed format (``t u v`` per line); returns line count."""
-    stream = sink if hasattr(sink, "write") else open(sink, "w", encoding="utf-8")
-    lines = 0
-    try:
-        for t, snapshot in enumerate(g.snapshots):
-            for u, v in sorted(snapshot):
-                stream.write(f"{t}\t{g.label_of(u)}\t{g.label_of(v)}\n")
-                lines += 1
-    finally:
-        if stream is not sink:
-            stream.close()
-    return lines
+    """Emit the graph to a text stream in pre-windowed format (``t u v`` per
+    line); returns the line count."""
+    labels = g.labels
+    for t, snapshot in enumerate(g.snapshots):
+        sink.write("".join([f"{t}\t{labels[u]}\t{labels[v]}\n" for u, v in sorted(snapshot)]))
+    return g.temporal_edge_count()
 
 
 # -- degree-preserving null model -------------------------------------------------

@@ -103,29 +103,10 @@ class SpanCoreSet:
         self._spans[key] = (labels, orders[:at] + [k] + orders[at:])
 
     def _store(self, ts: int, te: int, coreness: dict[int, int]) -> None:
-        """Store all cores of one interval graph with an edge at once: orders
-        1 to its highest coreness, its positive coreness as the labelling,
-        which is ``coreness`` itself, uncopied, when it has no zero."""
-        if 0 in coreness.values():
-            coreness = {u: c for u, c in coreness.items() if c}
+        """Store all cores of one interval graph at once: orders 1 to its
+        highest coreness, and ``coreness`` itself, all positive, as the
+        labelling."""
         self._spans[(ts, te)] = (coreness, list(range(1, max(coreness.values()) + 1)))
-
-    def _layers(self) -> Iterator[tuple[int, int, list[tuple[int, list[int]]]]]:
-        """Per span, by (ts, te): ``(ts, te, layers)``, where ``layers`` pairs
-        each stored order, highest first, with the members labelled that
-        order; the core of an order is the union of its layer and those
-        before it.  A span whose labelling is the previous span's gets the
-        previous ``layers`` object."""
-        previous = layers = None
-        for ts, te in sorted(self._spans):
-            labels, orders = self._spans[(ts, te)]
-            if labels is not previous:
-                previous = labels
-                grouped: dict[int, list[int]] = {k: [] for k in reversed(orders)}
-                for u, c in labels.items():
-                    grouped[c].append(u)
-                layers = list(grouped.items())
-            yield ts, te, layers
 
     def top_orders(self) -> dict[tuple[int, int], int]:
         """``{(ts, te): k}``: each span's highest stored order."""
@@ -156,15 +137,25 @@ class SpanCoreSet:
     def sorted_cores(self) -> list[SpanCore]:
         """Cores ordered by (span start, span end, order) for reproducible output."""
         out: list[SpanCore] = []
-        for ts, te, layers in self._layers():
+        for (ts, te), (labels, orders) in sorted(self._spans.items()):
             span = Interval(ts, te)
             members: set[int] = set()
             cores = []
-            for k, layer in layers:
+            for k, layer in _layers(labels, orders):
                 members.update(layer)
                 cores.append(SpanCore(order=k, span=span, members=frozenset(members)))
             out.extend(reversed(cores))
         return out
+
+
+def _layers(labels: dict[int, int], orders: list[int]) -> list[tuple[int, list[int]]]:
+    """Each stored order, highest first, paired with the members labelled
+    that order; the core of an order is the union of its layer and those
+    before it."""
+    grouped: dict[int, list[int]] = {k: [] for k in reversed(orders)}
+    for u, c in labels.items():
+        grouped[c].append(u)
+    return list(grouped.items())
 
 
 class DecompositionStats(SimpleNamespace):
@@ -174,7 +165,7 @@ class DecompositionStats(SimpleNamespace):
     route feeds the whole vertex set to every interval; the maximal scan
     counts each interval it visits, one it settles without a peel as 0, and
     a query-constrained scan visits no interval of a start where some query
-    vertex has no edge.  Community search adds the segmentation DP's
+    vertex has no edge.  Community search adds each segment's peel, the DP's
     candidate ends and the range queries it answered, one per (end, profile
     run, segment count).  Counters print and compare by value."""
 
@@ -203,7 +194,8 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
         while edges:
             if stats is not None:
                 stats.record(len(vertices))
-            out._store(ts, te, core_decomposition(vertices, edges))
+            coreness = core_decomposition(vertices, edges)
+            out._store(ts, te, {u: c for u, c in coreness.items() if c})
             if te == g.t_max:
                 break
             te += 1
@@ -266,7 +258,8 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
 
 def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
                      maximal: bool = False) -> int:
-    """Write one JSON record per core, sorted by (ts, te, k); returns record count.
+    """Write one JSON record per core to a text stream, sorted by (ts, te, k);
+    returns the record count.
 
     Each line is what ``json.dumps(record, sort_keys=True)`` gives for the
     record with keys ``k``, ``ts``, ``te``, ``size``, ``vertices`` (the
@@ -274,11 +267,11 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     lines come straight from each span's labelling: labels are sorted and
     JSON-encoded once per call, and a span's cores grow from its highest
     order down, one layer of label ranks merged in per order, so no per-core
-    member set or record dict is built.  A span that shares the previous
-    span's labelling reuses its rendered records, with only ``ts`` and
-    ``te`` changed.
+    member set or record dict is built.  A labelling is rendered once, and
+    each later span of the same start or the next that holds it reuses the
+    records with only ``ts`` and ``te`` changed: the enumeration shares a
+    labelling nowhere else, so it renders each distinct one once.
     """
-    stream = sink if hasattr(sink, "write") else open(sink, "w", encoding="utf-8")
     by_label = sorted(g.vertices, key=g.labels.__getitem__)
     rank = [0] * g.n
     for position, u in enumerate(by_label):
@@ -286,26 +279,30 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     encoded = [json.dumps(g.labels[u]) for u in by_label]
     flag = '"maximal": true, ' if maximal else ""
     count = 0
-    previous = None
+    # per start, id(labelling) -> (labelling, its records); holding the
+    # labelling keeps its id from being reused while it is cached
+    start, previous, current = None, {}, {}
     try:
-        for ts, te, layers in cores._layers():
-            if layers is not previous:
-                previous = layers
+        for (ts, te), (labels, orders) in sorted(cores._spans.items()):
+            if ts != start:
+                start, previous, current = ts, current, {}
+            cached = current.get(id(labels)) or previous.get(id(labels))
+            if cached is not None and cached[0] is labels:
+                records = cached[1]
+            else:
                 members: list[int] = []
                 records = []  # per core, the text before te and after ts
-                for k, layer in layers:
+                for k, layer in _layers(labels, orders):
                     members.extend(map(rank.__getitem__, layer))
                     members.sort()
                     records.append((f'{{"k": {k}, {flag}"size": {len(members)}, "te": ',
                                     f', "vertices": [{", ".join([encoded[r] for r in members])}]}}\n'))
                 records.reverse()
-            stream.write("".join([f'{head}{te}, "ts": {ts}{tail}' for head, tail in records]))
+            current[id(labels)] = (labels, records)
+            sink.write("".join([f'{head}{te}, "ts": {ts}{tail}' for head, tail in records]))
             count += len(records)
     except OSError as exc:
         raise OSError(f"failed writing span-cores to {getattr(sink, 'name', sink)}: {exc}") from exc
-    finally:
-        if stream is not sink:
-            stream.close()
     return count
 
 

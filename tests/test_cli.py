@@ -262,6 +262,13 @@ class TestProvenance:
         assert counters["candidate_ends"] > 0
         assert counters["dp_runs"] > 0
 
+    @pytest.mark.parametrize("extra", [[], ["--basic"]], ids=["tcs", "tcs-basic"])
+    def test_tcs_reports_its_peel_work(self, fix1_file, tmp_path, extra):
+        # the scan's or the enumeration's peels plus each segment's peel
+        counters = sidecar(fix1_file, tmp_path, ["tcs", "--q", "a", "--h", 2, *extra])["counters"]
+        assert counters["peel_vertices"] > 0
+        assert "intervals_processed" not in counters
+
     @pytest.mark.parametrize("extra", [[], ["--basic"], ["--minimize"]],
                              ids=["tcs", "tcs-basic", "tcs-minimize"])
     def test_tcs_reports_the_common_phases(self, fix1_file, tmp_path, extra):

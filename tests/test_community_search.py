@@ -54,6 +54,23 @@ class TestSingleTcs:
         with pytest.raises(ValueError):
             single_tcs(fix1, {99}, Interval(0, 0))
 
+    def test_records_its_peel(self, fix1):
+        # [1, 2] has the edge set {ab}: one peel of its two endpoints
+        stats = DecompositionStats()
+        single_tcs(fix1, {fix1.index_of("a")}, Interval(1, 2), stats)
+        assert stats == DecompositionStats(intervals_processed=1, peel_vertices=2)
+
+    def test_search_counts_each_segment_peel(self, corpus):
+        for g in corpus[:30]:
+            query = {0}
+            h = min(2, g.t_max + 1)
+            scan, search = DecompositionStats(), DecompositionStats()
+            query_constrained_scan(g, frozenset(query), scan)
+            solution = tcs_efficient(g, query, h, search)
+            segments = sum(len({u for e in g.interval_edges(seg.span) for u in e})
+                           for seg in solution.segments)
+            assert search.peel_vertices == scan.peel_vertices + segments
+
 
 class TestFullPenaltyTable:
     def test_fix1_query_a(self, fix1):

@@ -197,6 +197,27 @@ class TestSerialization:
             assert write_span_cores(cores, sink, g, maximal=maximal) == len(expected)
             assert sink.getvalue() == "".join(expected)
 
+    def test_each_labelling_rendered_once(self, fix1, corpus, monkeypatch):
+        # a labelling shared across starts, as FIX-1's [0,2], [1,2] and [2,2]
+        # share one, is grouped and rendered at its first span only
+        rendered = []
+        layers = span_cores_module._layers
+
+        def spy(labels, orders):
+            rendered.append(labels)
+            return layers(labels, orders)
+
+        spans = span_cores(fix1)._spans
+        assert spans[(0, 2)][0] is spans[(1, 2)][0] is spans[(2, 2)][0]
+        monkeypatch.setattr(span_cores_module, "_layers", spy)
+        for g in [fix1] + corpus[:40]:
+            cores = span_cores(g)
+            rendered.clear()
+            write_span_cores(cores, io.StringIO(), g)
+            distinct = {id(labels): labels for labels, _ in cores._spans.values()}
+            assert len(rendered) == len(distinct)
+            assert {id(labels) for labels in rendered} == set(distinct)
+
     def test_duplicate_key_rejected(self, fix1):
         cores = SpanCoreSet()
         cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 1})))
