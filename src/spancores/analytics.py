@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .community_search import _tcs_every_vertex
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
-                    UnknownLabelError, _decoded)
+                    UnknownLabelError, _opened)
 from .maximal_cores import maximal_span_cores
 from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
 
@@ -113,7 +113,7 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float,
     """
     if tr < 1:
         raise ParameterError("span threshold tr must be at least 1")
-    if ratio <= 1:
+    if not ratio > 1:  # NaN included
         raise ParameterError("edge-count ratio threshold must exceed 1")
 
     long_spans = [core.span for core in maximal_span_cores(g, stats)
@@ -191,6 +191,8 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         raise ParameterError("q_size must be at least 1")
     if q_size > g.n:
         raise ParameterError(f"cannot sample {q_size} query vertices from {g.n}")
+    if not 0 < p <= 1:  # NaN included
+        raise ParameterError("walk probability p must be within (0, 1]")
     rng = random.Random(seed)
     if q_size == 1:
         return {rng.randrange(g.n)}
@@ -255,17 +257,16 @@ def _next_active_timestamp(g: TemporalGraph, vertex: int, t: int) -> int:
 # -- attribute ingestion ---------------------------------------------------------------
 
 
-@_decoded()
 def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
-    """Read a two-column ``vertex_label attribute_value`` table keyed to graph vertices.
+    """Read a two-column ``vertex_label attribute_value`` table keyed to graph
+    vertices from a path (``.gz`` included), bytes or an open text stream.
 
     Unknown vertex labels are warned about and skipped; a line with fewer
     than two fields, or text that is not UTF-8, raises ``EdgeListFormatError``.
     """
-    stream = source if hasattr(source, "read") else open(source, "r", encoding="utf-8")
     attributes: dict[int, str] = {}
     unknown = 0
-    try:
+    with _opened(source) as stream:
         for lineno, line in enumerate(stream, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -278,9 +279,6 @@ def read_attribute_table(source, g: TemporalGraph) -> dict[int, str]:
                 attributes[g.index_of(label)] = value
             except UnknownLabelError:
                 unknown += 1
-    finally:
-        if stream is not source:
-            stream.close()
     if unknown:
         import logging
         logging.getLogger(__name__).warning(

@@ -10,20 +10,12 @@ neighbour index is built on the first ``neighbors`` call.  Instances are safe
 to share across threads: two threads racing on that first call only build the
 same index twice, and either copy serves every later call.
 
-``load_edge_list`` streams a raw edge list in chunks of whole lines.  A chunk
-of uniform rows is tokenized by one ``str.split``, with a sentinel token
-marking each line end, and read column-wise; any other chunk is parsed line
-by line, which keeps exact line numbers in errors.  Each chunk's records
-collapse into the distinct ``(window, u, v)`` contacts before the next chunk
-is read, so a load holds one chunk plus the distinct contacts, not every
-record.  Contact data meets
-the same pairs again and again, so a loaded graph holds one tuple object per
-distinct vertex pair, shared by every snapshot it occurs in: far fewer
-objects, and snapshot intersections match shared pairs by identity before
-comparing them.  A load builds tuples, lists, dicts and frozensets that never
-refer back to one another, so no collection during a load can free
-anything; the cyclic collector is paused while it runs instead of walking
-the growing heap hundreds of times.
+Contact data meets the same pairs again and again, so a loaded graph shares
+one tuple per distinct vertex pair across its snapshots: far fewer objects,
+and snapshot intersections match shared pairs by identity before comparing
+them.  A load builds no reference cycle, so a collection during it could
+free nothing; the cyclic collector is paused instead of walking the growing
+heap hundreds of times.
 """
 
 from __future__ import annotations
@@ -154,12 +146,13 @@ class TemporalGraph:
     ``snapshots[t]`` is a frozenset of canonically ordered vertex pairs; every
     timestamp in ``0..t_max`` has an entry, possibly empty.  External vertex
     labels map bijectively onto ``0..n-1``.  The per-timestamp neighbour
-    index behind ``neighbors`` is built on its first call, from each
-    snapshot's distinct edges in first-appearance order.
+    index behind ``neighbors`` is built on its first call; each neighbour
+    list ascends by id.  A snapshot given as a frozenset of canonical pairs
+    is kept as the same object.
     """
 
     __slots__ = ("n", "t_max", "snapshots", "labels", "dropped_self_loops",
-                 "_index", "_ordered", "_adjacency")
+                 "_index", "_adjacency")
 
     def __init__(self, snapshots: Sequence[Iterable[Edge]], labels: Sequence[str],
                  dropped_self_loops: int = 0):
@@ -172,27 +165,20 @@ class TemporalGraph:
             raise ValueError("vertex labels must be unique")
         self.dropped_self_loops = dropped_self_loops
 
-        # C-level passes check the pairs; only pairs not yet canonical take a
-        # Python loop, as does the error path
-        lists = [list(snapshot) for snapshot in snapshots]
-        if not all(starmap(lt, chain.from_iterable(lists))):
-            lists = [[(u, v) if u < v else (v, u) for u, v in pairs] for pairs in lists]
-            if not all(starmap(lt, chain.from_iterable(lists))):
-                _reject(lists, n)
-        ids = set(chain.from_iterable(chain.from_iterable(lists)))
-        if ids and (min(ids) < 0 or max(ids) >= n):
-            _reject(lists, n)
+        # C-level passes check the pairs; only a snapshot with pairs not yet
+        # canonical takes a Python loop, as does the error path
         empty: frozenset[Edge] = frozenset()
-        frozen: list[frozenset[Edge]] = []
-        ordered: list[tuple[Edge, ...]] = []
-        for pairs in lists:
-            distinct = frozenset(pairs) if pairs else empty
-            frozen.append(distinct)
-            # repeats, reversed ones included, collapse to their first appearance
-            ordered.append(tuple(pairs) if len(distinct) == len(pairs)
-                           else tuple(dict.fromkeys(pairs)))
+        frozen = [frozenset(snapshot) or empty for snapshot in snapshots]
+        if not all(starmap(lt, chain.from_iterable(frozen))):
+            frozen = [pairs if all(starmap(lt, pairs))
+                      else frozenset([(u, v) if u < v else (v, u) for u, v in pairs])
+                      for pairs in frozen]
+            if not all(starmap(lt, chain.from_iterable(frozen))):
+                _reject(frozen, n)
+        ids = set(chain.from_iterable(chain.from_iterable(frozen)))
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            _reject(frozen, n)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
-        self._ordered = tuple(ordered)
         self._adjacency: tuple[dict[int, list[int]], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
@@ -258,9 +244,9 @@ class TemporalGraph:
         return edges
 
     def neighbors(self, t: int, u: int) -> Sequence[int]:
-        """Neighbours of ``u`` at timestamp ``t``, in first-appearance edge order."""
+        """Neighbours of ``u`` at timestamp ``t``, ascending by id."""
         if self._adjacency is None:
-            self._adjacency = tuple(_adjacency(edges) for edges in self._ordered)
+            self._adjacency = tuple(_adjacency(sorted(edges)) for edges in self.snapshots)
         return self._adjacency[t].get(u, ())
 
     def induced_degree(self, interval: Interval, members: frozenset[int] | set[int], u: int) -> int:
@@ -321,24 +307,23 @@ work dominates.
 """
 
 
-def _open_source(source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".gz":
-            import gzip
-            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    return source
-
-
 @contextmanager
-def _decoded():
-    """Raise a ``UnicodeDecodeError`` of the block (or, as a decorator, the
-    call) as ``EdgeListFormatError``: a line-oriented input must be UTF-8."""
+def _opened(source) -> Iterator[IO[str]]:
+    """``source`` as a UTF-8 text stream: a path (``.gz`` is decompressed),
+    bytes, or an open text stream, which is left open.  Text that is not
+    UTF-8 raises ``EdgeListFormatError``: a line-oriented input must be UTF-8."""
     try:
-        yield
+        if isinstance(source, (bytes, bytearray)):
+            yield io.StringIO(source.decode("utf-8"))
+        elif not isinstance(source, (str, Path)):
+            yield source
+        elif Path(source).suffix == ".gz":
+            import gzip
+            with gzip.open(source, "rt", encoding="utf-8") as stream:
+                yield stream
+        else:
+            with open(source, encoding="utf-8") as stream:
+                yield stream
     except UnicodeDecodeError as exc:
         raise EdgeListFormatError(
             f"input is not UTF-8 text: {exc.reason} "
@@ -437,7 +422,6 @@ def _collector_paused():
 
 
 @_collector_paused()
-@_decoded()
 def load_edge_list(source, window: int, time_origin: int | None = None,
                    pre_windowed: bool = False,
                    timings: dict | None = None) -> TemporalGraph:
@@ -445,24 +429,23 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
 
     Raw times are bucketed into contiguous windows of equal width starting at
     ``time_origin`` (default: the minimum raw time seen).  With
-    ``pre_windowed`` the first column is taken verbatim as the timestamp
-    index and ``window`` is ignored.
+    ``pre_windowed`` the first column is the timestamp index itself: the
+    load runs with window 1 from origin 0, whatever ``window`` says.
 
     Repeated contacts of the same pair within one window collapse to a single
-    edge, and the first record of each pair decides its order: vertex labels
-    are indexed in order of first appearance, and ``neighbors`` lists follow
-    the order in which each window's distinct edges first appear.  Self-loop
-    records are dropped; their count, repeats included, is kept on the graph
-    as ``dropped_self_loops``.
+    edge, and vertex labels are indexed in order of first appearance, window
+    by window.  Self-loop records are dropped; their count, repeats included,
+    is kept on the graph as ``dropped_self_loops``.
 
-    The source is read in chunks of about ``CHUNK_CHARS`` characters that end
-    at a line end.  A chunk whose lines all hold the same number of fields (at
-    least 3), with no ``#`` or NUL, is split in one pass and read
-    column-wise, commas and CRLF line ends included; any other chunk is
-    parsed line by line.  Either way each distinct time text is converted
-    once, and maps straight to its window.  A malformed line raises
-    ``EdgeListFormatError`` with its line number, before the time origin or
-    the time domain is checked; input that is not UTF-8 text raises it too.
+    The source, a path (``.gz`` included), bytes or an open text stream, is
+    read in chunks of about ``CHUNK_CHARS`` characters that end at a line end.
+    A chunk whose lines all hold the same number of fields (at least 3), with
+    no ``#`` or NUL, is split in one pass and read column-wise, commas and
+    CRLF line ends included; any other chunk is parsed line by line.  Either
+    way each distinct time text is converted once, and maps straight to its
+    window.  A malformed line raises ``EdgeListFormatError`` with its line
+    number, before the time origin or the time domain is checked; input that
+    is not UTF-8 text raises it too.
     Each chunk's records collapse into the distinct ``(window, u, v)``
     contacts seen so far as soon as it is read, so memory is bounded by one
     chunk plus the distinct contacts, not by the record count.  Without
@@ -478,20 +461,21 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     ``timings`` is given, it receives the seconds spent reading (``parse``)
     and building the graph (``build``).
     """
-    if not pre_windowed and window <= 0:
+    if pre_windowed:
+        window, time_origin = 1, 0
+    elif window <= 0:
         raise ParameterError("window must be a positive duration")
     tick = time.perf_counter()
     keys: dict[tuple[int, str, str], None] = {}
     # without an origin, records wait as raw-time columns until the minimum is known
-    deferred = time_origin is None and not pre_windowed
+    deferred = time_origin is None
     raw_times: list[int] = []
     raw_us: list[str] = []
     raw_vs: list[str] = []
     canonical: dict[str, str] = {}
     intern = canonical.setdefault
     dropped, low, high = 0, None, None
-    stream = _open_source(source)
-    try:
+    with _opened(source) as stream:
         for lineno, chunk in _chunks(stream):
             times, raw, us, vs = _uniform_columns(chunk) or _parse_lines(chunk, lineno)
             if not times:
@@ -506,22 +490,15 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
                 raw_us += us
                 raw_vs += vs
                 continue
-            window_of = raw if pre_windowed else {
-                text: (t - time_origin) // window for text, t in raw.items()}
+            window_of = {text: (t - time_origin) // window for text, t in raw.items()}
             keys.update(dict.fromkeys(zip(map(window_of.__getitem__, times), us, vs)))
-    finally:
-        if stream is not source:
-            stream.close()
     if low is None:
         raise EdgeListFormatError("empty edge list: graph must have at least one timestamp")
 
-    if pre_windowed:
-        t_max = high
-    else:
-        origin = low if time_origin is None else time_origin
-        if low < origin:
-            raise EdgeListFormatError(f"record at raw time {low} precedes time origin {origin}")
-        t_max = (high - origin) // window
+    origin = low if deferred else time_origin
+    if low < origin:
+        raise EdgeListFormatError(f"record at raw time {low} precedes time origin {origin}")
+    t_max = (high - origin) // window
     if t_max >= MAX_TIMESTAMPS:
         raise EdgeListFormatError(
             f"time domain of {t_max + 1} windows exceeds the limit of {MAX_TIMESTAMPS}")

@@ -25,7 +25,7 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
-from .graph import Interval, TemporalGraph, _Record
+from .graph import Interval, TemporalGraph, _opened, _Record
 from .static_core import core_decomposition
 
 
@@ -307,10 +307,10 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
 
 
 def read_span_cores(source, g: TemporalGraph) -> SpanCoreSet:
-    """Read back records produced by ``write_span_cores``."""
-    stream = source if hasattr(source, "read") else open(source, "r", encoding="utf-8")
+    """Read back records produced by ``write_span_cores`` from a path (``.gz``
+    included), bytes or an open text stream."""
     out = SpanCoreSet()
-    try:
+    with _opened(source) as stream:
         for line in stream:
             if not line.strip():
                 continue
@@ -319,7 +319,4 @@ def read_span_cores(source, g: TemporalGraph) -> SpanCoreSet:
             out.add(SpanCore(order=record["k"],
                              span=Interval(record["ts"], record["te"]),
                              members=members))
-    finally:
-        if stream is not source:
-            stream.close()
     return out

@@ -189,8 +189,8 @@ def benchmark_graph(n: int = 2000, t: int = 100, seed: int = 7) -> TemporalGraph
 
 
 def reference_load(text, window, time_origin=None, pre_windowed=False):
-    """Labels, snapshots, dropped self-loops and neighbour lists, computed one
-    record at a time from the lines between line feeds."""
+    """Labels, snapshots, dropped self-loops and neighbour lists (ascending
+    by id), computed one record at a time from the lines between line feeds."""
     records = []
     for line in text.split("\n"):
         line = line.strip()
@@ -221,7 +221,7 @@ def reference_load(text, window, time_origin=None, pre_windowed=False):
                 adj.setdefault(e[0], []).append(e[1])
                 adj.setdefault(e[1], []).append(e[0])
         snapshots.append(frozenset(edges))
-        adjacency.append(adj)
+        adjacency.append({u: sorted(vs) for u, vs in adj.items()})
     return tuple(labels), tuple(snapshots), dropped, adjacency
 
 

@@ -1,9 +1,11 @@
+import gzip
 import random
 import statistics
 
 import pytest
 
 from spancores import (
+    EdgeListFormatError,
     Interval,
     SpanCore,
     TemporalGraph,
@@ -19,6 +21,8 @@ from spancores import (
     span_length_distribution,
     tcs_embeddings,
 )
+
+from spancores.graph import ParameterError
 
 from conftest import per_vertex_rows, random_temporal_graph, stress_cases
 
@@ -150,6 +154,9 @@ class TestAnomalyDetection:
                     assert report.edge_counts[t][1] == len(untouched)
                 else:
                     assert report.filtered.snapshots[t] == untouched
+                if not bad and t not in wiped and g.snapshots[t]:
+                    # an untouched snapshot is shared, not copied
+                    assert report.filtered.snapshots[t] is g.snapshots[t]
 
     def test_counts_never_increase(self, corpus):
         for g in corpus[:10]:
@@ -162,6 +169,10 @@ class TestAnomalyDetection:
             detect_anomalies(fix1, tr=0, ratio=1.5)
         with pytest.raises(ValueError):
             detect_anomalies(fix1, tr=5, ratio=1.0)
+
+    def test_nan_ratio_rejected(self, fix1):
+        with pytest.raises(ParameterError, match="ratio"):
+            detect_anomalies(fix1, tr=5, ratio=float("nan"))
 
 
 class TestEmbeddings:
@@ -226,6 +237,12 @@ class TestQuerySampling:
         with pytest.raises(ValueError):
             sample_query_vertices(fix1, 0)
 
+    @pytest.mark.parametrize("p", [0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("q_size", [1, 2])
+    def test_p_outside_unit_interval_rejected_before_walking(self, fix1, q_size, p):
+        with pytest.raises(ParameterError, match="walk probability p"):
+            sample_query_vertices(fix1, q_size, p=p)
+
 
 class TestNullModelContrast:
     def test_reshuffling_shortens_spans_in_distribution(self):
@@ -264,3 +281,16 @@ class TestAttributeTable:
         path.write_text("a\n")
         with pytest.raises(ValueError):
             read_attribute_table(path, fix1)
+
+    def test_reads_gzip_and_bytes(self, fix1, tmp_path):
+        text = "a F\nb F\nc M\nghost X\n"
+        packed = tmp_path / "attrs.txt.gz"
+        with gzip.open(packed, "wt") as fh:
+            fh.write(text)
+        expected = {fix1.index_of("a"): "F", fix1.index_of("b"): "F", fix1.index_of("c"): "M"}
+        assert read_attribute_table(packed, fix1) == expected
+        assert read_attribute_table(text.encode(), fix1) == expected
+
+    def test_undecodable_table_is_a_format_error(self, fix1):
+        with pytest.raises(EdgeListFormatError, match="not UTF-8 text.*0xff"):
+            read_attribute_table(b"a F\nb \xff\n", fix1)

@@ -421,10 +421,14 @@ class TestErrorHandling:
         ["embed", "--h", 9],
         ["anomalies", "--tr", 0, "--ratio", 1.5],
         ["anomalies", "--tr", 5, "--ratio", 1],
+        ["anomalies", "--tr", 5, "--ratio", "nan"],
         ["sample-queries", "--q-size", 0],
         ["sample-queries", "--q-size", 5],
         ["sample-queries", "--q-size", 2, "--pool", 1],
-    ], ids=["h", "tr", "ratio", "q-size", "q-size-over-n", "pool"])
+        ["sample-queries", "--q-size", 2, "--p", 0],
+        ["sample-queries", "--q-size", 2, "--p", "nan"],
+    ], ids=["h", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool", "p-zero",
+            "p-nan"])
     def test_parameter_out_of_range_is_usage_error(self, fix1_file, tmp_path, argv, capsys):
         outdir = tmp_path / "out"
         outdir.mkdir()

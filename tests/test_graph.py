@@ -414,10 +414,17 @@ class TestConstruction:
         assert list(g.neighbors(0, 1)) == [0, 2]
         assert not g.neighbors(1, 1)
 
-    def test_repeated_and_reversed_edges_collapse_in_first_appearance_order(self):
-        g = TemporalGraph([[(2, 1), (0, 1), (1, 2), (1, 0), (3, 1)]], list("abcd"))
-        assert g.snapshots[0] == frozenset({(1, 2), (0, 1), (1, 3)})
-        assert list(g.neighbors(0, 1)) == [2, 0, 3]
+    def test_repeated_and_reversed_edges_collapse_ascending(self):
+        g = TemporalGraph([[(2, 1), (3, 1), (0, 1), (1, 2), (1, 0), (3, 2)]], list("abcd"))
+        assert g.snapshots[0] == frozenset({(1, 2), (0, 1), (1, 3), (2, 3)})
+        assert list(g.neighbors(0, 1)) == [0, 2, 3]
+        assert list(g.neighbors(0, 2)) == [1, 3]
+
+    def test_canonical_frozenset_snapshot_kept_as_is(self):
+        canonical, reversed_ = frozenset({(0, 1), (1, 2)}), frozenset({(1, 0)})
+        g = TemporalGraph([canonical, reversed_], list("abc"))
+        assert g.snapshots[0] is canonical
+        assert g.snapshots[1] == frozenset({(0, 1)})
 
     def test_unknown_label_raises_its_own_key_error(self):
         g = TemporalGraph([[(0, 1)]], ["a", "b"])

@@ -208,6 +208,9 @@ def test_loader_matches_reference(case):
     text, kwargs = case
     expected = reference_load(text, **kwargs)
     assert loaded(load_edge_list(text.encode(), **kwargs)) == expected
+    if kwargs.get("pre_windowed"):
+        # pre-windowed means window 1 from origin 0
+        assert loaded(load_edge_list(text.encode(), window=1, time_origin=0)) == expected
     # chunks of a line or two: column-wise and line-by-line chunks in one text
     with mock.patch.object(graph_module, "CHUNK_CHARS", 24):
         assert loaded(load_edge_list(text.encode(), **kwargs)) == expected

@@ -1,3 +1,4 @@
+import gzip
 import importlib
 import io
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from spancores import (
     DecompositionStats,
+    EdgeListFormatError,
     Interval,
     SpanCore,
     SpanCoreSet,
@@ -170,6 +172,22 @@ class TestSerialization:
         sink = io.StringIO()
         write_span_cores(cores, sink, fix1)
         assert read_span_cores(io.StringIO(sink.getvalue()), fix1) == cores
+
+    def test_reads_paths_gzip_and_bytes(self, fix1, tmp_path):
+        cores = span_cores(fix1)
+        sink = io.StringIO()
+        write_span_cores(cores, sink, fix1)
+        text = sink.getvalue()
+        plain, packed = tmp_path / "cores.jsonl", tmp_path / "cores.jsonl.gz"
+        plain.write_text(text)
+        with gzip.open(packed, "wt") as fh:
+            fh.write(text)
+        for source in (plain, str(packed), text.encode()):
+            assert read_span_cores(source, fix1) == cores
+
+    def test_undecodable_records_are_a_format_error(self, fix1):
+        with pytest.raises(EdgeListFormatError, match="not UTF-8 text.*0xff"):
+            read_span_cores(b'{"k": 1, "ts": 0, "te": 0, "vertices": ["\xff"]}\n', fix1)
 
     def test_maximal_flag_present(self, fix1):
         import json
