@@ -184,8 +184,8 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     forward, wrapping at the domain end, to the next timestamp where the
     current vertex has a neighbor), otherwise it stays and time advances.
     Visits accumulate until ``pool_size`` distinct vertices (default
-    ``3 * q_size``) are seen, then ``q_size`` distinct vertices are drawn with
-    probability proportional to visit frequency.
+    ``3 * q_size``, capped at ``g.n``) are seen, then ``q_size`` distinct
+    vertices are drawn with probability proportional to visit frequency.
     """
     if q_size < 1:
         raise ParameterError("q_size must be at least 1")
@@ -193,15 +193,15 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         raise ParameterError(f"cannot sample {q_size} query vertices from {g.n}")
     if not 0 < p <= 1:  # NaN included
         raise ParameterError("walk probability p must be within (0, 1]")
+    pool = min(3 * q_size, g.n) if pool_size is None else pool_size
+    if not q_size <= pool <= g.n:  # a larger pool could never fill
+        raise ParameterError(f"pool size must be within q_size..{g.n}")
     rng = random.Random(seed)
     if q_size == 1:
         return {rng.randrange(g.n)}
     if g.temporal_edge_count() == 0:
         raise ParameterError("cannot sample interacting vertices from an edgeless graph")
 
-    pool = pool_size if pool_size is not None else 3 * q_size
-    if pool < q_size:
-        raise ParameterError("pool size must be at least q_size")
     step_limit = max(10_000, 200 * pool * (g.t_max + 1))
 
     current = rng.randrange(g.n)

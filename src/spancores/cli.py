@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-size", type=int, required=True)
     p.add_argument("--p", type=float, default=0.8, help="walk continuation probability")
     p.add_argument("--pool", type=int, default=None,
-                   help="visited-pool size (default 3 * q_size)")
+                   help="visited-pool size, at most the vertex count (default 3 * q_size, capped)")
     p.add_argument("--seed", default="0")
 
     return parser

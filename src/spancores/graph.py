@@ -277,11 +277,12 @@ class TemporalGraph:
         if not current:
             return ()
         groups: list[frozenset[Edge]] = []
+        empty: frozenset[Edge] = frozenset()
         for t in range(start + 1, self.t_max + 1):
             shrunk = current & self.snapshots[t]
             if not shrunk:
                 break
-            groups.append(current - shrunk)
+            groups.append(current - shrunk if len(shrunk) < len(current) else empty)
             current = shrunk
         groups.append(current)
         return tuple(groups)
@@ -309,12 +310,12 @@ work dominates.
 
 @contextmanager
 def _opened(source) -> Iterator[IO[str]]:
-    """``source`` as a UTF-8 text stream: a path (``.gz`` is decompressed),
-    bytes, or an open text stream, which is left open.  Text that is not
-    UTF-8 raises ``EdgeListFormatError``: a line-oriented input must be UTF-8."""
+    """``source`` as a UTF-8 text stream: a path (``.gz`` is decompressed) or
+    bytes, read with universal newlines, or an open text stream, left open.
+    Text that is not UTF-8 raises ``EdgeListFormatError``."""
     try:
         if isinstance(source, (bytes, bytearray)):
-            yield io.StringIO(source.decode("utf-8"))
+            yield io.StringIO(source.decode("utf-8"), newline=None)
         elif not isinstance(source, (str, Path)):
             yield source
         elif Path(source).suffix == ".gz":

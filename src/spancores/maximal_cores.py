@@ -8,13 +8,15 @@ innermost-core orders (one per end timestamp carried across starts, one
 rolling within the current start) whose maximum is a lower bound: an interval
 can only contribute a maximal core of strictly higher order.  A vertex whose
 interval degree does not exceed the bound can belong to no such core, so the
-peel runs only on the vertices above it, and is skipped outright when there
-are none (or, for a query, when some query vertex is not among them).
+peel runs only on the vertices above it, and is skipped outright when they
+are too few, or share too few edges, to hold a core of order bound + 1 (or,
+for a query, when some query vertex is not among them).  Ends where no edge
+leaves are not walked at all: they share the cores of the next end above.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, pairwise, repeat
 from typing import Collection
 
 from .graph import Edge, Interval, ParameterError, TemporalGraph
@@ -46,66 +48,70 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     """Top-down maximal-core scan over the cores containing ``query_set``
     (every interval's innermost core when it is empty).
 
-    For each start, interval ends run from the last end with a nonempty edge
-    set down to the start itself; the interval edge set is rebuilt by adding
-    back each end's edge group (``TemporalGraph.edge_shrinkage``), and the
-    degrees of their endpoints and the highest of them, ``top``, grow
-    alongside.  Every vertex of a core of order above ``bound`` has degree
-    above ``bound``, so an interval where ``top`` is not above it, or where
-    some query vertex is not, has order 0 there without a peel.  Neither
-    is an interval peeled whose edge set equals that of ``[ts, te + 1]``
-    or ``[ts - 1, te]``.  A start where some query vertex has no edge is
-    skipped whole: that vertex has degree 0 on every ``[ts, te]``, so every
-    order there is 0 and neither frontier moves.
+    For each start, the scan visits the ends whose edge group
+    (``TemporalGraph.edge_shrinkage``) is nonempty, from the last down to the
+    start, and adds each group back to rebuild the interval edge set, the
+    degrees of its endpoints and the highest of them, ``top``.  A skipped end
+    has the edge set and cores of the visit above it: it counts as an
+    interval settled without a peel, and its frontier entry takes the same
+    running maximum.  A core of order ``k = bound + 1`` has at least ``k + 1``
+    vertices of degree above ``bound`` and ``k(k + 1)/2`` edges between them.
+    Where these vertices (the seed) cannot hold that, or miss a query vertex,
+    the true order is at most ``bound = max(frontier[te], rolling)``, so it
+    is left at 0 without a peel and neither frontier moves.  Nor is an
+    interval peeled whose edge set equals that of ``[ts - 1, te]``.  A start
+    where some query vertex has no edge is skipped whole: every order is 0.
     """
     found: list[SpanCore] = []
     # highest innermost-core order seen for [previous start, t], per end t
     frontier = [0] * (g.t_max + 1)
-    previous: dict[int, int] = {}  # |E[ts - 1, te]| per end te
+    previous: dict[int, int] = {}  # |E[ts - 1, te]| per end te visited at ts - 1
 
     for ts in range(g.t_max + 1):
         if query_set and not query_set <= set(chain.from_iterable(g.snapshots[ts])):
             previous = {}
             continue
         groups = g.edge_shrinkage(ts)
+        if stats is not None:
+            stats.intervals_processed += len(groups)
         counts: dict[int, int] = {}
         degree: dict[int, int] = {}
-        top = 0
+        top = 0  # highest degree: a refilled edge raises it by one at most
         current_edges: list[Edge] = []
         rolling = 0  # innermost order of [ts, te + 1], possibly understated (see below)
-        for te in range(ts + len(groups) - 1, ts - 1, -1):
+        ends = compress(range(ts + len(groups) - 1, ts - 1, -1), reversed(groups))
+        for te, below in pairwise(chain(ends, [ts - 1])):
             refill = groups[te - ts]
             current_edges.extend(refill)
             for u, v in refill:
                 du = degree[u] = degree.get(u, 0) + 1
                 dv = degree[v] = degree.get(v, 0) + 1
-                top = max(top, du, dv)
+                if du > top or dv > top:
+                    top += 1
             counts[te] = len(current_edges)
             bound = max(frontier[te], rolling)
-            order = peeled = 0
-            # No refill means E[ts, te] = E[ts, te + 1], and as many edges as
-            # [ts - 1, te] means E[ts, te] = E[ts - 1, te].  Either way the
-            # interval is dominated by one with the same cores, and
-            # max(frontier[te], rolling) already covers its order, because
-            # the previous start's frontier is non-increasing in t.
-            if (refill and counts[te] != previous.get(te) and top > bound
-                    and all(degree.get(q, 0) > bound for q in query_set)):
-                seed = {u for u, d in degree.items() if d > bound}
-                peeled = len(seed)
-                coreness = core_decomposition(
-                    seed, [e for e in current_edges if e[0] in seed and e[1] in seed])
+            order = 0
+            # As many edges as [ts - 1, te] means E[ts, te] = E[ts - 1, te]:
+            # the interval is dominated by one with the same cores, and
+            # frontier[te] already covers its order.
+            if (counts[te] != previous.get(te) and top > bound
+                    and all(degree.get(q, 0) > bound for q in query_set)
+                    and len(seed := {u for u, d in degree.items() if d > bound}) > bound + 1
+                    and 2 * len(inner := [e for e in current_edges if e[0] in seed and e[1] in seed])
+                    >= (bound + 1) * (bound + 2)):
+                if stats is not None:
+                    stats.peel_vertices += len(seed)
+                coreness = core_decomposition(seed, inner)
                 order = (min(coreness[q] for q in query_set) if query_set
                          else max(coreness.values()))
                 if order > bound:
                     found.append(SpanCore(order=order, span=Interval(ts, te), members=frozenset(
                         u for u, c in coreness.items() if c >= order)))
-            if stats is not None:
-                stats.record(peeled)
             # The restricted peel can understate the interval's true innermost
             # order (never below the bound it was cut at); taking the running
             # maximum keeps both frontiers exact.
             rolling = max(rolling, order)
-            frontier[te] = max(frontier[te], rolling)
+            frontier[below + 1:te + 1] = map(max, frontier[below + 1:te + 1], repeat(rolling))
         previous = counts
     return found
 

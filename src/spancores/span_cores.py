@@ -163,8 +163,9 @@ class DecompositionStats(SimpleNamespace):
     subroutine.  The seeded enumeration counts only the peels it runs, one
     per distinct interval edge set, each fed that set's endpoints; the naive
     route feeds the whole vertex set to every interval; the maximal scan
-    counts each interval it visits, one it settles without a peel as 0, and
-    a query-constrained scan visits no interval of a start where some query
+    counts each interval it visits, one it settles without a peel (its seed
+    too small or too sparse, or its end walked past) as 0, and a
+    query-constrained scan visits no interval of a start where some query
     vertex has no edge.  Community search adds each segment's peel, the DP's
     candidate ends and the range queries it answered, one per (end, profile
     run, segment count).  Counters print and compare by value."""

@@ -1,4 +1,5 @@
 import gzip
+import logging
 import random
 import statistics
 
@@ -243,6 +244,32 @@ class TestQuerySampling:
         with pytest.raises(ParameterError, match="walk probability p"):
             sample_query_vertices(fix1, q_size, p=p)
 
+    @pytest.mark.parametrize("q_size", [1, 2])
+    def test_pool_above_vertex_count_rejected_before_walking(self, fix1, monkeypatch, q_size):
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(TemporalGraph, "neighbors", no_walk)
+        with pytest.raises(ParameterError, match="pool size"):
+            sample_query_vertices(fix1, q_size, pool_size=fix1.n + 1)
+
+    def test_default_pool_capped_at_vertex_count(self, fix1, monkeypatch, caplog):
+        # FIX-1 has 4 vertices, fewer than the default pool of 3 * 2: the walk
+        # stops once it has seen all 4, not after its 10,000-step budget
+        steps = []
+        neighbors = TemporalGraph.neighbors
+
+        def counting(self, t, u):
+            steps.append(t)
+            return neighbors(self, t, u)
+
+        monkeypatch.setattr(TemporalGraph, "neighbors", counting)
+        with caplog.at_level(logging.WARNING):
+            for seed in range(20):
+                assert len(sample_query_vertices(fix1, 2, seed=seed)) == 2
+        assert "stopped early" not in caplog.text
+        assert len(steps) < 20 * 100
+
 
 class TestNullModelContrast:
     def test_reshuffling_shortens_spans_in_distribution(self):
@@ -290,6 +317,16 @@ class TestAttributeTable:
         expected = {fix1.index_of("a"): "F", fix1.index_of("b"): "F", fix1.index_of("c"): "M"}
         assert read_attribute_table(packed, fix1) == expected
         assert read_attribute_table(text.encode(), fix1) == expected
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_every_source_reads_universal_newlines(self, fix1, tmp_path, ending):
+        data = ending.join(["a F", "b F", "c M", ""]).encode()
+        plain, packed = tmp_path / "attrs.txt", tmp_path / "attrs.txt.gz"
+        plain.write_bytes(data)
+        packed.write_bytes(gzip.compress(data))
+        expected = {fix1.index_of("a"): "F", fix1.index_of("b"): "F", fix1.index_of("c"): "M"}
+        assert [read_attribute_table(source, fix1) for source in (plain, packed, data)] == \
+            [expected] * 3
 
     def test_undecodable_table_is_a_format_error(self, fix1):
         with pytest.raises(EdgeListFormatError, match="not UTF-8 text.*0xff"):

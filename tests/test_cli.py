@@ -425,10 +425,11 @@ class TestErrorHandling:
         ["sample-queries", "--q-size", 0],
         ["sample-queries", "--q-size", 5],
         ["sample-queries", "--q-size", 2, "--pool", 1],
+        ["sample-queries", "--q-size", 2, "--pool", 5],
         ["sample-queries", "--q-size", 2, "--p", 0],
         ["sample-queries", "--q-size", 2, "--p", "nan"],
-    ], ids=["h", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool", "p-zero",
-            "p-nan"])
+    ], ids=["h", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool", "pool-over-n",
+            "p-zero", "p-nan"])
     def test_parameter_out_of_range_is_usage_error(self, fix1_file, tmp_path, argv, capsys):
         outdir = tmp_path / "out"
         outdir.mkdir()

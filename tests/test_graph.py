@@ -175,6 +175,18 @@ class TestLoader:
             assert all(a.neighbors(t, u) == b.neighbors(t, u)
                        for t in range(a.t_max + 1) for u in a.vertices)
 
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_every_source_reads_universal_newlines(self, tmp_path, ending):
+        data = ending.join(["0 a b", "1 c d", "1 a c", ""]).encode()
+        plain, packed = tmp_path / "contacts.txt", tmp_path / "contacts.txt.gz"
+        plain.write_bytes(data)
+        packed.write_bytes(gzip.compress(data))
+        graphs = [load_edge_list(source, window=1, pre_windowed=True)
+                  for source in (plain, packed, data)]
+        assert [(g.labels, g.snapshots) for g in graphs] == [
+            (("a", "b", "c", "d"), (edges_by_labels(graphs[0], [("a", "b")]),
+                                    edges_by_labels(graphs[0], [("c", "d"), ("a", "c")])))] * 3
+
     def test_only_line_feeds_end_records(self):
         # a form feed is whitespace to split(), not a line end: "1 c d" is extra columns
         g = load_edge_list(b"0 a b\x0c1 c d\n2 e f\n", window=1, pre_windowed=True)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 from spancores import (
     DecompositionStats,
     Interval,
@@ -91,16 +94,18 @@ class TestDirectScan:
 
     def test_fix1_scan_trace(self, fix1):
         # hand-derived walkthrough: start 0 peels [0,2] with seed {a,b}, then
-        # [0,1] with seed {a,b,c}, then [0,0] where the bound already reached 2
-        # and only c keeps degree above it; later starts find empty seeds
+        # [0,1] with seed {a,b,c}; at [0,0] the bound already reached 2 and
+        # only c keeps degree above it, and one vertex cannot hold a 3-core,
+        # so it is settled without a peel; later starts find empty seeds
         stats = DecompositionStats()
         result = maximal_span_cores(fix1, stats)
         assert stats.intervals_processed == 6
-        assert stats.peel_vertices == 2 + 3 + 1
+        assert stats.peel_vertices == 2 + 3
         assert len(result) == 2
 
     def test_fix1_peels_only_above_the_bound(self, fix1, monkeypatch):
-        # only start 0's intervals peel; at every later one no vertex's
+        # only start 0's [0,2] and [0,1] peel: [0,0]'s seed {c} at bound 2
+        # is too small for a 3-core, and at every later start no vertex's
         # degree exceeds the bound set by the cores already found
         peeled = []
 
@@ -111,7 +116,7 @@ class TestDirectScan:
         for module in (static_core, maximal_cores):
             monkeypatch.setattr(module, "core_decomposition", counting)
         maximal_span_cores(fix1)
-        assert peeled == [2, 3, 1]
+        assert peeled == [2, 3]
 
     def test_repeated_snapshot_skips_the_dominated_peels(self, fix1, monkeypatch):
         # FIX-1's first snapshot twice: the triangle abc with pendant cd.
@@ -131,6 +136,71 @@ class TestDirectScan:
         assert peeled == [4]
         assert (stats.intervals_processed, stats.peel_vertices) == (3, 4)
         assert [(c.order, c.span) for c in result] == [(2, Interval(0, 1))]
+
+
+def clique_episodes(seed):
+    """A graph of K3-K6 clique episodes over up to 40 timestamps, with a few
+    background pairs per timestamp, and a query of 1-3 vertices."""
+    rng = random.Random(seed)
+    n, t = rng.randint(6, 16), rng.randint(1, 40)
+    snapshots = [[] for _ in range(t)]
+    for _ in range(rng.randint(1, 8)):
+        members = rng.sample(range(n), rng.randint(3, 6))
+        start = rng.randrange(t)
+        for s in range(start, min(t, start + rng.randint(1, t))):
+            snapshots[s] += combinations(sorted(members), 2)
+    for snapshot in snapshots:
+        snapshot += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+    g = TemporalGraph(snapshots, [f"v{i}" for i in range(n)])
+    return g, frozenset(rng.sample(range(n), rng.randint(1, 3)))
+
+
+class TestSizePrune:
+    """At bound b a core of order b + 1 needs b + 2 vertices of degree above
+    b and (b + 1)(b + 2) / 2 edges between them; a seed short of either is
+    settled without a peel."""
+
+    @staticmethod
+    def peeled_seeds(g, monkeypatch):
+        seeds = []
+
+        def recording(vertices, edges):
+            seeds.append(set(vertices))
+            return core_decomposition(vertices, edges)
+
+        monkeypatch.setattr(maximal_cores, "core_decomposition", recording)
+        stats = DecompositionStats()
+        assert maximal_span_cores(g, stats) == filter_maximal(naive_span_cores(g))
+        return seeds, stats
+
+    def test_too_few_seed_vertices(self, monkeypatch):
+        # the triangle 0-1-2 over [0,1] sets bound 2 at [0,0], where a star
+        # from 0 gives 0 alone degree above 2: one vertex cannot hold a 3-core
+        triangle, star = [(0, 1), (0, 2), (1, 2)], [(0, 3), (0, 4), (0, 5)]
+        g = TemporalGraph([[*triangle, *star], triangle],
+                          [f"v{i}" for i in range(6)])
+        seeds, stats = self.peeled_seeds(g, monkeypatch)
+        assert seeds == [{0, 1, 2}]
+        assert (stats.intervals_processed, stats.peel_vertices) == (3, 3)
+
+    def test_too_few_seed_edges(self, monkeypatch):
+        # the triangle 6-7-8 over [0,1] sets bound 2 at [0,0], where the
+        # 4-cycle 0-1-2-3 with a leaf on each vertex gives all four degree 3:
+        # enough vertices for a 3-core, but 4 edges between them, not 6
+        triangle, cycle = [(6, 7), (6, 8), (7, 8)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+        leaves = [(0, 10), (1, 11), (2, 12), (3, 13)]
+        g = TemporalGraph([[*triangle, *cycle, *leaves], triangle],
+                          [f"v{i}" for i in range(14)])
+        seeds, stats = self.peeled_seeds(g, monkeypatch)
+        assert seeds == [{6, 7, 8}]
+        assert (stats.intervals_processed, stats.peel_vertices) == (3, 3)
+
+    def test_clique_episodes_over_wide_domains(self):
+        for seed in range(100):
+            g, query = clique_episodes(seed)
+            assert maximal_span_cores(g) == filter_maximal(naive_span_cores(g)), seed
+            assert SpanCoreSet(iter(query_constrained_scan(g, query))) == \
+                definitional_query_maximal(g, query), seed
 
 
 class TestQueryScan:
