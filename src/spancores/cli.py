@@ -386,16 +386,19 @@ def _cmd_embed(run: _Run, g: TemporalGraph):
 
 def _cmd_stats(run: _Run, g: TemporalGraph):
     args = run.args
+    stats = DecompositionStats()
     if args.report == "activity":
         header = "start\tspan_length\tmax_order"
         rows = _timed(run, "solve", lambda: [
             f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
-            for cell in analytics.activity_summary(span_cores(g), min_span=args.min_span)])
+            for cell in analytics.activity_summary(span_cores(g, stats), min_span=args.min_span)])
+        # only the enumeration's count: the maximal scan counts its intervals otherwise
+        run.counters["intervals_processed"] = stats.intervals_processed
     elif args.report == "span-length":
         header = "span_length\tcount\tpercent"
         rows = _timed(run, "solve", lambda: [
             f"{row.length}\t{row.count}\t{row.percent:.4f}"
-            for row in analytics.span_length_distribution(maximal_span_cores(g))])
+            for row in analytics.span_length_distribution(maximal_span_cores(g, stats))])
     else:
         if not args.attrs:
             raise ParameterError("stats --report purity requires --attrs")
@@ -406,8 +409,9 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
         rows = _timed(run, "solve", lambda: [
             f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
             for t, value in enumerate(analytics.purity_timeline(
-                [c for c in maximal_span_cores(g) if c.span.length >= args.min_span],
+                [c for c in maximal_span_cores(g, stats) if c.span.length >= args.min_span],
                 attributes, g.t_max))])
+    run.counters["peel_vertices"] = stats.peel_vertices
     with run.writing() as sink:
         sink.write(header + "\n")
         for row in rows:

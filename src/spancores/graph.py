@@ -13,9 +13,11 @@ same index twice, and either copy serves every later call.
 Contact data meets the same pairs again and again, so a loaded graph shares
 one tuple per distinct vertex pair across its snapshots: far fewer objects,
 and snapshot intersections match shared pairs by identity before comparing
-them.  A load builds no reference cycle, so a collection during it could
-free nothing; the cyclic collector is paused instead of walking the growing
-heap hundreds of times.
+them.  A load is one pass: each record goes straight into its window's set
+of distinct pairs, so it holds one chunk plus the distinct contacts, and it
+stops collecting once the records span too many windows to load.  It builds
+no reference cycle, so a collection during it could free nothing; the cyclic
+collector is paused instead of walking the growing heap hundreds of times.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import total_ordering
-from itertools import chain, count, repeat, starmap
-from operator import eq, floordiv, itemgetter, lt, sub
+from itertools import chain, count, islice, repeat, starmap
+from operator import eq, floordiv, le, lt, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -40,8 +42,7 @@ MAX_TIMESTAMPS = 1_000_000
 Every window costs memory even when it holds no edge, and every algorithm
 walks the whole domain, so one stray timestamp (an epoch second under
 ``--pre-windowed``, say) could otherwise demand gigabytes before any check
-runs.  A million windows is more than a year of one-minute windows, and
-an empty domain of that size loads in about 120 MB.
+runs.  A million windows is more than a year of one-minute windows.
 """
 
 
@@ -182,32 +183,6 @@ class TemporalGraph:
         self._adjacency: tuple[dict[int, list[int]], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _from_keys(cls, keys: dict[tuple[int, str, str], None], windows: int,
-                   dropped: int) -> "TemporalGraph":
-        """Build from distinct ``(t, u, v)`` label records in order of first
-        appearance, emptying ``keys`` so that they are freed before the
-        snapshots are frozen.  Self-loop records are skipped, and labels get
-        dense ids in order of first appearance over the other records,
-        timestamp by timestamp: the interning rule of ``load_edge_list``.  The
-        pairs come out canonical, so the constructor only checks them, and
-        each distinct pair is one tuple object wherever it occurs."""
-        records = sorted(keys, key=itemgetter(0))
-        keys.clear()
-        index: dict[str, int] = defaultdict(count().__next__)
-        pairs: dict[Edge, Edge] = {}
-        share = pairs.setdefault
-        snapshots: list[list[Edge]] = [[] for _ in range(windows)]
-        for t, u, v in records:
-            if u != v:
-                a, b = index[u], index[v]
-                pair = (a, b) if a < b else (b, a)
-                snapshots[t].append(share(pair, pair))
-        del records, pairs, share
-        return cls(snapshots, list(index), dropped_self_loops=dropped)
-
     # -- label access ----------------------------------------------------------
 
     @property
@@ -298,13 +273,8 @@ CHUNK_CHARS = 1 << 16
 """Characters ``load_edge_list`` reads at a time; each chunk then runs on to
 the end of its last line, so it holds whole lines only.
 
-A load's peak is the distinct contacts plus one chunk's transients: its
-tokens, column lists and collapsed records.  Those are about 13 bytes traced
-per character read on 21-character raw contact records and 27 on
-12-character pre-windowed rows, so 0.8 to 1.8 MB at 64 KiB, and the peak
-stays within a small multiple of the graph the load keeps, which shrinks
-once pairs are shared; larger chunks read no faster, since the per-record
-work dominates.
+A load's peak is the distinct contacts plus one chunk's tokens and
+columns; larger chunks read no faster, since the per-record work dominates.
 """
 
 
@@ -422,6 +392,23 @@ def _collector_paused():
             gc.enable()
 
 
+def _collect(records: Iterable[tuple[int, str, str]], index: dict[str, int], share,
+             windows: dict[int, dict[Edge, bool]]) -> None:
+    """Place each ``(window, u, v)`` record in its window's pair dict.
+
+    Self-loops are skipped.  A label gets the next id of ``index`` when first
+    seen, and ``share`` keeps one tuple per distinct pair.  A window's dict
+    holds each pair once, in order of first appearance, mapped to whether
+    its first record named the lower id first."""
+    for t, u, v in records:
+        if u != v:
+            a, b = index[u], index[v]
+            pair = (a, b) if a < b else (b, a)
+            # a repeat within the window costs one lookup, not two
+            if pair not in (pairs := windows[t]):
+                pairs[share(pair, pair)] = a < b
+
+
 @_collector_paused()
 def load_edge_list(source, window: int, time_origin: int | None = None,
                    pre_windowed: bool = False,
@@ -447,35 +434,40 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
     window.  A malformed line raises ``EdgeListFormatError`` with its line
     number, before the time origin or the time domain is checked; input that
     is not UTF-8 text raises it too.
-    Each chunk's records collapse into the distinct ``(window, u, v)``
-    contacts seen so far as soon as it is read, so memory is bounded by one
-    chunk plus the distinct contacts, not by the record count.  Without
-    ``time_origin`` the window of a record is known only at the end: records
-    wait as columns of raw times and labels (three references each), then are
-    windowed and collapsed in one pass.
+    Each record goes straight into its window's pair set as its chunk is
+    read, so memory is bounded by one chunk plus the distinct contacts, not
+    by the record count.  Without ``time_origin`` the window of a record is
+    known only at the end: records wait as columns of raw times and labels
+    (three references each), then are placed in one pass.  Labels get ids
+    as first seen, which is the rule above when windows arrive in ascending
+    order (time-ordered logs, and every file ``write_edge_list`` writes);
+    otherwise one pass over the windows in order renumbers labels and pairs.
 
     Each distinct vertex pair is one tuple object, shared by every snapshot
     that holds it, and the cyclic collector is paused for the whole load.
 
     A time domain of more than ``MAX_TIMESTAMPS`` windows is rejected with
-    ``EdgeListFormatError`` before any per-window storage is allocated.  When
-    ``timings`` is given, it receives the seconds spent reading (``parse``)
-    and building the graph (``build``).
+    ``EdgeListFormatError``: once the chunks read so far span that many
+    windows, nothing more is collected, and the rest is read only to report
+    a malformed line.  When ``timings`` is given, it receives the seconds
+    spent reading and placing the records (``parse``) and building the graph
+    from them (``build``: the renumbering, if any, the freeze and the checks).
     """
     if pre_windowed:
         window, time_origin = 1, 0
     elif window <= 0:
         raise ParameterError("window must be a positive duration")
     tick = time.perf_counter()
-    keys: dict[tuple[int, str, str], None] = {}
+    index: dict[str, int] = defaultdict(count().__next__)
+    share = {}.setdefault
+    windows: dict[int, dict[Edge, bool]] = defaultdict(dict)
     # without an origin, records wait as raw-time columns until the minimum is known
     deferred = time_origin is None
     raw_times: list[int] = []
     raw_us: list[str] = []
     raw_vs: list[str] = []
-    canonical: dict[str, str] = {}
-    intern = canonical.setdefault
-    dropped, low, high = 0, None, None
+    intern = {}.setdefault  # one string per distinct label among waiting records
+    dropped, low, high, last, ordered = 0, None, None, 0, True
     with _opened(source) as stream:
         for lineno, chunk in _chunks(stream):
             times, raw, us, vs = _uniform_columns(chunk) or _parse_lines(chunk, lineno)
@@ -484,15 +476,23 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
             values = raw.values()
             low = min(values) if low is None else min(low, min(values))
             high = max(values) if high is None else max(high, max(values))
-            dropped += sum(map(eq, us, vs))
-            us, vs = map(intern, us, us), map(intern, vs, vs)
-            if deferred:
-                raw_times += map(raw.__getitem__, times)
-                raw_us += us
-                raw_vs += vs
+            if (high - (low if deferred else time_origin)) // window >= MAX_TIMESTAMPS:
+                # too wide to load: drop what was collected, read on for malformed lines
+                windows.clear()
+                del raw_times[:], raw_us[:], raw_vs[:]
                 continue
-            window_of = {text: (t - time_origin) // window for text, t in raw.items()}
-            keys.update(dict.fromkeys(zip(map(window_of.__getitem__, times), us, vs)))
+            dropped += sum(map(eq, us, vs))
+            if not deferred:
+                raw = {text: (t - time_origin) // window for text, t in raw.items()}
+            ts = list(map(raw.__getitem__, times))
+            ordered = ordered and last <= ts[0] and all(map(le, ts, islice(ts, 1, None)))
+            last = ts[-1]
+            if deferred:
+                raw_times += ts
+                raw_us += map(intern, us, us)
+                raw_vs += map(intern, vs, vs)
+            else:
+                _collect(zip(ts, us, vs), index, share, windows)
     if low is None:
         raise EdgeListFormatError("empty edge list: graph must have at least one timestamp")
 
@@ -504,11 +504,24 @@ def load_edge_list(source, window: int, time_origin: int | None = None,
         raise EdgeListFormatError(
             f"time domain of {t_max + 1} windows exceeds the limit of {MAX_TIMESTAMPS}")
     if deferred:
-        windows = map(floordiv, map(sub, raw_times, repeat(origin)), repeat(window))
-        keys = dict.fromkeys(zip(windows, raw_us, raw_vs))
+        ts = map(floordiv, map(sub, raw_times, repeat(origin)), repeat(window))
+        _collect(zip(ts, raw_us, raw_vs), index, share, windows)
         del raw_times, raw_us, raw_vs
     tock = time.perf_counter()
-    g = TemporalGraph._from_keys(keys, t_max + 1, dropped)
+    labels = list(index)
+    if not ordered:
+        # ids went by first sight out of window order: replay each window's
+        # first records in window order, renumbering labels and pairs
+        index, share, seen = defaultdict(count().__next__), {}.setdefault, windows
+        windows = defaultdict(dict)
+        _collect(((t, labels[a], labels[b]) if forward else (t, labels[b], labels[a])
+                  for t in sorted(seen) for (a, b), forward in seen.pop(t).items()),
+                 index, share, windows)
+        labels = list(index)
+    del share  # the pair dict goes before the snapshots are frozen
+    # a keys view, not the dict: frozenset(dict) sizes its table for twice the pairs
+    snapshots = [frozenset(windows.pop(t, {}).keys()) for t in range(t_max + 1)]
+    g = TemporalGraph(snapshots, labels, dropped_self_loops=dropped)
     if timings is not None:
         timings["parse"] = tock - tick
         timings["build"] = time.perf_counter() - tock

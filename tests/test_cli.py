@@ -277,6 +277,24 @@ class TestProvenance:
         phases = {"load", "solve", "write", "digest"}
         assert set(timings) == (phases | {"minimize"} if "--minimize" in extra else phases)
 
+    @pytest.mark.parametrize("report", ["activity", "purity", "span-length"])
+    def test_stats_reports_its_peel_work(self, fix1_file, tmp_path, report):
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("a F\nb F\nc M\nd M\n")
+        counters = sidecar(fix1_file, tmp_path, ["stats", "--report", report,
+                                                 "--attrs", attrs])["counters"]
+        g = load_edge_list(fix1_file, window=1, pre_windowed=True)
+        stats = spancores.DecompositionStats()
+        if report == "activity":
+            spancores.span_cores(g, stats)
+            expected = {"intervals_processed": stats.intervals_processed,
+                        "peel_vertices": stats.peel_vertices}
+        else:
+            spancores.maximal_span_cores(g, stats)
+            expected = {"peel_vertices": stats.peel_vertices}
+        assert stats.peel_vertices > 0
+        assert counters == {"temporal_edges": g.temporal_edge_count(), **expected}
+
     def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary
 
