@@ -3,8 +3,8 @@ attribute purity, span-length statistics, anomaly filtering, per-vertex
 community-search embeddings, and query sampling.
 
 The activity summary reads each span's top stored order without building
-cores.  The embeddings come from one span-core enumeration shared by every
-vertex, followed by a small segmentation DP per vertex."""
+cores.  The embeddings fold one span-core enumeration into every vertex's
+maximal cores, followed by a small segmentation DP per vertex."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import random
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .community_search import _tcs_every_vertex
+from .community_search import (_best_segmentation, _corners, _dominance_profile,
+                               reduced_time_domain)
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
                     UnknownLabelError, _opened)
 from .maximal_cores import maximal_span_cores
@@ -160,15 +161,20 @@ def tcs_embeddings(g: TemporalGraph, h: int,
     vertex's own h-segment community-search solution.
 
     Row order is vertex index order.  Rows equal those of ``tcs_efficient``
-    run once per vertex, but all rows share one seeded span-core enumeration
-    that scores every interval for every vertex; each row then costs only
-    its reduced-domain DP, and reads its h segment scores from the vertex's
-    score table, with no re-peel and no member sets.  ``stats`` records the
-    enumeration's peels and the DP work summed over the rows.
+    run once per vertex, from one seeded span-core enumeration that yields
+    each vertex's query-constrained maximal cores, with no re-peel and no
+    per-vertex score table: a row costs only its reduced-domain DP over their
+    profile.  ``stats`` records the enumeration's peels and every row's DP work.
     """
     if h < 1 or h > g.t_max + 1:
         raise ParameterError(f"embedding width h must be within 1..{g.t_max + 1}")
-    return _tcs_every_vertex(g, h, stats)
+    rows = []
+    for corners in _corners(g, stats):
+        profile = _dominance_profile(corners)
+        ends = reduced_time_domain(g.t_max, h, [Interval(s, e) for s, e, _ in corners])
+        segments, _ = _best_segmentation(ends.timestamps, profile, h, stats)
+        rows.append([profile(s.end, [s.start])[0][1] for s in segments])
+    return rows
 
 
 # -- query sampling ------------------------------------------------------------------

@@ -1,35 +1,17 @@
 """Batch command-line front end.
 
 Every subcommand loads a temporal graph from an edge list, runs one pipeline,
-and writes line-oriented results plus a provenance sidecar (input digest,
-parameters, per-phase timings, work counters, peak RSS).  Results are
-deterministic for a fixed configuration and seed; all nondeterministic
-bookkeeping lives in the sidecar.  The phase timings are ``load``, the
-subcommand's solve phases (``attrs`` times the ``--attrs`` read of ``stats``,
-``minimize`` the greedy shrinking of ``tcs --minimize``),
-``write`` (the result files) and ``digest`` (the input's SHA-256, taken just
-before the sidecar is written).  Beside them, ``load_seconds`` splits the load
-into its ``parse`` and ``build`` sub-phases, ``total_seconds`` is the time
-from the start of ``main`` to the sidecar write and ``import_seconds`` the
-time from the first line of the package's ``__init__`` to the end of this
-module's body; the sidecar layout is numbered by ``schema_version``.  A run
-leaves either all of its output files or none: each is written to a
-temporary file beside it and moved into place only after the sidecar has
-been written too.
-
-Exit codes: 0 success, 1 usage or parameter error (``ParameterError``), 2
-input error (a malformed input or one that is not UTF-8 text, an unknown
-vertex label, or ``InputError``: an ``OSError`` while reading the edge list
-or the ``--attrs`` table, or while re-reading the input for its digest), 3
-internal error: any other ``ValueError``, ``KeyError``, ``RuntimeError``,
-``AssertionError`` or ``OSError``, 4 output error (``OutputError``: an
-``OSError`` while creating, writing or moving an output file).
+and writes line-oriented results plus a provenance sidecar; the README gives
+the sidecar's layout and the exit codes.  Results are deterministic for a
+fixed configuration and seed; all nondeterministic bookkeeping lives in the
+sidecar.  A run leaves either all of its output files or none: each is
+written to a temporary file beside it and moved into place only after the
+sidecar has been written too.
 
 ``main`` keeps the cyclic garbage collector paused for its whole run and
 restores the caller's setting when it returns.  A run loads its graph first
-and keeps it to the end (some 30,000 tracked objects for 300 vertices over
-1200 windows), and it leaves no cyclic garbage, so every collection would
-only walk the graph again.  ``gc.freeze`` is not used: ``main`` also runs
+and keeps it to the end, and it leaves no cyclic garbage, so every collection
+would only walk the graph again.  ``gc.freeze`` is not used: ``main`` also runs
 inside other processes (tests, the benchmark's tracer), where a freeze would
 keep the caller's cyclic garbage forever and a matching ``gc.unfreeze`` would
 undo the caller's own freeze.

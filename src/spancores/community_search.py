@@ -9,24 +9,23 @@ score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` at the
 exact start ``a`` of every candidate segment ending at ``te``, as runs of
 equal score.  The score never falls as ``a`` grows, so each score value
 forms one run at most, and the DP answers each run with one range-minimum
-query (see ``_segment_dp``).  The basic route (the test
-oracle) reads a table of every interval's score and runs the DP over every
-timestamp; the efficient route answers by dominance lookup over the
-query-constrained maximal cores and runs the DP only over a reduced set of
-candidate segment ends, which is sufficient for optimality.  Each route
-builds its own profile and candidate ends, then runs the same DP and
-materializes the segments the same way.
+query (see ``_segment_dp``).  The basic route (the test oracle) reads a
+table of every interval's score and runs the DP over every timestamp.  The
+fast routes, ``tcs_efficient`` and the embeddings (``_corners``), look each
+score up in the query-constrained maximal cores and run the DP only over a
+reduced set of candidate segment ends, which suffices for optimality.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import chain, pairwise
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .graph import Interval, ParameterError, TemporalGraph
-from .maximal_cores import _undominated, _validate_query, query_constrained_scan
-from .span_cores import DecompositionStats, SpanCore, _seeded_coreness
+from .maximal_cores import _validate_query, query_constrained_scan
+from .span_cores import DecompositionStats, _seeded_coreness
 from .static_core import core_decomposition
 
 
@@ -105,15 +104,15 @@ def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
     return lambda te, starts: _runs(sorted(by_end.get(te, ())), starts)
 
 
-def _dominance_profile(cores: Collection[SpanCore]) -> Profile:
-    """The profile answered from the query-constrained maximal cores.
+def _dominance_profile(corners: Collection[tuple[int, int, int]]) -> Profile:
+    """The profile of the query-constrained maximal cores' ``(start, end, order)``.
 
     The score of an interval is the highest order among the cores whose span
     contains it (0 if none), so no per-interval table is materialized: per
     end, the running maximum by start over the cores reaching it steps up
     exactly where a core beats every earlier one.
     """
-    spans = sorted((c.span.start, c.span.end, c.order) for c in cores)
+    spans = sorted(corners)
 
     def profile(te: int, starts: Sequence[int]) -> list[tuple[int, int]]:
         steps = []
@@ -125,6 +124,29 @@ def _dominance_profile(cores: Collection[SpanCore]) -> Profile:
         return _runs(steps, starts)
 
     return profile
+
+
+def _corners(g: TemporalGraph, stats: DecompositionStats | None
+             ) -> list[list[tuple[int, int, int]]]:
+    """Per vertex u, the ``(ts, te, order)`` of ``query_constrained_scan``'s
+    cores for ``{u}``, from one enumeration recorded in ``stats``: the spans
+    where u's coreness beats that of ``[ts, te + 1]``, the next span if it
+    has the same start, and that of ``[ts - 1, te]``, held in ``left`` (a
+    start before ``ts`` that reaches ``te`` has ``ts - 1`` reach it).  A span
+    sharing its labelling with either is skipped whole.
+    """
+    corners: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
+    left: dict[int, dict[int, int]] = {}  # per end, the last start's labelling
+    spans = chain(_seeded_coreness(g, stats), [(None, None, {})])
+    for (ts, te, labels), (start, _, following) in pairwise(spans):
+        right = following if start == ts else {}
+        wider = left.get(te, {})
+        left[te] = labels
+        if labels is not right and labels is not wider:
+            for u, c in labels.items():
+                if c > right.get(u, 0) and c > wider.get(u, 0):
+                    corners[u].append((ts, te, c))
+    return corners
 
 
 def penalty_table_full(g: TemporalGraph, query: Collection[int],
@@ -303,33 +325,5 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
     qs = frozenset(query)
     cores = query_constrained_scan(g, qs, stats)
     ends = reduced_time_domain(g.t_max, h, [core.span for core in cores]).timestamps
-    return _materialize(g, qs, *_best_segmentation(ends, _dominance_profile(cores), h, stats),
-                        stats)
-
-
-def _tcs_every_vertex(g: TemporalGraph, h: int,
-                      stats: DecompositionStats | None) -> list[list[int]]:
-    """The segment scores of ``tcs_efficient(g, {u}, h)`` for every vertex u,
-    in index order, from one enumeration pass shared by all of them.
-
-    The pass keeps, per vertex, its coreness on each interval it reaches:
-    the vertex's ``penalty_table_full(g, {u})`` score table, all positive,
-    since every peeled vertex is an endpoint of an interval edge.  A
-    vertex's undominated positive scores are exactly the spans of
-    ``query_constrained_scan(g, {u})``, so each per-vertex DP sees the same
-    candidate ends and the same interval scores as ``tcs_efficient``'s; a
-    row reads its segments' scores from the vertex's table, with no re-peel.
-    ``stats`` records the enumeration's peels and every row's DP work.
-    """
-    tables: list[dict[tuple[int, int], int]] = [{} for _ in g.vertices]
-    for ts, te, coreness in _seeded_coreness(g, stats):
-        key = (ts, te)  # one key object shared by every vertex's table
-        for u, c in coreness.items():
-            tables[u][key] = c
-    rows = []
-    for scores in tables:
-        spans = [Interval(ts, te) for ts, te in _undominated(scores)]
-        ends = reduced_time_domain(g.t_max, h, spans).timestamps
-        segments, _ = _best_segmentation(ends, _table_profile(scores), h, stats)
-        rows.append([scores.get((s.start, s.end), 0) for s in segments])
-    return rows
+    profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
+    return _materialize(g, qs, *_best_segmentation(ends, profile, h, stats), stats)

@@ -281,11 +281,12 @@ columns; larger chunks read no faster, since the per-record work dominates.
 @contextmanager
 def _opened(source) -> Iterator[IO[str]]:
     """``source`` as a UTF-8 text stream: a path (``.gz`` is decompressed) or
-    bytes, read with universal newlines, or an open text stream, left open.
-    Text that is not UTF-8 raises ``EdgeListFormatError``."""
+    bytes, decoded as read with universal newlines, or an open text stream,
+    left open.  Text that is not UTF-8 raises ``EdgeListFormatError``."""
     try:
         if isinstance(source, (bytes, bytearray)):
-            yield io.StringIO(source.decode("utf-8"), newline=None)
+            with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None) as stream:
+                yield stream
         elif not isinstance(source, (str, Path)):
             yield source
         elif Path(source).suffix == ".gz":

@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -69,6 +70,36 @@ def stress_cases(t=12, n=14):
             for s in range(start, min(t, start + rng.randint(1, 6))):
                 snapshots[s].append((u, v))
         yield TemporalGraph(snapshots, [f"v{i}" for i in range(n)]), {rng.randrange(n)}
+
+
+def long_lived_graphs(count: int = 40, base_seed: int = 4000) -> list[TemporalGraph]:
+    """Deterministic graphs with groups that last, over |T| from 15 to 40: a
+    few cliques of 3 to 5 vertices, each present over long runs broken by
+    gaps, sparse background contacts of one to three windows, and a few
+    emptied windows."""
+    graphs = []
+    for i in range(count):
+        rng = random.Random(base_seed + i)
+        n, t = rng.randint(8, 16), rng.randint(15, 40)
+        snapshots: list[set[tuple[int, int]]] = [set() for _ in range(t)]
+        for _ in range(rng.randint(1, 3)):
+            clique = list(combinations(sorted(rng.sample(range(n), rng.randint(3, 5))), 2))
+            start = rng.randrange(t // 2)
+            while start < t:
+                stop = min(t, start + rng.randint(4, t))
+                for s in range(start, stop):
+                    snapshots[s].update(clique)
+                start = stop + rng.randint(1, 4)
+        for _ in range(rng.randint(t // 2, 2 * t)):
+            u, v = sorted(rng.sample(range(n), 2))
+            start = rng.randrange(t)
+            for s in range(start, min(t, start + rng.randint(1, 3))):
+                snapshots[s].add((u, v))
+        for s in rng.sample(range(t), rng.randint(0, 3)):
+            snapshots[s].clear()
+        graphs.append(TemporalGraph([sorted(s) for s in snapshots],
+                                    [f"v{j}" for j in range(n)]))
+    return graphs
 
 
 def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:

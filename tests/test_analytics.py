@@ -1,7 +1,10 @@
+import gc
 import gzip
 import logging
 import random
 import statistics
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +28,8 @@ from spancores import (
 
 from spancores.graph import ParameterError
 
-from conftest import per_vertex_rows, random_temporal_graph, stress_cases
+from conftest import (long_lived_graphs, per_vertex_rows, random_temporal_graph,
+                      stress_cases)
 
 
 def fix1_attributes(g):
@@ -203,10 +207,27 @@ class TestEmbeddings:
             tcs_embeddings(fix1, 4)
 
     def test_rows_match_per_vertex_search(self, corpus):
-        for g in corpus + [g for g, _ in stress_cases()]:
+        for g in corpus + [g for g, _ in stress_cases()] + long_lived_graphs():
             for h in {1, 2, g.t_max + 1}:
                 if h <= g.t_max + 1:
                     assert tcs_embeddings(g, h) == per_vertex_rows(g, h)
+
+    def test_memory_does_not_grow_with_spans_times_members(self):
+        """A 12-clique present in all 200 windows lies in each of the 20,100
+        spans; the rows keep each vertex's corners, not a score per span."""
+        rng = random.Random(5)
+        clique = list(combinations(range(12), 2))
+        g = TemporalGraph([clique + [tuple(rng.sample(range(12, 212), 2)) for _ in range(40)]
+                           for _ in range(200)], [f"v{i}" for i in range(212)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = tcs_embeddings(g, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[0] == [11] * 5
+        assert peak <= 4_000_000, peak
 
 
 class TestQuerySampling:

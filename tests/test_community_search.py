@@ -13,10 +13,10 @@ from spancores import (
     tcs_basic,
     tcs_efficient,
 )
-from spancores.community_search import (_dominance_profile, _segment_dp, _table_profile,
-                                         penalty_table_full)
+from spancores.community_search import (_corners, _dominance_profile, _segment_dp,
+                                         _table_profile, penalty_table_full)
 
-from conftest import expand_runs, stress_cases
+from conftest import expand_runs, long_lived_graphs, stress_cases
 
 
 def brute_force_objective(g, query, h):
@@ -113,7 +113,7 @@ class TestQueryConstrainedMaximal:
     def test_fix1_query_a(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("a")})
-        profile = _dominance_profile(cores)
+        profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
         keys = {(c.order, c.span.start, c.span.end) for c in cores}
         assert keys == {(2, 0, 1), (1, 0, 2)}
         # dominance lookup through a span that strictly contains the probe
@@ -122,7 +122,7 @@ class TestQueryConstrainedMaximal:
     def test_fix1_query_d(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("d")})
-        profile = _dominance_profile(cores)
+        profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
         found = list(cores)
         assert len(found) == 1
         assert (found[0].order, found[0].span) == (1, Interval(0, 0))
@@ -137,7 +137,8 @@ class TestQueryConstrainedMaximal:
             if probes >= 100:
                 break
             query = {rng.randrange(g.n)}
-            dominance = _dominance_profile(query_constrained_scan(g, query))
+            dominance = _dominance_profile([(c.span.start, c.span.end, c.order)
+                                            for c in query_constrained_scan(g, query)])
             full = penalty_table_full(g, query)
             for _ in range(4):
                 ts = rng.randint(0, g.t_max)
@@ -163,6 +164,20 @@ class TestQueryConstrainedMaximal:
             }
             found = {(c.span.start, c.span.end) for c in query_constrained_scan(g, query)}
             assert found == expected
+
+
+class TestCorners:
+    def test_corners_are_each_vertexs_query_constrained_maximal_cores(self, corpus):
+        # the fold reads one enumeration, peeling exactly what span_cores peels
+        for g in corpus + [g for g, _ in stress_cases()] + long_lived_graphs():
+            fold_stats, enum_stats = DecompositionStats(), DecompositionStats()
+            corners = _corners(g, fold_stats)
+            span_cores(g, enum_stats)
+            assert fold_stats == enum_stats
+            for u in g.vertices:
+                expected = [(c.span.start, c.span.end, c.order)
+                            for c in query_constrained_scan(g, {u})]
+                assert sorted(corners[u]) == sorted(expected)
 
 
 class TestReducedDomain:

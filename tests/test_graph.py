@@ -202,6 +202,22 @@ class TestLoader:
             tracemalloc.stop()
         assert peak <= 4_000_000, peak
 
+    def test_epoch_seconds_from_bytes_are_rejected_within_a_chunk(self):
+        """Bytes are decoded a chunk at a time, so they keep the bound a file
+        keeps: the decoded text is never held whole."""
+        data = "".join(f"{1_600_000_000 + i} v{i % 50} w{i % 70}\n"
+                       for i in range(100_000)).encode()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListFormatError,
+                               match="^time domain of 1600100000 windows exceeds the limit"):
+                load_edge_list(data, window=1, pre_windowed=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000, peak
+
     def test_gzip_loads_like_the_plain_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(graph_module, "CHUNK_CHARS", 256)
         text = "".join(f"{20 * i} v{i % 11} v{i * 7 % 13}\n" for i in range(400))
