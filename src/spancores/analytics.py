@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .community_search import (_best_segmentation, _corners, _dominance_profile,
-                               reduced_time_domain)
+                               _validate_h, reduced_time_domain)
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
                     UnknownLabelError, _opened)
 from .maximal_cores import maximal_span_cores
@@ -122,10 +123,7 @@ def detect_anomalies(g: TemporalGraph, tr: int, ratio: float,
 
     flagged: dict[int, set[int]] = {}
     for span in long_spans:
-        endpoints: set[int] = set()
-        for u, v in g.interval_edges(span):
-            endpoints.add(u)
-            endpoints.add(v)
+        endpoints = set(chain.from_iterable(g.interval_edges(span)))
         for t in span:
             flagged.setdefault(t, set()).update(endpoints)
 
@@ -166,8 +164,7 @@ def tcs_embeddings(g: TemporalGraph, h: int,
     per-vertex score table: a row costs only its reduced-domain DP over their
     profile.  ``stats`` records the enumeration's peels and every row's DP work.
     """
-    if h < 1 or h > g.t_max + 1:
-        raise ParameterError(f"embedding width h must be within 1..{g.t_max + 1}")
+    _validate_h(g, h)
     rows = []
     for corners in _corners(g, stats):
         profile = _dominance_profile(corners)

@@ -8,12 +8,13 @@ then classic optimal sequence segmentation by dynamic programming over one
 score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` at the
 exact start ``a`` of every candidate segment ending at ``te``, as runs of
 equal score.  The score never falls as ``a`` grows, so each score value
-forms one run at most, and the DP answers each run with one range-minimum
-query (see ``_segment_dp``).  The basic route (the test oracle) reads a
-table of every interval's score and runs the DP over every timestamp.  The
-fast routes, ``tcs_efficient`` and the embeddings (``_corners``), look each
-score up in the query-constrained maximal cores and run the DP only over a
-reduced set of candidate segment ends, which suffices for optimality.
+forms one run at most, and the DP answers each run with one lookup in a
+stack of suffix minima (see ``_segment_dp``).  The basic route (the test
+oracle) reads a table of every interval's score and runs the DP over every
+timestamp.  The fast routes, ``tcs_efficient`` and the embeddings
+(``_corners``), look each score up in the query-constrained maximal cores
+and run the DP only over a reduced set of candidate segment ends, which
+suffices for optimality.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def _corners(g: TemporalGraph, stats: DecompositionStats | None
         right = following if start == ts else {}
         wider = left.get(te, {})
         left[te] = labels
+        left.pop(ts - 1, None)  # no start from ts on reaches end ts - 1
         if labels is not right and labels is not wider:
             for u, c in labels.items():
                 if c > right.get(u, 0) and c > wider.get(u, 0):
@@ -202,15 +204,17 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     segment after end index ``split`` starts at ``ends[split] + 1``.  Ties go
     to the smallest split index, making reconstruction deterministic.
 
-    The DP fills one column i at a time.  Within one run of end r's profile
-    the segment score is fixed, so the best split there is the leftmost
-    minimum of column i - 1 over the run's range: a sparse table of
-    ``(cost, split)`` pairs over that column answers it with two lookups,
-    tuple order giving the leftmost split on ties, and the runs are tried
-    from the left, a later one winning only when strictly cheaper.  With
-    ``|D| = len(ends)`` the cost is O(h * |D| * (runs + log |D|)) instead of
-    the O(h * |D|^2) of trying every split.  ``stats`` counts the candidate
-    ends and the range queries answered (``dp_runs``).
+    The DP fills one column i at a time.  Within end r's profile the score
+    only rises from one run to the next, so a run may price every split from
+    its own first one up to ``r - 1`` at its value: that overstates the later
+    splits, which their own runs price exactly.  A run's best split is then
+    the leftmost minimum of column i - 1 over a suffix, read from a stack of
+    the column's suffix minima up to ``r - 1`` (an entry is popped only by a
+    strictly cheaper later split, so ties keep the leftmost).  The runs are
+    tried from the left, a later one winning only when strictly cheaper.
+    With ``|D| = len(ends)`` the cost is O(h * |D| * runs * log |D|) instead
+    of the O(h * |D|^2) of trying every split.  ``stats`` counts the
+    candidate ends and the runs answered (``dp_runs``).
     """
     n = len(ends)
     starts = [0] + [e + 1 for e in ends[:-1]]
@@ -223,36 +227,27 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     column: list[int | None] = [-first_run[2] for first_run, *_ in ranges]
     P: list[list[int | None]] = [[cost] + [None] * (h - 1) for cost in column]
     R: list[list[int]] = [[-1] * h for _ in range(n)]
-    log2 = [0, 0]  # log2[m]: the table level whose two windows cover m splits
-    while len(log2) <= n:
-        log2.append(log2[len(log2) // 2] + 1)
     queries = 0
     for i in range(1, min(h, n)):
-        # level k holds the least (cost, split) of column[split : split + 2**k],
-        # for split = i - 1, i, ...; the segment starting at start index j
-        # follows split j - 1
-        level = list(zip(column[i - 1:n - 1], range(i - 1, n - 1)))
-        table = [level]
-        width = 1
-        while len(level) > width:
-            level = list(map(min, level, level[width:]))
-            table.append(level)
-            width *= 2
-        column = [None] * n
+        previous, column = column, [None] * n
+        splits: list[int] = []  # the suffix minima of previous[i - 1:r]
+        costs: list[int] = []
         for r in range(i, n):
+            cost = previous[r - 1]
+            while costs and costs[-1] > cost:
+                splits.pop()
+                costs.pop()
+            splits.append(r - 1)
+            costs.append(cost)
             best = None
             for first, last, value in ranges[r]:
                 if last < i:
                     continue
-                # the run's splits, as offsets into the table's levels
-                lo = first - i if first > i else 0
-                hi = last - i
-                k = log2[hi - lo + 1]
-                a, b = table[k][lo], table[k][hi + 1 - (1 << k)]
-                cost, split = a if a < b else b
-                cost -= value
+                # the segment starting at start index j follows split j - 1
+                k = bisect_left(splits, first - 1)
+                cost = costs[k] - value
                 if best is None or cost < best:
-                    best, best_split = cost, split
+                    best, best_split = cost, splits[k]
                 queries += 1
             column[r] = P[r][i] = best
             R[r][i] = best_split

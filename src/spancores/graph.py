@@ -166,18 +166,14 @@ class TemporalGraph:
             raise ValueError("vertex labels must be unique")
         self.dropped_self_loops = dropped_self_loops
 
-        # C-level passes check the pairs; only a snapshot with pairs not yet
-        # canonical takes a Python loop, as does the error path
+        # one pass checks every pair; if one fails, only the snapshots with
+        # pairs not yet canonical are rebuilt, and _reject raises for a bad pair
         empty: frozenset[Edge] = frozenset()
         frozen = [frozenset(snapshot) or empty for snapshot in snapshots]
-        if not all(starmap(lt, chain.from_iterable(frozen))):
+        if not all(0 <= u < v < n for u, v in chain.from_iterable(frozen)):
             frozen = [pairs if all(starmap(lt, pairs))
                       else frozenset([(u, v) if u < v else (v, u) for u, v in pairs])
                       for pairs in frozen]
-            if not all(starmap(lt, chain.from_iterable(frozen))):
-                _reject(frozen, n)
-        ids = set(chain.from_iterable(chain.from_iterable(frozen)))
-        if ids and (min(ids) < 0 or max(ids) >= n):
             _reject(frozen, n)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
         self._adjacency: tuple[dict[int, list[int]], ...] | None = None

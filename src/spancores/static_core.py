@@ -1,12 +1,12 @@
 """Classic k-core peeling on a materialized (vertex set, edge set) pair.
 
 This is the inner subroutine of every decomposition and search algorithm in
-the package: bucketed peeling in linear time.  Ties between equal degrees
-fall to the vertex set's iteration order, which can change the peel order
-but never a coreness.  Its one product is the plain ``{vertex: coreness}``
-dict, keyed in the vertex set's order, which holds every core of the graph
-at once; callers cut the cores they need from it.  All functions are pure
-and safe to call concurrently.
+the package: peeling in linear time from one set of vertices per current
+degree, with no counting sort.  Ties between equal degrees fall to set
+order, which can change the peel order but never a coreness.  Its one
+product is the plain ``{vertex: coreness}`` dict, keyed in the vertex set's
+order, which holds every core of the graph at once; callers cut the cores
+they need from it.  All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -28,47 +28,29 @@ def _build_adjacency(vertices: Collection[int], edges: Iterable[Edge]) -> dict[i
 
 
 def _peel(adj: dict[int, list[int]]) -> dict[int, int]:
-    """Bucketed peeling; returns the coreness of every vertex in ``adj``."""
-    n = len(adj)
-    if n == 0:
-        return {}
+    """Bucketed peeling; returns the coreness of every vertex in ``adj``.
+
+    ``buckets[d]`` holds the unpeeled vertices of current degree ``d``; the
+    least nonempty one, ``k``, gives the next vertex.  No degree is lowered
+    below ``k``, so ``k`` never falls and a peeled vertex keeps it as its
+    coreness: ``degree`` degrades into the coreness labeling.
+    """
     degree = {u: len(nbrs) for u, nbrs in adj.items()}
-    max_degree = max(degree.values())
-
-    # counting sort by degree, stable in the vertex set's order
-    counts = [0] * (max_degree + 1)
-    for d in degree.values():
-        counts[d] += 1
-    bin_start = [0] * (max_degree + 1)
-    acc = 0
-    for d in range(max_degree + 1):
-        bin_start[d] = acc
-        acc += counts[d]
-    fill = bin_start.copy()
-    order: list[int] = [0] * n
-    position: dict[int, int] = {}
-    for u in adj:
-        p = fill[degree[u]]
-        order[p] = u
-        position[u] = p
-        fill[degree[u]] += 1
-
-    # degree[] degrades into the coreness labeling as vertices are peeled off
-    for i in range(n):
-        v = order[i]
-        dv = degree[v]
+    if not degree:
+        return {}
+    buckets: list[set[int]] = [set() for _ in range(max(degree.values()) + 1)]
+    for u, d in degree.items():
+        buckets[d].add(u)
+    k = 0
+    for _ in range(len(degree)):
+        while not buckets[k]:
+            k += 1
+        v = buckets[k].pop()
         for u in adj[v]:
             du = degree[u]
-            if du > dv:
-                pu = position[u]
-                pw = bin_start[du]
-                w = order[pw]
-                if u != w:
-                    order[pu] = w
-                    order[pw] = u
-                    position[u] = pw
-                    position[w] = pu
-                bin_start[du] += 1
+            if du > k:  # peeled vertices sit at or below k
+                buckets[du].remove(u)
+                buckets[du - 1].add(u)
                 degree[u] = du - 1
     return degree
 

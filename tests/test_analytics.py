@@ -203,8 +203,9 @@ class TestEmbeddings:
         assert tcs_embeddings(relabeled, 2) == tcs_embeddings(g, 2)
 
     def test_h_validation(self, fix1):
-        with pytest.raises(ValueError):
-            tcs_embeddings(fix1, 4)
+        for h in (0, fix1.t_max + 2):
+            with pytest.raises(ParameterError):
+                tcs_embeddings(fix1, h)
 
     def test_rows_match_per_vertex_search(self, corpus):
         for g in corpus + [g for g, _ in stress_cases()] + long_lived_graphs():

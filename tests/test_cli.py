@@ -437,6 +437,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("argv", [
         ["embed", "--h", 9],
+        ["embed", "--h", 0],
         ["anomalies", "--tr", 0, "--ratio", 1.5],
         ["anomalies", "--tr", 5, "--ratio", 1],
         ["anomalies", "--tr", 5, "--ratio", "nan"],
@@ -446,8 +447,8 @@ class TestErrorHandling:
         ["sample-queries", "--q-size", 2, "--pool", 5],
         ["sample-queries", "--q-size", 2, "--p", 0],
         ["sample-queries", "--q-size", 2, "--p", "nan"],
-    ], ids=["h", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool", "pool-over-n",
-            "p-zero", "p-nan"])
+    ], ids=["h", "h-zero", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool",
+            "pool-over-n", "p-zero", "p-nan"])
     def test_parameter_out_of_range_is_usage_error(self, fix1_file, tmp_path, argv, capsys):
         outdir = tmp_path / "out"
         outdir.mkdir()

@@ -22,6 +22,42 @@ def brute_force_core(vertices, edges, k):
         alive -= doomed
 
 
+def wide_degree_spreads(rng):
+    """Stars, hubs joined to cliques and cliques chained by paths (n <= 60):
+    peeling moves their vertices across many degree buckets."""
+    cases = []
+    for n in (2, 5, 30, 60):
+        cases.append((n, [(0, v) for v in range(1, n)]))  # a star
+    for _ in range(8):  # hubs joined to most vertices of some cliques, and to leaves
+        hubs = rng.randint(1, 3)
+        edges, n = [], hubs
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(2, 8)
+            clique = range(n, n + size)
+            edges += [(u, v) for u in clique for v in clique if u < v]
+            edges += [(hub, u) for hub in range(hubs) for u in clique if rng.random() < 0.8]
+            n += size
+        leaves = rng.randint(0, 60 - n)
+        edges += [(rng.randrange(hubs), u) for u in range(n, n + leaves)]
+        cases.append((n + leaves, edges))
+    for _ in range(8):  # cliques of different sizes chained by paths
+        edges, n = [], 0
+        while True:
+            size = rng.randint(2, 9)
+            path = rng.randint(0, 4)
+            if n + path + size > 60:
+                break
+            if n:  # a path from the last vertex so far to the next clique
+                link = [n - 1, *range(n, n + path), n + path]
+                edges += list(zip(link, link[1:]))
+                n += path
+            clique = range(n, n + size)
+            edges += [(u, v) for u in clique for v in clique if u < v]
+            n += size
+        cases.append((n, edges))
+    return cases
+
+
 def k_core(coreness, k):
     return {u for u, c in coreness.items() if c >= k}
 
@@ -50,10 +86,13 @@ class TestCoreDecomposition:
 
     def test_matches_fixed_point_oracle(self):
         rng = random.Random(42)
+        cases = []
         for _ in range(60):
             n = rng.randint(3, 12)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < 0.35]
+            cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < 0.35]))
+        cases += wide_degree_spreads(random.Random(43))
+        for n, edges in cases:
             coreness = core_decomposition(range(n), edges)
             for k in range(0, max(coreness.values()) + 2):
                 assert k_core(coreness, k) == brute_force_core(range(n), edges, k)
