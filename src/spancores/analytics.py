@@ -4,7 +4,7 @@ community-search embeddings, and query sampling.
 
 The activity summary reads each span's top stored order without building
 cores.  The embeddings fold one span-core enumeration into every vertex's
-maximal cores, followed by a small segmentation DP per vertex."""
+maximal cores and read each row's scores off their segmentation DP."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
-from .community_search import (_best_segmentation, _corners, _dominance_profile,
-                               _validate_h, reduced_time_domain)
+from .community_search import _corner_segmentation, _corners, _validate_h
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
                     UnknownLabelError, _opened)
 from .maximal_cores import maximal_span_cores
@@ -160,18 +159,13 @@ def tcs_embeddings(g: TemporalGraph, h: int,
 
     Row order is vertex index order.  Rows equal those of ``tcs_efficient``
     run once per vertex, from one seeded span-core enumeration that yields
-    each vertex's query-constrained maximal cores, with no re-peel and no
-    per-vertex score table: a row costs only its reduced-domain DP over their
-    profile.  ``stats`` records the enumeration's peels and every row's DP work.
+    each vertex's query-constrained maximal cores, with no re-peel: a row is
+    the segment scores of its reduced-domain DP over those cores.  ``stats``
+    records the enumeration's peels and every row's DP work.
     """
     _validate_h(g, h)
-    rows = []
-    for corners in _corners(g, stats):
-        profile = _dominance_profile(corners)
-        ends = reduced_time_domain(g.t_max, h, [Interval(s, e) for s, e, _ in corners])
-        segments, _ = _best_segmentation(ends.timestamps, profile, h, stats)
-        rows.append([profile(s.end, [s.start])[0][1] for s in segments])
-    return rows
+    return [[score for _, score in _corner_segmentation(corners, g.t_max, h, stats)]
+            for corners in _corners(g, stats)]
 
 
 # -- query sampling ------------------------------------------------------------------
@@ -233,16 +227,9 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     candidates = sorted(visits)
     weights = [visits[v] for v in candidates]
     for _ in range(q_size):
-        total = sum(weights)
-        mark = rng.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if mark < acc:
-                chosen.add(candidates[i])
-                del candidates[i]
-                del weights[i]
-                break
+        i = rng.choices(range(len(weights)), weights)[0]
+        chosen.add(candidates.pop(i))
+        del weights[i]
     return chosen
 
 

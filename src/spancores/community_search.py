@@ -5,16 +5,14 @@ minimum degree.
 The per-interval subproblem is solved by the highest-order core containing the
 query, whose order acts as the interval's score.  Segmenting the domain is
 then classic optimal sequence segmentation by dynamic programming over one
-score profile: ``profile(te, starts)`` gives the scores of ``[a, te]`` at the
-exact start ``a`` of every candidate segment ending at ``te``, as runs of
-equal score.  The score never falls as ``a`` grows, so each score value
-forms one run at most, and the DP answers each run with one lookup in a
-stack of suffix minima (see ``_segment_dp``).  The basic route (the test
-oracle) reads a table of every interval's score and runs the DP over every
-timestamp.  The fast routes, ``tcs_efficient`` and the embeddings
-(``_corners``), look each score up in the query-constrained maximal cores
-and run the DP only over a reduced set of candidate segment ends, which
-suffices for optimality.
+score profile: ``profile(te)`` gives the score steps of ``[a, te]`` in the
+start ``a`` (see ``_segment_dp``), and each chosen segment's score is read
+back off the DP.  The basic route (the test oracle) reads a table of every
+interval's score and runs the DP over every timestamp.  The fast routes,
+``tcs_efficient`` and the embeddings, read the scores off the
+query-constrained maximal cores and run the DP only over a reduced set of
+candidate segment ends, which suffices for optimality
+(``_corner_segmentation``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, pairwise
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .graph import Interval, ParameterError, TemporalGraph
 from .maximal_cores import _validate_query, query_constrained_scan
@@ -67,28 +65,10 @@ def single_tcs(g: TemporalGraph, query: Collection[int], interval: Interval,
     return order, {u for u, c in coreness.items() if c >= order}
 
 
-# profile(te, starts) -> runs: the scores of [a, te] for the ascending starts
-# a, as (first start index, value) pairs with nondecreasing values; the first
-# run begins at index 0 and each run lasts until the next one begins
-Profile = Callable[[int, Sequence[int]], list[tuple[int, int]]]
-
-
-def _runs(steps: Iterable[tuple[int, int]], starts: Sequence[int]) -> list[tuple[int, int]]:
-    """The runs over ``starts`` of a step function of the start that is 0
-    before its first step and takes each ``(first start, value)`` step's value
-    from that start on; the steps ascend in start and never fall in value."""
-    runs = [(0, 0)]
-    for a, value in steps:
-        if value <= runs[-1][1]:
-            continue
-        j = bisect_left(starts, a)
-        if j == len(starts):
-            break
-        if runs[-1][0] == j:  # the previous step covers no asked start
-            runs[-1] = (j, value)
-        else:
-            runs.append((j, value))
-    return runs
+# profile(te) -> steps: the score of [a, te] as a function of the start a,
+# as (first start, score) pairs ascending in start and never falling in
+# score; the score is 0 before the first step
+Profile = Callable[[int], list[tuple[int, int]]]
 
 
 def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
@@ -96,13 +76,12 @@ def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
 
     The table must be anti-monotone in the span, as every score table of
     span-cores is: then each end's stored starts run contiguously up to the
-    end with nondecreasing scores, and its runs are read off its stored
-    entries alone, whatever the starts asked.
+    end with nondecreasing scores, and are its steps.
     """
     by_end: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for (ts, te), value in scores.items():
         by_end[te].append((ts, value))
-    return lambda te, starts: _runs(sorted(by_end.get(te, ())), starts)
+    return lambda te: sorted(by_end.get(te, ()))
 
 
 def _dominance_profile(corners: Collection[tuple[int, int, int]]) -> Profile:
@@ -115,14 +94,14 @@ def _dominance_profile(corners: Collection[tuple[int, int, int]]) -> Profile:
     """
     spans = sorted(corners)
 
-    def profile(te: int, starts: Sequence[int]) -> list[tuple[int, int]]:
+    def profile(te: int) -> list[tuple[int, int]]:
         steps = []
         peak = 0
         for s, e, k in spans:
             if e >= te and k > peak:
                 peak = k
                 steps.append((s, k))
-        return _runs(steps, starts)
+        return steps
 
     return profile
 
@@ -204,24 +183,37 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     segment after end index ``split`` starts at ``ends[split] + 1``.  Ties go
     to the smallest split index, making reconstruction deterministic.
 
-    The DP fills one column i at a time.  Within end r's profile the score
-    only rises from one run to the next, so a run may price every split from
-    its own first one up to ``r - 1`` at its value: that overstates the later
-    splits, which their own runs price exactly.  A run's best split is then
-    the leftmost minimum of column i - 1 over a suffix, read from a stack of
-    the column's suffix minima up to ``r - 1`` (an entry is popped only by a
-    strictly cheaper later split, so ties keep the leftmost).  The runs are
-    tried from the left, a later one winning only when strictly cheaper.
-    With ``|D| = len(ends)`` the cost is O(h * |D| * runs * log |D|) instead
-    of the O(h * |D|^2) of trying every split.  ``stats`` counts the
-    candidate ends and the runs answered (``dp_runs``).
+    Per end r, the profile's steps become runs of candidate start indices: a
+    step that raises the score opens a run at the first start it reaches,
+    replacing a run that reached no start.  The score only rises from run to
+    run, so a run may price every split from its own first one up to
+    ``r - 1`` at its value; that understates the later splits' scores, but
+    their own runs price them exactly and strictly cheaper, so every chosen
+    split is priced exactly.  The DP fills one column i at a time; a run's
+    best split is the leftmost minimum of column i - 1 over a suffix, read
+    from a stack of the column's suffix minima up to ``r - 1`` (an entry is
+    popped only by a strictly cheaper later split, so ties keep the
+    leftmost).  The runs are tried from the left, a later one winning only
+    when strictly cheaper.  With ``|D| = len(ends)`` the cost is
+    O(h * |D| * runs * log |D|) instead of the O(h * |D|^2) of trying every
+    split.  ``stats`` counts the candidate ends and the runs answered
+    (``dp_runs``).
     """
     n = len(ends)
     starts = [0] + [e + 1 for e in ends[:-1]]
     # per end r: (first start index, last start index, score) of each run
     ranges = []
     for r in range(n):
-        runs = profile(ends[r], starts[:r + 1])
+        runs = [(0, 0)]  # (first start index, score)
+        for a, value in profile(ends[r]):
+            if value > runs[-1][1]:
+                j = bisect_left(starts, a, 0, r + 1)
+                if j > r:
+                    break
+                if runs[-1][0] == j:  # the last run reaches no start
+                    runs[-1] = (j, value)
+                else:
+                    runs.append((j, value))
         lasts = [j - 1 for j, _ in runs[1:]] + [r]
         ranges.append([(j, last, value) for (j, value), last in zip(runs, lasts)])
     column: list[int | None] = [-first_run[2] for first_run, *_ in ranges]
@@ -258,38 +250,48 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
 
 
 def _best_segmentation(ends: Sequence[int], profile: Profile, h: int,
-                       stats: DecompositionStats | None) -> tuple[list[Interval], int]:
-    """The spans and objective of the DP's optimal h-segmentation over ``ends``."""
+                       stats: DecompositionStats | None) -> list[tuple[Interval, int]]:
+    """The ``(span, score)`` of each segment of the DP's optimal
+    h-segmentation over ``ends``, in order; a score is the cost its split
+    saves, which ``_segment_dp`` prices exactly."""
     n = len(ends)
     P, R = _segment_dp(ends, profile, h, stats)
-    objective = P[n - 1][h - 1]
-    if objective is None:
+    if P[n - 1][h - 1] is None:
         raise RuntimeError(f"internal: no feasible {h}-segmentation over {n} boundaries")
 
-    spans = []
+    segments = []
     idx = n - 1
     for i in range(h - 1, -1, -1):
         split = R[idx][i]  # -1 for the first segment
-        spans.append(Interval(ends[split] + 1 if split >= 0 else 0, ends[idx]))
+        start, before = (ends[split] + 1, P[split][i - 1]) if split >= 0 else (0, 0)
+        segments.append((Interval(start, ends[idx]), before - P[idx][i]))
         idx = split
-    return spans[::-1], -objective
+    return segments[::-1]
 
 
-def _materialize(g: TemporalGraph, query: frozenset[int], spans: Sequence[Interval],
-                 objective: int, stats: DecompositionStats | None) -> Segmentation:
-    """Each span's community, checked against the DP's objective; ``stats``
-    records its peels."""
+def _materialize(g: TemporalGraph, query: frozenset[int],
+                 scored: Sequence[tuple[Interval, int]],
+                 stats: DecompositionStats | None) -> Segmentation:
+    """Each segment's community, its order checked against the DP's score;
+    ``stats`` records its peels."""
     segments: list[Segment] = []
-    for span in spans:
+    for span, score in scored:
         order, members = single_tcs(g, query, span, stats)
+        if order != score:
+            raise RuntimeError(f"internal: {span} has order {order}, not its DP score {score}")
         if order == 0:
             # any vertex set scores 0 here; the query itself is the least misleading
             members = set(query)
         segments.append(Segment(span=span, members=frozenset(members), min_degree=order))
+    return Segmentation(segments=tuple(segments), objective=sum(score for _, score in scored))
 
-    if sum(seg.min_degree for seg in segments) != objective:
-        raise RuntimeError("internal: segmentation objective does not match its segments")
-    return Segmentation(segments=tuple(segments), objective=objective)
+
+def _corner_segmentation(corners: Collection[tuple[int, int, int]], t_max: int, h: int,
+                         stats: DecompositionStats | None) -> list[tuple[Interval, int]]:
+    """``_best_segmentation`` over the reduced domain of the query-constrained
+    maximal cores' ``(start, end, order)``, scored by their dominance profile."""
+    ends = reduced_time_domain(t_max, h, [Interval(s, e) for s, e, _ in corners]).timestamps
+    return _best_segmentation(ends, _dominance_profile(corners), h, stats)
 
 
 def _validate_h(g: TemporalGraph, h: int) -> None:
@@ -305,7 +307,7 @@ def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
     _validate_h(g, h)
     qs = frozenset(query)
     profile = _table_profile(penalty_table_full(g, qs, stats))
-    return _materialize(g, qs, *_best_segmentation(range(g.t_max + 1), profile, h, stats), stats)
+    return _materialize(g, qs, _best_segmentation(range(g.t_max + 1), profile, h, stats), stats)
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
@@ -318,7 +320,5 @@ def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
     """
     _validate_h(g, h)
     qs = frozenset(query)
-    cores = query_constrained_scan(g, qs, stats)
-    ends = reduced_time_domain(g.t_max, h, [core.span for core in cores]).timestamps
-    profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
-    return _materialize(g, qs, *_best_segmentation(ends, profile, h, stats), stats)
+    corners = [(c.span.start, c.span.end, c.order) for c in query_constrained_scan(g, qs, stats)]
+    return _materialize(g, qs, _corner_segmentation(corners, g.t_max, h, stats), stats)

@@ -13,19 +13,9 @@ import heapq
 from typing import Collection
 
 from .graph import Interval, TemporalGraph
+from .static_core import _build_adjacency
 
 _INF = float("inf")
-
-
-def _induced_adjacency(g: TemporalGraph, interval: Interval,
-                       universe: Collection[int]) -> dict[int, list[int]]:
-    inside = set(universe)
-    adj: dict[int, list[int]] = {u: [] for u in inside}
-    for u, v in g.interval_edges(interval):
-        if u in inside and v in inside:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
 
 
 def _score(adj: dict[int, list[int]], selected: set[int],
@@ -56,12 +46,12 @@ def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
     if not query_set:
         raise ValueError("a positive degree target needs at least one query vertex")
 
-    adj = _induced_adjacency(g, interval, universe_set)
+    adj = _build_adjacency(universe_set, [(u, v) for u, v in g.interval_edges(interval)
+                                          if u in universe_set and v in universe_set])
     selected: set[int] = set()
     selected_degree = {u: 0 for u in universe_set}
-    priority: dict[int, float] = {}
+    priority: dict[int, float] = {}  # the queued vertices' current scores
     heap: list[tuple[float, int, int]] = []
-    queued: set[int] = set()
 
     def push(v: int, score: float) -> None:
         priority[v] = score
@@ -69,7 +59,6 @@ def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
         heapq.heappush(heap, (-score, -selected_degree[v], v))
 
     for q in sorted(query_set):
-        queued.add(q)
         push(q, _INF)
 
     deficient = 0
@@ -78,13 +67,12 @@ def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
         u = None
         while heap:
             neg_score, _, v = heapq.heappop(heap)
-            if v in queued and priority[v] == -neg_score:
+            if priority.get(v) == -neg_score:
                 u = v
                 break
         if u is None:
             raise RuntimeError("internal: queue exhausted before the degree target was met")
-        queued.discard(u)
-        priority.pop(u)
+        del priority[u]
 
         selected.add(u)
         if u in query_set:
@@ -99,15 +87,14 @@ def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
                 saturated.append(w)
 
         for v in adj[u]:
-            if v not in selected and v not in queued:
-                queued.add(v)
+            if v not in selected and v not in priority:
                 push(v, _score(adj, selected, selected_degree, v, target))
 
         # a neighbor that just reached the target no longer benefits from
         # additions, so its queued neighbors lose one point of gain
         for w in saturated:
             for x in adj[w]:
-                if x in queued:
+                if x in priority:
                     push(x, priority[x] - 1)
 
     return selected

@@ -111,16 +111,17 @@ def quadratic_segment_dp(ends, profile, h):
     """The segmentation DP by trying every split: the oracle of
     ``community_search._segment_dp``.
 
-    ``profile(te, starts)`` gives the score of ``[a, te]`` for each start
-    ``a`` (use ``expand_runs`` to read a run profile).  ``P`` and ``R`` mean
-    what they mean for ``_segment_dp``, ties going to the smallest split.
+    ``profile(te)`` gives the score steps of ``[a, te]``, read at each start
+    ``a`` by ``score_at``.  ``P`` and ``R`` mean what they mean for
+    ``_segment_dp``, ties going to the smallest split.
     """
     n = len(ends)
     starts = [0] + [e + 1 for e in ends[:-1]]
     P: list[list[int | None]] = [[None] * h for _ in range(n)]
     R: list[list[int]] = [[-1] * h for _ in range(n)]
     for r in range(n):
-        scores = profile(ends[r], starts[:r + 1])
+        steps = profile(ends[r])
+        scores = [score_at(steps, a) for a in starts[:r + 1]]
         P[r][0] = -scores[0]
         for i in range(1, min(h, r + 1)):
             best = None
@@ -138,11 +139,11 @@ def quadratic_segment_dp(ends, profile, h):
     return P, R
 
 
-def expand_runs(runs, count):
-    """The per-start values of ``count`` starts from a profile's
-    ``(first start index, value)`` runs."""
-    firsts = [j for j, _ in runs[1:]] + [count]
-    return [value for (j, value), end in zip(runs, firsts) for _ in range(j, end)]
+def score_at(steps, a):
+    """The score at start ``a`` of a profile's ``(first start, score)``
+    steps: the highest score among the steps starting at or before ``a``,
+    0 if there is none."""
+    return max((value for first, value in steps if first <= a), default=0)
 
 
 def definitional_span_cores(g: TemporalGraph) -> dict[tuple[int, int, int], frozenset[int]]:

@@ -250,6 +250,34 @@ class TestQuerySampling:
         assert sample_query_vertices(fix1, 2, seed=99) == \
             sample_query_vertices(fix1, 2, seed=99)
 
+    def test_draws_are_pinned(self):
+        # three groups over six timestamps, bridged at t=2 and t=4; the draws
+        # for each seed are those of the walk and the weighted draw as written
+        groups = [((0, 1, 2, 3), range(0, 4)), ((4, 5, 6), range(2, 6)),
+                  ((7, 8, 9, 10, 11), range(1, 5))]
+        snapshots = [[] for _ in range(6)]
+        for members, span in groups:
+            for t in span:
+                snapshots[t] += combinations(members, 2)
+        snapshots[2].append((3, 4))
+        snapshots[4].append((6, 7))
+        g = TemporalGraph(snapshots, "abcdefghijkl")
+        expected = {
+            2: "fg bd dg cd bc il ij fg ab hk hl kl ik jl bc be fg hj ad kl il bf bd dg jl "
+               "fg hl il ad hk hj ab bd jk fg jl eg hl ij ad gi de ik bc bd fg ac eg il ad",
+            3: "hil ceg deg bch abc fjl dfj hjl acg fhj ghj fgj hkl hik acf abc bde ikl abc "
+               "jkl hjk aeg bde dfg fhi acd hik efk aef hkl gij abd bcd ikl egh egh fjl hkl "
+               "ehj efi hil def gil bcd abc acd abc ceg ehk acd",
+            4: "ehjl bcfg efhk befg adhi efhj aefi eghl abcd hikl fhij efgi eijl ghjk abdg "
+               "abcd abde ijkl abde fhjl ehik acfh abef abde dijk abcd cekl afil abef achk "
+               "efgk bcde abcd ijkl acdk efkl efik fhil ehjk acdh hjkl adeg fhil acef abdj "
+               "abej abck befg bcfg abde",
+        }
+        for q_size, draws in expected.items():
+            assert " ".join("".join(sorted(g.labels[v] for v in
+                                           sample_query_vertices(g, q_size, seed=seed)))
+                            for seed in range(50)) == draws
+
     def test_edgeless_graph_rejected_for_pairs(self):
         g = TemporalGraph([[]], ["a", "b"])
         with pytest.raises(ValueError):

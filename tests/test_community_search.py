@@ -16,7 +16,7 @@ from spancores import (
 from spancores.community_search import (_corners, _dominance_profile, _segment_dp,
                                          _table_profile, penalty_table_full)
 
-from conftest import expand_runs, long_lived_graphs, stress_cases
+from conftest import long_lived_graphs, score_at, stress_cases
 
 
 def brute_force_objective(g, query, h):
@@ -117,7 +117,7 @@ class TestQueryConstrainedMaximal:
         keys = {(c.order, c.span.start, c.span.end) for c in cores}
         assert keys == {(2, 0, 1), (1, 0, 2)}
         # dominance lookup through a span that strictly contains the probe
-        assert expand_runs(profile(1, [1]), 1) == [2]
+        assert score_at(profile(1), 1) == 2
 
     def test_fix1_query_d(self, fix1):
         g = fix1
@@ -127,8 +127,8 @@ class TestQueryConstrainedMaximal:
         assert len(found) == 1
         assert (found[0].order, found[0].span) == (1, Interval(0, 0))
         assert found[0].members == frozenset(g.vertices)
-        assert expand_runs(profile(0, [0]), 1) == [1]
-        assert expand_runs(profile(1, [1]), 1) == [0]
+        assert score_at(profile(0), 0) == 1
+        assert score_at(profile(1), 1) == 0
 
     def test_table_agrees_with_full_and_single(self, corpus):
         rng = random.Random(17)
@@ -144,7 +144,7 @@ class TestQueryConstrainedMaximal:
                 ts = rng.randint(0, g.t_max)
                 te = rng.randint(ts, g.t_max)
                 expected, _ = single_tcs(g, query, Interval(ts, te))
-                assert expand_runs(dominance(te, [ts]), 1) == [expected]
+                assert score_at(dominance(te), ts) == expected
                 assert full.get((ts, te), 0) == expected
                 probes += 1
 

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package or the tests imports a name it
 never uses.  A name listed in a module's ``__all__`` counts as used, since
 re-exporting it is the module's purpose.  Conversely, every name the package
-exports, and every public function and method it defines, has a user
-outside the tests: a package module other than ``__init__.py``, or the
-benchmark harness in ``perfbench/``."""
+exports, and every function and method it defines, private helpers
+included, has a user outside the tests: a package module other than
+``__init__.py``, or the benchmark harness in ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -93,9 +93,9 @@ def test_every_export_has_a_non_test_user():
 TEST_ONLY_ALLOWED = {"SpanCore.dominates", "TemporalGraph.induced_degree"}
 
 
-def public_functions(tree: ast.Module) -> dict[str, str]:
-    """``{qualified name: bare name}`` of the module's public top-level
-    functions and the public methods of its classes."""
+def defined_functions(tree: ast.Module) -> dict[str, str]:
+    """``{qualified name: bare name}`` of the module's top-level functions and
+    the methods of its classes, dunder methods aside."""
     found = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -103,14 +103,29 @@ def public_functions(tree: ast.Module) -> dict[str, str]:
         elif isinstance(node, ast.ClassDef):
             found.update((f"{node.name}.{m.name}", m.name) for m in node.body
                          if isinstance(m, ast.FunctionDef))
-    return {qualified: name for qualified, name in found.items() if not name.startswith("_")}
+    return {qualified: name for qualified, name in found.items()
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
-def test_every_public_function_has_a_non_test_user():
+def orphan_functions(private: bool) -> list[str]:
+    """The package's public (or private) functions and methods that no
+    module outside the tests uses, beyond ``TEST_ONLY_ALLOWED``."""
     users = non_test_users()
     orphans = []
     for path in PACKAGE.glob("*.py"):
-        functions = public_functions(ast.parse(path.read_text(encoding="utf-8")))
+        functions = defined_functions(ast.parse(path.read_text(encoding="utf-8")))
         orphans += [f"{path.name}: {qualified}" for qualified, name in functions.items()
-                    if name not in users and qualified not in TEST_ONLY_ALLOWED]
-    assert not orphans, f"public but used only by tests: {sorted(orphans)}"
+                    if name.startswith("_") == private and name not in users
+                    and qualified not in TEST_ONLY_ALLOWED]
+    return sorted(orphans)
+
+
+def test_every_public_function_has_a_non_test_user():
+    orphans = orphan_functions(private=False)
+    assert not orphans, f"public but used only by tests: {orphans}"
+
+
+def test_every_private_helper_has_a_non_test_user():
+    # a helper kept alive only for the tests is dead code
+    orphans = orphan_functions(private=True)
+    assert not orphans, f"private but used only by tests: {orphans}"

@@ -9,7 +9,8 @@ from spancores import (
     single_tcs,
     tcs_efficient,
 )
-from spancores.min_community import _induced_adjacency, _score
+from spancores.min_community import _score
+from spancores.static_core import _build_adjacency
 
 
 def min_induced_degree(g, interval, members):
@@ -18,7 +19,8 @@ def min_induced_degree(g, interval, members):
 
 def candidate_score(g, interval, universe, selected, candidate, target):
     """The greedy's admission score of ``candidate`` against ``selected``."""
-    adj = _induced_adjacency(g, interval, universe)
+    adj = _build_adjacency(universe, [(u, v) for u, v in g.interval_edges(interval)
+                                      if u in universe and v in universe])
     degree = {u: sum(1 for w in adj[u] if w in selected) for u in adj}
     return _score(adj, set(selected), degree, candidate, target)
 

@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from spancores import (TemporalGraph, load_edge_list, maximal_span_cores, query_constrained_scan,
                        span_cores, tcs_basic, tcs_efficient, tcs_embeddings)
 from spancores import graph as graph_module
-from spancores.community_search import _segment_dp
+from spancores.community_search import _best_segmentation, _segment_dp
 
-from conftest import (as_definitional, definitional_span_cores, expand_runs, loaded,
-                      per_vertex_rows, quadratic_segment_dp, reference_load)
+from conftest import (as_definitional, definitional_span_cores, loaded, per_vertex_rows,
+                      quadratic_segment_dp, reference_load, score_at)
 
 
 @st.composite
@@ -131,28 +131,35 @@ def test_segmentations_match_exhaustive_search(case):
 @st.composite
 def step_profiles(draw):
     """Up to 70 ascending candidate ends, a segment count h of at most their
-    number, and per end the runs of a nondecreasing step profile over its
-    starts.  Values rise by 0, 1 or 2 from run to run, so equal neighbouring
-    runs and equal costs within the DP's columns are common."""
+    number, and per end te the steps of a nondecreasing score profile: up to
+    5 first starts anywhere in ``0..te``, plus 0 in about half the ends, so
+    steps fall between candidate starts, several reach the same one, and some
+    reach none.  Scores rise by
+    0, 1 or 2 from step to step, so equal neighbouring steps and equal costs
+    within the DP's columns are common."""
     n = draw(st.integers(1, 70))
     ends = list(accumulate(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
                            initial=-1))[1:]
-    runs = {}
-    for r, te in enumerate(ends):
-        firsts = sorted(draw(st.sets(st.integers(1, r), max_size=4))) if r else []
-        rises = draw(st.lists(st.integers(0, 2), min_size=len(firsts) + 1,
-                              max_size=len(firsts) + 1))
-        runs[te] = list(zip([0] + firsts, accumulate(rises)))
-    return ends, runs, draw(st.integers(1, n))
+    steps = {}
+    for te in ends:
+        firsts = sorted(draw(st.sets(st.integers(0, te), max_size=5))
+                        | draw(st.sampled_from([set(), {0}])))
+        rises = draw(st.lists(st.integers(0, 2), min_size=len(firsts), max_size=len(firsts)))
+        steps[te] = list(zip(firsts, accumulate(rises)))
+    return ends, steps, draw(st.integers(1, n))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(step_profiles())
 def test_segment_dp_matches_the_quadratic_one(case):
-    ends, runs, h = case
-    expected = quadratic_segment_dp(
-        ends, lambda te, starts: expand_runs(runs[te], len(starts)), h)
-    assert _segment_dp(ends, lambda te, starts: runs[te], h) == expected
+    ends, steps, h = case
+    expected = quadratic_segment_dp(ends, steps.get, h)
+    assert _segment_dp(ends, steps.get, h) == expected
+    # each segment's score is read off the DP, and they sum to the objective
+    segments = _best_segmentation(ends, steps.get, h, None)
+    assert [score for _, score in segments] == \
+        [score_at(steps[span.end], span.start) for span, _ in segments]
+    assert sum(score for _, score in segments) == -expected[0][-1][h - 1]
 
 
 LABELS = ("a", "b", "c", "d", "e", "f")
