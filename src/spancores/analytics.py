@@ -176,10 +176,11 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     """Sample query vertices that plausibly interact, via a temporal random walk.
 
     A single query vertex is drawn uniformly from the whole vertex set.  For
-    larger queries a walker starts at a uniform vertex and timestamp 0; with
-    probability ``p`` it moves to a neighbor in the current snapshot (jumping
-    forward, wrapping at the domain end, to the next timestamp where the
-    current vertex has a neighbor), otherwise it stays and time advances.
+    larger queries a walker starts at timestamp 0 at a uniform vertex among
+    those with an edge; with probability ``p`` it moves to a neighbor in the
+    current snapshot (jumping forward, wrapping at the domain end, to the next
+    timestamp where the current vertex has a neighbor), otherwise it stays
+    and time advances.
     Visits accumulate until ``pool_size`` distinct vertices (default
     ``3 * q_size``, capped at ``g.n``) are seen, then ``q_size`` distinct
     vertices are drawn with probability proportional to visit frequency.
@@ -196,12 +197,13 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     rng = random.Random(seed)
     if q_size == 1:
         return {rng.randrange(g.n)}
-    if g.temporal_edge_count() == 0:
+    active = sorted({u for edges in g.snapshots for edge in edges for u in edge})
+    if not active:
         raise ParameterError("cannot sample interacting vertices from an edgeless graph")
 
     step_limit = max(10_000, 200 * pool * (g.t_max + 1))
 
-    current = rng.randrange(g.n)
+    current = active[rng.randrange(len(active))]
     visits: Counter[int] = Counter({current: 1})
     t = 0
     for _ in range(step_limit):

@@ -5,8 +5,8 @@ and writes line-oriented results plus a provenance sidecar; the README gives
 the sidecar's layout and the exit codes.  Results are deterministic for a
 fixed configuration and seed; all nondeterministic bookkeeping lives in the
 sidecar.  A run leaves either all of its output files or none: each is
-written to a temporary file beside it and moved into place only after the
-sidecar has been written too.
+written to a temporary file beside it, and none is moved into place until the
+sidecar has been written too and no destination is found to be a directory.
 
 ``main`` keeps the cyclic garbage collector paused for its whole run and
 restores the caller's setting when it returns.  A run loads its graph first
@@ -78,31 +78,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spancores",
                      description="Span-core decomposition and temporal community search")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="edge-list file (raw 'time u v' records; .gz accepted)")
+    common.add_argument("--window", type=int, help="window width for discretizing raw times")
+    common.add_argument("--pre-windowed", action="store_true",
+                        help="input timestamps are already discrete indices")
+    common.add_argument("--time-origin", type=int, default=None,
+                        help="raw time of the first window (default: minimum raw time)")
+    common.add_argument("-o", "--output", default="-", help="output path ('-' for stdout); "
+                        f"relative paths honor ${OUTPUT_DIR_ENV}")
 
-    def add_common(p):
-        p.add_argument("input", help="edge-list file (raw 'time u v' records; .gz accepted)")
-        p.add_argument("--window", type=int,
-                       help="window width for discretizing raw times")
-        p.add_argument("--pre-windowed", action="store_true",
-                       help="input timestamps are already discrete indices")
-        p.add_argument("--time-origin", type=int, default=None,
-                       help="raw time of the first window (default: minimum raw time)")
-        p.add_argument("-o", "--output", default="-",
-                       help="output path ('-' for stdout); relative paths honor "
-                            f"${OUTPUT_DIR_ENV}")
-
-    p = sub.add_parser("decompose", help="enumerate all span-cores")
-    add_common(p)
+    p = sub.add_parser("decompose", parents=[common], help="enumerate all span-cores")
     p.add_argument("--naive", action="store_true",
                    help="use the per-interval full decomposition baseline")
 
-    p = sub.add_parser("maximal", help="extract only the maximal span-cores")
-    add_common(p)
+    p = sub.add_parser("maximal", parents=[common], help="extract only the maximal span-cores")
     p.add_argument("--filter", action="store_true",
                    help="use the enumerate-then-filter baseline")
 
-    p = sub.add_parser("tcs", help="temporal community search")
-    add_common(p)
+    p = sub.add_parser("tcs", parents=[common], help="temporal community search")
     p.add_argument("--q", required=True,
                    help="comma-separated query vertex labels")
     p.add_argument("--h", dest="segments", type=int, required=True,
@@ -112,19 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", action="store_true",
                    help="shrink each community greedily, reporting both sizes")
 
-    p = sub.add_parser("anomalies", help="flag and filter anomalously persistent contacts")
-    add_common(p)
+    p = sub.add_parser("anomalies", parents=[common],
+                       help="flag and filter anomalously persistent contacts")
     p.add_argument("--tr", type=int, required=True, help="span-length threshold")
     p.add_argument("--ratio", type=float, required=True,
                    help="original/filtered edge-count ratio flagging a timestamp")
 
-    p = sub.add_parser("embed", help="per-vertex community-search embeddings")
-    add_common(p)
+    p = sub.add_parser("embed", parents=[common], help="per-vertex community-search embeddings")
     p.add_argument("--h", dest="segments", type=int, required=True,
                    help="embedding width (number of segments)")
 
-    p = sub.add_parser("stats", help="activity, purity, and span-length tables")
-    add_common(p)
+    p = sub.add_parser("stats", parents=[common], help="activity, purity, and span-length tables")
     p.add_argument("--report", choices=["activity", "purity", "span-length"],
                    required=True)
     p.add_argument("--attrs", help="two-column 'vertex_label value' file (purity)")
@@ -132,12 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="discard cores with spans shorter than this (activity and "
                    "purity; span-length ignores it)")
 
-    p = sub.add_parser("reshuffle", help="degree-preserving per-timestamp null model")
-    add_common(p)
+    p = sub.add_parser("reshuffle", parents=[common],
+                       help="degree-preserving per-timestamp null model")
     p.add_argument("--seed", default="0")
 
-    p = sub.add_parser("sample-queries", help="sample interacting query vertices")
-    add_common(p)
+    p = sub.add_parser("sample-queries", parents=[common], help="sample interacting query vertices")
     p.add_argument("--q-size", type=int, required=True)
     p.add_argument("--p", type=float, default=0.8, help="walk continuation probability")
     p.add_argument("--pool", type=int, default=None,
@@ -169,11 +160,8 @@ def _load(args, timings: dict) -> TemporalGraph:
 
 
 def _digest(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 class _StagedFile(io.TextIOWrapper):
@@ -195,9 +183,11 @@ class _Run:
 
     Every output file is written to a temporary file beside it and moved into
     place by ``commit`` only once the run has written them all, sidecar
-    included; ``discard`` deletes what a failed run left.  An ``OSError`` in
-    ``writing``, ``commit`` or the sidecar write, which are the only callers
-    of ``staged``, is raised as an ``OutputError``.
+    included, and no destination is a directory; ``discard`` deletes what a
+    failed run left.  An ``OSError`` in ``writing``, ``commit`` or the sidecar
+    write, which are the only callers of ``staged``, is raised as an
+    ``OutputError``.  ``stats`` is the run's one work-counter record; ``count``
+    copies the fields a handler reports into ``counters``.
     """
 
     def __init__(self, args, started: float):
@@ -207,6 +197,7 @@ class _Run:
         self.timings: dict[str, float] = {}
         self.load_timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
+        self.stats = DecompositionStats()
         self._staged: list[tuple[Path, Path]] = []  # (temporary, destination)
 
     def staged(self, path: Path) -> _StagedFile:
@@ -215,8 +206,15 @@ class _Run:
         self._staged.append((temporary, path))
         return _StagedFile(temporary, path)
 
+    def count(self, *names: str) -> None:
+        for name in names:
+            self.counters[name] = getattr(self.stats, name)
+
     def commit(self) -> None:
         with _side(OutputError):
+            for _, path in self._staged:
+                if path.is_dir():
+                    raise IsADirectoryError(f"{path} is a directory")
             for temporary, path in self._staged:
                 os.replace(temporary, path)
 
@@ -242,6 +240,12 @@ class _Run:
                 if sink is not sys.stdout:
                     sink.close()
                 self.timings["write"] = time.perf_counter() - tick
+
+    def table(self, header: str, rows) -> None:
+        """Write ``header``, then each row, one line each."""
+        with self.writing() as sink:
+            sink.write(header + "\n")
+            sink.writelines(row + "\n" for row in rows)
 
     def write_provenance(self):
         args = self.args
@@ -278,22 +282,19 @@ def _timed(run: _Run, phase: str, fn):
 
 
 def _cmd_decompose(run: _Run, g: TemporalGraph):
-    stats = DecompositionStats()
     algorithm = naive_span_cores if run.args.naive else span_cores
-    cores = _timed(run, "solve", lambda: algorithm(g, stats))
-    run.counters["peel_vertices"] = stats.peel_vertices
-    run.counters["intervals_processed"] = stats.intervals_processed
+    cores = _timed(run, "solve", lambda: algorithm(g, run.stats))
+    run.count("peel_vertices", "intervals_processed")
     with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g)
 
 
 def _cmd_maximal(run: _Run, g: TemporalGraph):
-    stats = DecompositionStats()
     if run.args.filter:
-        cores = _timed(run, "solve", lambda: filter_maximal(span_cores(g, stats)))
+        cores = _timed(run, "solve", lambda: filter_maximal(span_cores(g, run.stats)))
     else:
-        cores = _timed(run, "solve", lambda: maximal_span_cores(g, stats))
-    run.counters["peel_vertices"] = stats.peel_vertices
+        cores = _timed(run, "solve", lambda: maximal_span_cores(g, run.stats))
+    run.count("peel_vertices")
     with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g, maximal=True)
 
@@ -303,12 +304,9 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     query = frozenset(g.index_of(label) for label in args.q.split(",") if label)
     if not query:
         raise ParameterError("--q must name at least one vertex")
-    stats = DecompositionStats()
     search = tcs_basic if args.basic else tcs_efficient
-    solution = _timed(run, "solve", lambda: search(g, query, args.segments, stats))
-    run.counters["peel_vertices"] = stats.peel_vertices
-    run.counters["candidate_ends"] = stats.candidate_ends
-    run.counters["dp_runs"] = stats.dp_runs
+    solution = _timed(run, "solve", lambda: search(g, query, args.segments, run.stats))
+    run.count("peel_vertices", "candidate_ends", "dp_runs")
     shrunk = {}
     if args.minimize:
         shrunk = _timed(run, "minimize", lambda: {
@@ -336,10 +334,9 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
 def _cmd_anomalies(run: _Run, g: TemporalGraph):
     if run.output is None:
         raise ParameterError("anomalies requires -o/--output (it writes a table and a graph)")
-    stats = DecompositionStats()
     report = _timed(run, "solve",
-                    lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio, stats))
-    run.counters["peel_vertices"] = stats.peel_vertices
+                    lambda: analytics.detect_anomalies(g, run.args.tr, run.args.ratio, run.stats))
+    run.count("peel_vertices")
     with run.writing() as sink:
         sink.write("t\toriginal_edges\tvertex_filtered_edges\tfinal_edges\tflagged\n")
         flagged = set(report.flagged_timestamps)
@@ -353,34 +350,27 @@ def _cmd_anomalies(run: _Run, g: TemporalGraph):
 
 
 def _cmd_embed(run: _Run, g: TemporalGraph):
-    stats = DecompositionStats()
-    rows = _timed(run, "solve",
-                  lambda: analytics.tcs_embeddings(g, run.args.segments, stats))
-    run.counters["peel_vertices"] = stats.peel_vertices
-    run.counters["candidate_ends"] = stats.candidate_ends
-    run.counters["dp_runs"] = stats.dp_runs
-    with run.writing() as sink:
-        header = "\t".join(["vertex"] + [f"x{j}" for j in range(run.args.segments)])
-        sink.write(header + "\n")
-        for u, row in enumerate(rows):
-            sink.write("\t".join([g.label_of(u)] + [str(x) for x in row]) + "\n")
+    rows = _timed(run, "solve", lambda: analytics.tcs_embeddings(g, run.args.segments, run.stats))
+    run.count("peel_vertices", "candidate_ends", "dp_runs")
+    run.table("\t".join(["vertex"] + [f"x{j}" for j in range(run.args.segments)]),
+              ("\t".join([g.label_of(u)] + [str(x) for x in row]) for u, row in enumerate(rows)))
 
 
 def _cmd_stats(run: _Run, g: TemporalGraph):
     args = run.args
-    stats = DecompositionStats()
     if args.report == "activity":
         header = "start\tspan_length\tmax_order"
         rows = _timed(run, "solve", lambda: [
             f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
-            for cell in analytics.activity_summary(span_cores(g, stats), min_span=args.min_span)])
+            for cell in analytics.activity_summary(span_cores(g, run.stats),
+                                                   min_span=args.min_span)])
         # only the enumeration's count: the maximal scan counts its intervals otherwise
-        run.counters["intervals_processed"] = stats.intervals_processed
+        run.count("intervals_processed")
     elif args.report == "span-length":
         header = "span_length\tcount\tpercent"
         rows = _timed(run, "solve", lambda: [
             f"{row.length}\t{row.count}\t{row.percent:.4f}"
-            for row in analytics.span_length_distribution(maximal_span_cores(g, stats))])
+            for row in analytics.span_length_distribution(maximal_span_cores(g, run.stats))])
     else:
         if not args.attrs:
             raise ParameterError("stats --report purity requires --attrs")
@@ -391,13 +381,10 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
         rows = _timed(run, "solve", lambda: [
             f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
             for t, value in enumerate(analytics.purity_timeline(
-                [c for c in maximal_span_cores(g, stats) if c.span.length >= args.min_span],
+                [c for c in maximal_span_cores(g, run.stats) if c.span.length >= args.min_span],
                 attributes, g.t_max))])
-    run.counters["peel_vertices"] = stats.peel_vertices
-    with run.writing() as sink:
-        sink.write(header + "\n")
-        for row in rows:
-            sink.write(row + "\n")
+    run.count("peel_vertices")
+    run.table(header, rows)
 
 
 def _cmd_reshuffle(run: _Run, g: TemporalGraph):
@@ -410,13 +397,9 @@ def _cmd_reshuffle(run: _Run, g: TemporalGraph):
 def _cmd_sample_queries(run: _Run, g: TemporalGraph):
     args = run.args
     seed = _seed_value(args.seed)
-    chosen = _timed(run, "solve",
-                    lambda: analytics.sample_query_vertices(
-                        g, args.q_size, p=args.p, pool_size=args.pool, seed=seed))
-    with run.writing() as sink:
-        sink.write("vertex\n")
-        for label in sorted(g.label_of(u) for u in chosen):
-            sink.write(label + "\n")
+    chosen = _timed(run, "solve", lambda: analytics.sample_query_vertices(
+        g, args.q_size, p=args.p, pool_size=args.pool, seed=seed))
+    run.table("vertex", sorted(g.label_of(u) for u in chosen))
 
 
 _HANDLERS = {
@@ -429,6 +412,16 @@ _HANDLERS = {
     "reshuffle": _cmd_reshuffle,
     "sample-queries": _cmd_sample_queries,
 }
+
+
+# (exception types, exit code, message prefix); the first matching row wins,
+# and the last row's types cover every earlier row's
+_EXITS = (
+    (ParameterError, 1, "usage error"),
+    ((EdgeListFormatError, UnknownLabelError, InputError), 2, "input error"),
+    (OutputError, 4, "output error"),
+    ((OSError, ValueError, KeyError, RuntimeError, AssertionError), 3, "internal error"),
+)
 
 
 @_collector_paused()
@@ -446,24 +439,11 @@ def main(argv=None) -> int:
         run.write_provenance()
         run.commit()
         return 0
-    except ParameterError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except EdgeListFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownLabelError as exc:
-        print(f"input error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError, KeyError, RuntimeError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+    except _EXITS[-1][0] as exc:
+        code, prefix = next((code, prefix) for types, code, prefix in _EXITS
+                            if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     finally:
         if run is not None:
             run.discard()

@@ -64,6 +64,8 @@ class ParameterError(ValueError):
 class UnknownLabelError(KeyError):
     """Raised by ``TemporalGraph.index_of`` for a label the graph does not have."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
+
 
 class _Record:
     """An immutable record whose fields read one tuple, ``_values``: records
@@ -123,11 +125,15 @@ class Interval(_Record):
         return f"[{self.start},{self.end}]"
 
 
-def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+def _build_adjacency(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """``{vertex: neighbours}``, each list in the order the edges come."""
+    adj: dict[int, list[int]] = {u: [] for u in vertices}
+    try:
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    except KeyError:
+        raise ValueError(f"edge ({u},{v}) has an endpoint outside the vertex set") from None
     return adj
 
 
@@ -217,15 +223,14 @@ class TemporalGraph:
     def neighbors(self, t: int, u: int) -> Sequence[int]:
         """Neighbours of ``u`` at timestamp ``t``, ascending by id."""
         if self._adjacency is None:
-            self._adjacency = tuple(_adjacency(sorted(edges)) for edges in self.snapshots)
+            self._adjacency = tuple(_build_adjacency(chain.from_iterable(edges), sorted(edges))
+                                    for edges in self.snapshots)
         return self._adjacency[t].get(u, ())
 
     def induced_degree(self, interval: Interval, members: frozenset[int] | set[int], u: int) -> int:
         """Number of neighbors of ``u`` inside ``members`` under the interval edge set."""
         if u not in members:
             raise ValueError(f"vertex {u} is not a member of the induced set")
-        if interval.length == 1:
-            return sum(1 for v in self.neighbors(interval.start, u) if v in members)
         edges = self.interval_edges(interval)
         return sum(1 for a, b in edges if (a == u and b in members) or (b == u and a in members))
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import Collection
 
-from .graph import Interval, TemporalGraph
-from .static_core import _build_adjacency
+from .graph import Interval, TemporalGraph, _build_adjacency
 
 _INF = float("inf")
 

@@ -13,18 +13,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .graph import Edge
-
-
-def _build_adjacency(vertices: Collection[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {u: [] for u in vertices}
-    try:
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-    except KeyError:
-        raise ValueError(f"edge ({u},{v}) has an endpoint outside the vertex set") from None
-    return adj
+from .graph import Edge, _build_adjacency
 
 
 def _peel(adj: dict[int, list[int]]) -> dict[int, int]:

@@ -246,6 +246,11 @@ class TestQuerySampling:
             assert len(chosen) == 2
             assert chosen <= active
 
+    def test_walk_starts_at_a_vertex_with_an_edge(self):
+        g = TemporalGraph([[(0, 1)], [(0, 1)]], ["a", "b", "c"])  # "c" has no edge
+        for seed in range(50):
+            assert sample_query_vertices(g, 2, seed=seed) <= {0, 1}
+
     def test_fixed_seed_reproducible(self, fix1):
         assert sample_query_vertices(fix1, 2, seed=99) == \
             sample_query_vertices(fix1, 2, seed=99)

@@ -86,7 +86,8 @@ class TestTcs:
     def test_unknown_label_is_input_error(self, fix1_file, tmp_path, capsys):
         code = run(["tcs", fix1_file, "--pre-windowed", "--q", "nope", "--h", 1])
         assert code == 2
-        assert "4 labels" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "input error: unknown vertex label 'nope' (graph has 4 labels)\n"
 
     def test_h_too_large_is_usage_error(self, fix1_file):
         assert run(["tcs", fix1_file, "--pre-windowed", "--q", "a", "--h", 9]) == 1
@@ -348,7 +349,7 @@ class TestErrorHandling:
 
         monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
         assert run(["decompose", fix1_file, "--pre-windowed", "-o", tmp_path / "c.jsonl"]) == 3
-        assert "internal error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "internal error: (0, 5)\n"
 
     def test_other_os_error_is_internal_error(self, fix1_file, tmp_path, monkeypatch, capsys):
         def broken(run, g):
@@ -470,17 +471,23 @@ class TestErrorHandling:
         assert "internal error" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
-    @pytest.mark.parametrize("blocker", ["parent-is-a-file", "output-is-a-directory"])
+    @pytest.mark.parametrize("blocker", ["parent-is-a-file", "output-is-a-directory",
+                                         "sidecar-is-a-directory", "extra-file-is-a-directory"])
     def test_output_failure_is_output_error(self, fix1_file, tmp_path, capsys, blocker):
         afile = tmp_path / "out" / "afile"
         output = afile / "out.jsonl"
+        argv = ["decompose"]
+        if blocker == "extra-file-is-a-directory":
+            argv = ["anomalies", "--tr", 5, "--ratio", 1.5]
         if blocker == "parent-is-a-file":
             afile.parent.mkdir()
             afile.write_text("")
-        else:  # the run fails only when it moves its result into place
-            output.mkdir(parents=True)
+        else:  # the run fails only when it moves its files into place
+            suffix = {"output-is-a-directory": "", "sidecar-is-a-directory": ".meta.json",
+                      "extra-file-is-a-directory": ".filtered.edges"}[blocker]
+            output.with_name(output.name + suffix).mkdir(parents=True)
         before = sorted(afile.parent.rglob("*"))
-        assert run(["decompose", fix1_file, "--pre-windowed", "-o", output]) == 4
+        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", output]) == 4
         assert "output error" in capsys.readouterr().err
         assert sorted(afile.parent.rglob("*")) == before
 

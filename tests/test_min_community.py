@@ -10,7 +10,7 @@ from spancores import (
     tcs_efficient,
 )
 from spancores.min_community import _score
-from spancores.static_core import _build_adjacency
+from spancores.graph import _build_adjacency
 
 
 def min_induced_degree(g, interval, members):
