@@ -182,24 +182,23 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     timestamp where the current vertex has a neighbor), otherwise it stays
     and time advances.
     Visits accumulate until ``pool_size`` distinct vertices (default
-    ``3 * q_size``, capped at ``g.n``) are seen, then ``q_size`` distinct
-    vertices are drawn with probability proportional to visit frequency.
+    ``3 * q_size``, capped at the vertices with an edge) are seen, then
+    ``q_size`` of them are drawn with probability proportional to visit count.
     """
     if q_size < 1:
         raise ParameterError("q_size must be at least 1")
-    if q_size > g.n:
-        raise ParameterError(f"cannot sample {q_size} query vertices from {g.n}")
     if not 0 < p <= 1:  # NaN included
         raise ParameterError("walk probability p must be within (0, 1]")
-    pool = min(3 * q_size, g.n) if pool_size is None else pool_size
-    if not q_size <= pool <= g.n:  # a larger pool could never fill
-        raise ParameterError(f"pool size must be within q_size..{g.n}")
+    active = (g.vertices if q_size == 1
+              else sorted({u for edges in g.snapshots for edge in edges for u in edge}))
+    if q_size > len(active):
+        raise ParameterError(f"cannot sample {q_size} query vertices from {len(active)}")
+    pool = min(3 * q_size, len(active)) if pool_size is None else pool_size
+    if not q_size <= pool <= len(active):  # a larger pool could never fill
+        raise ParameterError(f"pool size must be within q_size..{len(active)}")
     rng = random.Random(seed)
     if q_size == 1:
         return {rng.randrange(g.n)}
-    active = sorted({u for edges in g.snapshots for edge in edges for u in edge})
-    if not active:
-        raise ParameterError("cannot sample interacting vertices from an edgeless graph")
 
     step_limit = max(10_000, 200 * pool * (g.t_max + 1))
 

@@ -5,16 +5,17 @@ discrete timestamps ``0..t_max``; each timestamp holds an undirected simple
 snapshot.  Interval semantics are conjunctive: an edge exists over an interval
 only if it exists in every timestamp of the interval.
 
-Instances are immutable after construction, except that the per-timestamp
-neighbour index is built on the first ``neighbors`` call.  Instances are safe
-to share across threads: two threads racing on that first call only build the
-same index twice, and either copy serves every later call.
+Instances are immutable after construction, except for two indexes, each
+built whole on first use and then assigned once: the per-timestamp neighbour
+lists behind ``neighbors``, and the run-end index behind ``interval_edges``
+and ``edge_shrinkage``.  Instances are safe to share across threads: two
+threads racing on a first call only build the same index twice.
 
 Contact data meets the same pairs again and again, so a loaded graph shares
 one tuple per distinct vertex pair across its snapshots: far fewer objects,
-and snapshot intersections match shared pairs by identity before comparing
-them.  A load is one pass: each record goes straight into its window's set
-of distinct pairs, so it holds one chunk plus the distinct contacts, and it
+and the run-end sweep's lookups match shared pairs by identity first.  A
+load is one pass: each record goes straight into its window's set of
+distinct pairs, so it holds one chunk plus the distinct contacts, and it
 stops collecting once the records span too many windows to load.  It builds
 no reference cycle, so a collection during it could free nothing; the cyclic
 collector is paused instead of walking the growing heap hundreds of times.
@@ -152,14 +153,12 @@ class TemporalGraph:
 
     ``snapshots[t]`` is a frozenset of canonically ordered vertex pairs; every
     timestamp in ``0..t_max`` has an entry, possibly empty.  External vertex
-    labels map bijectively onto ``0..n-1``.  The per-timestamp neighbour
-    index behind ``neighbors`` is built on its first call; each neighbour
-    list ascends by id.  A snapshot given as a frozenset of canonical pairs
-    is kept as the same object.
+    labels map bijectively onto ``0..n-1``.  A snapshot given as a
+    frozenset of canonical pairs is kept as the same object.
     """
 
     __slots__ = ("n", "t_max", "snapshots", "labels", "dropped_self_loops",
-                 "_index", "_adjacency")
+                 "_index", "_adjacency", "_run_ends")
 
     def __init__(self, snapshots: Sequence[Iterable[Edge]], labels: Sequence[str],
                  dropped_self_loops: int = 0):
@@ -183,6 +182,7 @@ class TemporalGraph:
             _reject(frozen, n)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
         self._adjacency: tuple[dict[int, list[int]], ...] | None = None
+        self._run_ends: tuple[dict[Edge, int], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
     # -- label access ----------------------------------------------------------
@@ -210,15 +210,25 @@ class TemporalGraph:
         if interval.end > self.t_max:
             raise ValueError(f"interval {interval} outside time domain [0,{self.t_max}]")
 
+    def _ends(self, start: int) -> dict[Edge, int]:
+        """``{edge: the last timestamp of its unbroken run from start}`` over
+        the snapshot at ``start``; one backward sweep builds every start's."""
+        if self._run_ends is None:
+            ends: dict[Edge, int] = {}
+            index = []
+            for t in range(self.t_max, -1, -1):
+                ends = {edge: ends.get(edge, t) for edge in self.snapshots[t]}
+                index.append(ends)
+            self._run_ends = tuple(reversed(index))
+        return self._run_ends[start]
+
     def interval_edges(self, interval: Interval) -> frozenset[Edge]:
-        """Edges existing in every timestamp of ``interval`` (computed on demand)."""
+        """Edges existing in every timestamp of ``interval``: those whose run
+        from its start reaches its end."""
         self._check_interval(interval)
-        edges = self.snapshots[interval.start]
-        for t in range(interval.start + 1, interval.end + 1):
-            if not edges:
-                break
-            edges = edges & self.snapshots[t]
-        return edges
+        end = interval.end
+        return frozenset([edge for edge, last in self._ends(interval.start).items()
+                          if last >= end])
 
     def neighbors(self, t: int, u: int) -> Sequence[int]:
         """Neighbours of ``u`` at timestamp ``t``, ascending by id."""
@@ -249,19 +259,14 @@ class TemporalGraph:
         """
         if not 0 <= start <= self.t_max:
             raise ValueError(f"start {start} outside time domain [0,{self.t_max}]")
-        current = self.snapshots[start]
-        if not current:
+        ends = self._ends(start)
+        if not ends:
             return ()
-        groups: list[frozenset[Edge]] = []
+        groups: list[list[Edge]] = [[] for _ in range(max(ends.values()) - start + 1)]
+        for edge, end in ends.items():
+            groups[end - start].append(edge)
         empty: frozenset[Edge] = frozenset()
-        for t in range(start + 1, self.t_max + 1):
-            shrunk = current & self.snapshots[t]
-            if not shrunk:
-                break
-            groups.append(current - shrunk if len(shrunk) < len(current) else empty)
-            current = shrunk
-        groups.append(current)
-        return tuple(groups)
+        return tuple(frozenset(group) if group else empty for group in groups)
 
 
 # -- ingestion ------------------------------------------------------------------

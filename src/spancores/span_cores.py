@@ -5,8 +5,8 @@ set in which every member keeps at least ``k`` neighbors inside the set at
 every timestamp of the span.  Two routes are provided: a naive sweep that runs
 a full core decomposition per interval over the whole vertex set (the
 correctness oracle), and a seeded enumeration that walks each start's window
-end forward, intersecting one snapshot more into the interval edge set at
-each step, and peels only the endpoints of that edge set.  A vertex with no
+end forward over its edges grouped by run end, intersecting no snapshots,
+and peels only the endpoints of the interval edge set.  A vertex with no
 edge over the interval has coreness 0, so it can belong to no span-core
 there.  An interval whose edge set equals that of ``[ts, te - 1]`` or
 ``[ts - 1, te]`` reuses that interval's cores without a peel.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from itertools import chain
+from itertools import accumulate, chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -209,35 +209,30 @@ def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
     """Yield ``(ts, te, coreness)`` for every interval with a nonempty edge
     set, in (start, end) order, recording each peel in ``stats``.
 
-    Per start, the window end walks forward while the interval edge set,
-    one snapshot intersected in per step, stays nonempty.  ``E[ts, te]``
-    lies inside ``E[ts, te - 1]`` and contains ``E[ts - 1, te]``, so when its
-    size equals either one's, it is that set and the neighbour's coreness
-    dict is yielded again, the same object.  Any other edge set is peeled,
-    seeded with its endpoints: exactly the vertices that can have positive
-    coreness there, so every coreness yielded is positive.
+    Per start, the window end walks over the ``edge_shrinkage`` groups; the
+    size of ``E[ts, te]`` is a suffix sum of their sizes.  It lies inside
+    ``E[ts, te - 1]`` and contains ``E[ts - 1, te]``, so when its size
+    equals either one's, it is that set and the neighbour's coreness dict is
+    yielded again, the same object.  Any other edge set is built from its
+    groups and peeled, seeded with its endpoints: exactly the vertices that
+    can have positive coreness there, so every coreness yielded is positive.
     """
     previous: dict[int, tuple[int, dict[int, int]]] = {}  # start ts - 1, per end
     for ts in range(g.t_max + 1):
         current: dict[int, tuple[int, dict[int, int]]] = {}
-        edges = g.snapshots[ts]
-        te = ts
-        count = 0
-        while edges:
-            if len(edges) != count:
-                count = len(edges)
+        groups = g.edge_shrinkage(ts)
+        sizes = list(accumulate(map(len, reversed(groups))))[::-1]
+        for te, count in enumerate(sizes, ts):
+            if te == ts or count != sizes[te - ts - 1]:
                 count_left, coreness = previous.get(te, (0, None))
                 if count_left != count:
+                    edges = frozenset().union(*groups[te - ts:])
                     endpoints = set(chain.from_iterable(edges))
                     if stats is not None:
                         stats.record(len(endpoints))
                     coreness = core_decomposition(endpoints, edges)
             current[te] = (count, coreness)
             yield ts, te, coreness
-            if te == g.t_max:
-                break
-            te += 1
-            edges &= g.snapshots[te]
         previous = current
 
 

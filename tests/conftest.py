@@ -102,6 +102,45 @@ def long_lived_graphs(count: int = 40, base_seed: int = 4000) -> list[TemporalGr
     return graphs
 
 
+def wide_domain_graphs() -> list[TemporalGraph]:
+    """Three graphs over 100 to 150 timestamps, wider than any corpus: a
+    4-clique in every window plus seeded contacts of one to three windows
+    among 12 more vertices; one edge in every window; and 12 pairs among 8
+    vertices, each switching on and off in seeded runs of 1 to 15 windows."""
+    rng = random.Random(26)
+    clique = list(combinations(range(4), 2))
+    lived: list[set[tuple[int, int]]] = [set(clique) for _ in range(100)]
+    for _ in range(300):
+        u, v = sorted(rng.sample(range(4, 16), 2))
+        start = rng.randrange(100)
+        for s in range(start, min(100, start + rng.randint(1, 3))):
+            lived[s].add((u, v))
+    switching: list[list[tuple[int, int]]] = [[] for _ in range(120)]
+    for pair in rng.sample(list(combinations(range(8), 2)), 12):
+        t, on = 0, rng.random() < 0.5
+        while t < 120:
+            run = rng.randint(1, 15)
+            if on:
+                for s in range(t, min(120, t + run)):
+                    switching[s].append(pair)
+            t, on = t + run, not on
+    return [TemporalGraph([sorted(s) for s in lived], [f"v{i}" for i in range(16)]),
+            TemporalGraph([[(0, 1)]] * 150, ["a", "b"]),
+            TemporalGraph(switching, [f"v{i}" for i in range(8)])]
+
+
+def forward_interval_edges(g: TemporalGraph, ts: int, te: int) -> frozenset[tuple[int, int]]:
+    """The edge set of ``[ts, te]``, its snapshots intersected forward: an
+    oracle for ``interval_edges`` and ``edge_shrinkage`` that does not share
+    their run-end index."""
+    edges = g.snapshots[ts]
+    for t in range(ts + 1, te + 1):
+        if not edges:
+            break
+        edges = edges & g.snapshots[t]
+    return edges
+
+
 def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:
     """Embedding rows the slow way: one efficient community search per vertex."""
     return [[seg.min_degree for seg in tcs_efficient(g, {u}, h).segments] for u in g.vertices]

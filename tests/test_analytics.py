@@ -325,6 +325,17 @@ class TestQuerySampling:
         assert "stopped early" not in caplog.text
         assert len(steps) < 20 * 100
 
+    def test_default_pool_capped_at_vertices_with_an_edge(self, caplog):
+        # "c" has no edge, so the walk can see only 2 vertices: the pool is
+        # full once it has, and no seed spends the whole step budget
+        g = TemporalGraph([[(0, 1)], [(0, 1)]], ["a", "b", "c"])
+        with caplog.at_level(logging.WARNING):
+            for seed in range(10):
+                assert sample_query_vertices(g, 2, seed=seed) == {0, 1}
+        assert "stopped early" not in caplog.text
+        with pytest.raises(ParameterError, match="cannot sample 3 query vertices from 2"):
+            sample_query_vertices(g, 3)
+
 
 class TestNullModelContrast:
     def test_reshuffling_shortens_spans_in_distribution(self):

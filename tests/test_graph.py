@@ -11,13 +11,18 @@ from spancores import (
     Interval,
     TemporalGraph,
     load_edge_list,
+    maximal_span_cores,
+    naive_span_cores,
     rewire_null_model,
+    span_cores,
+    tcs_efficient,
     write_edge_list,
 )
 from spancores import graph as graph_module
 from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 
-from conftest import FIX1_SNAPSHOTS, loaded, random_temporal_graph, reference_load
+from conftest import (FIX1_SNAPSHOTS, forward_interval_edges, loaded, random_temporal_graph,
+                      reference_load, wide_domain_graphs)
 
 
 def edges_by_labels(g, pairs):
@@ -397,6 +402,7 @@ class TestIntervalEdges:
             for ts in range(g.t_max + 1):
                 for te in range(ts, g.t_max + 1):
                     inner = g.interval_edges(Interval(ts, te))
+                    assert inner == forward_interval_edges(g, ts, te)
                     for ts2 in range(0, ts + 1):
                         for te2 in range(te, g.t_max + 1):
                             assert g.interval_edges(Interval(ts2, te2)) <= inner
@@ -439,7 +445,7 @@ class TestEdgeShrinkage:
                 assert sum(len(group) for group in groups) == len(g.snapshots[ts])
 
     def test_reconstruction_bit_exact(self, corpus):
-        for g in corpus[:40]:
+        for g in corpus[:40] + wide_domain_graphs():
             for ts in range(g.t_max + 1):
                 groups = g.edge_shrinkage(ts)
                 if not groups:
@@ -448,9 +454,11 @@ class TestEdgeShrinkage:
                 last = ts + len(groups) - 1
                 for te in range(ts, last + 1):
                     rebuilt = frozenset().union(*groups[te - ts:])
-                    assert rebuilt == g.interval_edges(Interval(ts, te))
+                    assert rebuilt == g.interval_edges(Interval(ts, te)) == \
+                        forward_interval_edges(g, ts, te)
                 if last < g.t_max:
-                    assert g.interval_edges(Interval(ts, last + 1)) == frozenset()
+                    assert g.interval_edges(Interval(ts, last + 1)) == frozenset() == \
+                        forward_interval_edges(g, ts, last + 1)
 
     def test_empty_snapshot_gives_empty_family(self):
         g = TemporalGraph([[], [(0, 1)]], ["a", "b"])
@@ -460,6 +468,39 @@ class TestEdgeShrinkage:
     def test_start_outside_domain_rejected(self, fix1, start):
         with pytest.raises(ValueError, match="outside time domain"):
             fix1.edge_shrinkage(start)
+
+    def test_only_the_naive_oracle_intersects_snapshots(self, corpus):
+        # interval edge sets come from the run-end index; a forward walk of
+        # snapshot intersections is left in naive_span_cores alone
+        calls = Counter()
+
+        class CountingSnapshot(frozenset):
+            def __and__(self, other):
+                calls["&"] += 1
+                return frozenset(self) & other
+
+            def __sub__(self, other):
+                calls["-"] += 1
+                return frozenset(self) - other
+
+            __rand__ = __and__
+
+            def __rsub__(self, other):
+                calls["-"] += 1
+                return other - frozenset(self)
+
+        for g in corpus[:10] + wide_domain_graphs()[:1]:
+            g = TemporalGraph(g.snapshots, g.labels)
+            g.snapshots = tuple(map(CountingSnapshot, g.snapshots))
+            span_cores(g)
+            maximal_span_cores(g)
+            tcs_efficient(g, {0}, min(3, g.t_max + 1))
+            for ts in range(g.t_max + 1):
+                for te in range(ts, g.t_max + 1):
+                    g.interval_edges(Interval(ts, te))
+            assert not calls
+        naive_span_cores(g)
+        assert calls
 
 
 class TestConstruction:

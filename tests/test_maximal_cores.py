@@ -15,7 +15,7 @@ from spancores import (
 from spancores import maximal_cores, query_constrained_scan, single_tcs, static_core
 from spancores.static_core import core_decomposition
 
-from conftest import definitional_span_cores
+from conftest import definitional_span_cores, wide_domain_graphs
 
 
 def definitional_query_maximal(g, query):
@@ -196,8 +196,9 @@ class TestSizePrune:
         assert (stats.intervals_processed, stats.peel_vertices) == (3, 3)
 
     def test_clique_episodes_over_wide_domains(self):
-        for seed in range(100):
-            g, query = clique_episodes(seed)
+        cases = [clique_episodes(seed) for seed in range(100)]
+        cases += [(g, frozenset({0, 1})) for g in wide_domain_graphs()]
+        for seed, (g, query) in enumerate(cases):
             assert maximal_span_cores(g) == filter_maximal(naive_span_cores(g)), seed
             assert SpanCoreSet(iter(query_constrained_scan(g, query))) == \
                 definitional_query_maximal(g, query), seed

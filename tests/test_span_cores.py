@@ -21,7 +21,7 @@ from spancores import (
     write_span_cores,
 )
 
-from conftest import as_definitional, definitional_span_cores
+from conftest import as_definitional, definitional_span_cores, wide_domain_graphs
 
 # the package's ``span_cores`` attribute is the function of the same name
 span_cores_module = importlib.import_module("spancores.span_cores")
@@ -85,7 +85,7 @@ class TestSeededEnumeration:
         assert stats.intervals_processed == 2
 
     def test_oracle_equivalence_sample(self, corpus):
-        for g in corpus[:60]:
+        for g in corpus[:60] + wide_domain_graphs():
             assert span_cores(g) == naive_span_cores(g)
 
     def test_containment_property(self, corpus):
@@ -131,7 +131,7 @@ class TestSeededEnumeration:
             return core_decomposition(vertices, edges)
 
         monkeypatch.setattr(span_cores_module, "core_decomposition", recording)
-        for g in corpus[:60]:
+        for g in corpus[:60] + wide_domain_graphs():
             oracle = naive_span_cores(g)
             peeled.clear()
             stats = DecompositionStats()
