@@ -1,10 +1,8 @@
 """Downstream analytics over decomposition outputs: activity summaries,
 attribute purity, span-length statistics, anomaly filtering, per-vertex
-community-search embeddings, and query sampling.
-
-The activity summary reads each span's top stored order without building
-cores.  The embeddings fold one span-core enumeration into every vertex's
-maximal cores and read each row's scores off their segmentation DP."""
+community-search embeddings, and query sampling.  The activity summary and
+the embeddings read one span-core enumeration as it streams, and build no
+span-core set."""
 
 from __future__ import annotations
 
@@ -15,9 +13,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .community_search import _corner_segmentation, _corners, _validate_h
 from .graph import (EdgeListFormatError, Interval, ParameterError, TemporalGraph,
-                    UnknownLabelError, _opened)
+                    UnknownLabelError, _build_adjacency, _opened)
 from .maximal_cores import maximal_span_cores
-from .span_cores import DecompositionStats, SpanCore, SpanCoreSet
+from .span_cores import DecompositionStats, SpanCore, _seeded_coreness
 
 DEFAULT_MIN_SPAN = 2  # single-window cores are short interactions, not structure
 
@@ -30,12 +28,19 @@ class ActivityCell(NamedTuple):
     max_order: int
 
 
-def activity_summary(cores: SpanCoreSet,
-                     min_span: int = DEFAULT_MIN_SPAN) -> list[ActivityCell]:
+def activity_summary(g: TemporalGraph, min_span: int = DEFAULT_MIN_SPAN,
+                     stats: DecompositionStats | None = None) -> list[ActivityCell]:
     """One record per (start, span length) cell holding the highest order
-    there, read from each span's top stored order."""
-    return [ActivityCell(start=ts, span_length=te - ts + 1, max_order=k)
-            for (ts, te), k in sorted(cores.top_orders().items()) if te - ts + 1 >= min_span]
+    there, read off the enumeration stream with no core kept: the top
+    coreness of a labelling is taken once, however many spans share it.
+    ``stats`` records the enumeration's peels."""
+    cells, last, top = [], None, 0
+    for ts, te, labels in _seeded_coreness(g, stats):
+        if labels is not last:
+            last, top = labels, max(labels.values())
+        if te - ts + 1 >= min_span:
+            cells.append(ActivityCell(ts, te - ts + 1, top))
+    return cells
 
 
 def purity(core: SpanCore, attributes: Mapping[int, str]) -> float:
@@ -184,13 +189,16 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     Visits accumulate until ``pool_size`` distinct vertices (default
     ``3 * q_size``, capped at the vertices with an edge) are seen, then
     ``q_size`` of them are drawn with probability proportional to visit count.
+    A walk that sees its start's whole component (in the union of the
+    snapshots) before the pool fills stops there with a warning, or raises
+    ``ParameterError`` if the component is smaller than ``q_size``.
     """
     if q_size < 1:
         raise ParameterError("q_size must be at least 1")
     if not 0 < p <= 1:  # NaN included
         raise ParameterError("walk probability p must be within (0, 1]")
-    active = (g.vertices if q_size == 1
-              else sorted({u for edges in g.snapshots for edge in edges for u in edge}))
+    adjacency = _build_adjacency(g.vertices, frozenset().union(*g.snapshots))
+    active = g.vertices if q_size == 1 else [u for u, near in adjacency.items() if near]
     if q_size > len(active):
         raise ParameterError(f"cannot sample {q_size} query vertices from {len(active)}")
     pool = min(3 * q_size, len(active)) if pool_size is None else pool_size
@@ -200,13 +208,17 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     if q_size == 1:
         return {rng.randrange(g.n)}
 
-    step_limit = max(10_000, 200 * pool * (g.t_max + 1))
-
     current = active[rng.randrange(len(active))]
     visits: Counter[int] = Counter({current: 1})
+    reach, frontier = {current}, [current]
+    while frontier:  # the start's component
+        found = set(adjacency[frontier.pop()]) - reach
+        reach |= found
+        frontier += found
+    goal = min(pool, len(reach))
     t = 0
-    for _ in range(step_limit):
-        if len(visits) >= pool:
+    for _ in range(max(10_000, 200 * pool * (g.t_max + 1))):  # the step budget
+        if len(visits) >= goal:
             break
         if rng.random() < p:
             neighbors = g.neighbors(t, current)
@@ -217,7 +229,7 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
             visits[current] += 1
         else:
             t = 0 if t == g.t_max else t + 1
-    else:
+    if len(visits) < pool:
         if len(visits) < q_size:
             raise ParameterError("random walk could not reach enough distinct vertices")
         import logging

@@ -32,12 +32,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import _IMPORT_STARTED, analytics
-from .community_search import tcs_basic, tcs_efficient
+from .community_search import tcs_efficient
 from .graph import (EdgeListFormatError, ParameterError, TemporalGraph, UnknownLabelError,
                     _collector_paused, load_edge_list, rewire_null_model, write_edge_list)
-from .maximal_cores import filter_maximal, maximal_span_cores
+from .maximal_cores import maximal_span_cores
 from .min_community import greedy_minimum_community
-from .span_cores import DecompositionStats, naive_span_cores, span_cores, write_span_cores
+from .span_cores import DecompositionStats, span_cores, write_span_cores
 
 OUTPUT_DIR_ENV = "SPANCORES_OUTPUT_DIR"
 SCHEMA_VERSION = 3
@@ -66,12 +66,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed_value(text: str) -> int:
-    if text == "random":
+    if text == "random":  # the sidecar's parameters record the drawn seed
         return random.SystemRandom().randrange(2**32)
     try:
         return int(text)
     except ValueError:
-        raise ParameterError(f"--seed must be an integer or 'random', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer or 'random', got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,21 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", default="-", help="output path ('-' for stdout); "
                         f"relative paths honor ${OUTPUT_DIR_ENV}")
 
-    p = sub.add_parser("decompose", parents=[common], help="enumerate all span-cores")
-    p.add_argument("--naive", action="store_true",
-                   help="use the per-interval full decomposition baseline")
-
-    p = sub.add_parser("maximal", parents=[common], help="extract only the maximal span-cores")
-    p.add_argument("--filter", action="store_true",
-                   help="use the enumerate-then-filter baseline")
+    sub.add_parser("decompose", parents=[common], help="enumerate all span-cores")
+    sub.add_parser("maximal", parents=[common], help="extract only the maximal span-cores")
 
     p = sub.add_parser("tcs", parents=[common], help="temporal community search")
     p.add_argument("--q", required=True,
                    help="comma-separated query vertex labels")
     p.add_argument("--h", dest="segments", type=int, required=True,
                    help="number of output communities")
-    p.add_argument("--basic", action="store_true",
-                   help="DP over the full time domain instead of the reduced one")
     p.add_argument("--minimize", action="store_true",
                    help="shrink each community greedily, reporting both sizes")
 
@@ -126,14 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reshuffle", parents=[common],
                        help="degree-preserving per-timestamp null model")
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", type=_seed_value, default="0")
 
     p = sub.add_parser("sample-queries", parents=[common], help="sample interacting query vertices")
     p.add_argument("--q-size", type=int, required=True)
     p.add_argument("--p", type=float, default=0.8, help="walk continuation probability")
     p.add_argument("--pool", type=int, default=None,
                    help="visited-pool size, at most the vertex count (default 3 * q_size, capped)")
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", type=_seed_value, default="0")
 
     return parser
 
@@ -282,18 +275,14 @@ def _timed(run: _Run, phase: str, fn):
 
 
 def _cmd_decompose(run: _Run, g: TemporalGraph):
-    algorithm = naive_span_cores if run.args.naive else span_cores
-    cores = _timed(run, "solve", lambda: algorithm(g, run.stats))
+    cores = _timed(run, "solve", lambda: span_cores(g, run.stats))
     run.count("peel_vertices", "intervals_processed")
     with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g)
 
 
 def _cmd_maximal(run: _Run, g: TemporalGraph):
-    if run.args.filter:
-        cores = _timed(run, "solve", lambda: filter_maximal(span_cores(g, run.stats)))
-    else:
-        cores = _timed(run, "solve", lambda: maximal_span_cores(g, run.stats))
+    cores = _timed(run, "solve", lambda: maximal_span_cores(g, run.stats))
     run.count("peel_vertices")
     with run.writing() as sink:
         run.counters["records"] = write_span_cores(cores, sink, g, maximal=True)
@@ -304,8 +293,7 @@ def _cmd_tcs(run: _Run, g: TemporalGraph):
     query = frozenset(g.index_of(label) for label in args.q.split(",") if label)
     if not query:
         raise ParameterError("--q must name at least one vertex")
-    search = tcs_basic if args.basic else tcs_efficient
-    solution = _timed(run, "solve", lambda: search(g, query, args.segments, run.stats))
+    solution = _timed(run, "solve", lambda: tcs_efficient(g, query, args.segments, run.stats))
     run.count("peel_vertices", "candidate_ends", "dp_runs")
     shrunk = {}
     if args.minimize:
@@ -362,8 +350,7 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
         header = "start\tspan_length\tmax_order"
         rows = _timed(run, "solve", lambda: [
             f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
-            for cell in analytics.activity_summary(span_cores(g, run.stats),
-                                                   min_span=args.min_span)])
+            for cell in analytics.activity_summary(g, args.min_span, run.stats)])
         # only the enumeration's count: the maximal scan counts its intervals otherwise
         run.count("intervals_processed")
     elif args.report == "span-length":
@@ -388,17 +375,15 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
 
 
 def _cmd_reshuffle(run: _Run, g: TemporalGraph):
-    seed = _seed_value(run.args.seed)
-    rewired = _timed(run, "solve", lambda: rewire_null_model(g, seed=seed))
+    rewired = _timed(run, "solve", lambda: rewire_null_model(g, seed=run.args.seed))
     with run.writing() as sink:
         run.counters["edges"] = write_edge_list(rewired, sink)
 
 
 def _cmd_sample_queries(run: _Run, g: TemporalGraph):
     args = run.args
-    seed = _seed_value(args.seed)
     chosen = _timed(run, "solve", lambda: analytics.sample_query_vertices(
-        g, args.q_size, p=args.p, pool_size=args.pool, seed=seed))
+        g, args.q_size, p=args.p, pool_size=args.pool, seed=args.seed))
     run.table("vertex", sorted(g.label_of(u) for u in chosen))
 
 

@@ -301,13 +301,12 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
         raise ParameterError(f"cannot split {g.t_max + 1} timestamps into {h} nonempty segments")
 
 
-def tcs_basic(g: TemporalGraph, query: Collection[int], h: int,
-              stats: DecompositionStats | None = None) -> Segmentation:
+def tcs_basic(g: TemporalGraph, query: Collection[int], h: int) -> Segmentation:
     """Temporal community search with the DP over every timestamp of the domain."""
     _validate_h(g, h)
     qs = frozenset(query)
-    profile = _table_profile(penalty_table_full(g, qs, stats))
-    return _materialize(g, qs, _best_segmentation(range(g.t_max + 1), profile, h, stats), stats)
+    profile = _table_profile(penalty_table_full(g, qs))
+    return _materialize(g, qs, _best_segmentation(range(g.t_max + 1), profile, h, None), None)
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from spancores import (
+    DecompositionStats,
     EdgeListFormatError,
     Interval,
     SpanCore,
@@ -16,6 +17,7 @@ from spancores import (
     activity_summary,
     detect_anomalies,
     maximal_span_cores,
+    naive_span_cores,
     purity,
     purity_timeline,
     read_attribute_table,
@@ -29,7 +31,7 @@ from spancores import (
 from spancores.graph import ParameterError
 
 from conftest import (long_lived_graphs, per_vertex_rows, random_temporal_graph,
-                      stress_cases)
+                      stress_cases, wide_domain_graphs)
 
 
 def fix1_attributes(g):
@@ -40,26 +42,43 @@ def fix1_attributes(g):
 class TestActivitySummary:
     def test_fix1_cells(self, fix1):
         cells = {(cell.start, cell.span_length): cell.max_order
-                 for cell in activity_summary(span_cores(fix1))}
+                 for cell in activity_summary(fix1)}
         assert cells == {(0, 2): 2, (0, 3): 1, (1, 2): 1}
 
     def test_min_span_filter(self, fix1):
-        cells = activity_summary(span_cores(fix1), min_span=1)
+        cells = activity_summary(fix1, min_span=1)
         assert (0, 1, 2) in {(c.start, c.span_length, c.max_order) for c in cells}
 
     def test_corpus_cells_are_the_top_order_per_start_and_length(self, corpus):
-        for g in corpus:
-            cores = span_cores(g)
+        for g in corpus + wide_domain_graphs():
+            cores = list(naive_span_cores(g))
             for min_span in (1, 2):
-                # the highest order over the built cores of each (start, length)
+                # the highest order over the oracle's cores of each (start, length)
                 peaks: dict[tuple[int, int], int] = {}
                 for core in cores:
                     if core.span.length >= min_span:
                         key = (core.span.start, core.span.length)
                         peaks[key] = max(peaks.get(key, 0), core.order)
-                cells = activity_summary(cores, min_span)
+                stats, expected_stats = DecompositionStats(), DecompositionStats()
+                cells = activity_summary(g, min_span, stats)
                 assert [(c.start, c.span_length, c.max_order) for c in cells] == \
                     [(s, w, k) for (s, w), k in sorted(peaks.items())]
+                span_cores(g, expected_stats)
+                assert stats == expected_stats
+
+    def test_peak_memory_is_about_the_cells_it_returns(self):
+        # one edge in every window: 80,200 spans, each its own cell, and no
+        # core kept beyond the two starts' labellings the stream holds
+        g = TemporalGraph([[(0, 1)]] * 400, ["a", "b"])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cells = activity_summary(g, min_span=1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 400 * 401 // 2
+        assert peak <= 1.5 * retained, (peak, retained)
 
 
 class TestPurity:
@@ -335,6 +354,27 @@ class TestQuerySampling:
         assert "stopped early" not in caplog.text
         with pytest.raises(ParameterError, match="cannot sample 3 query vertices from 2"):
             sample_query_vertices(g, 3)
+
+    def test_walk_stops_once_it_has_seen_its_component(self, monkeypatch, caplog):
+        # the default pool of 4 spans two components of 2 vertices: a walk
+        # sees its start's 2, then stops and warns instead of walking its
+        # 10,000-step budget; a query larger than the component is refused
+        g = TemporalGraph([[(0, 1), (2, 3)]], list("abcd"))
+        steps = []
+        neighbors = TemporalGraph.neighbors
+
+        def counting(self, t, u):
+            steps.append(t)
+            return neighbors(self, t, u)
+
+        monkeypatch.setattr(TemporalGraph, "neighbors", counting)
+        with caplog.at_level(logging.WARNING):
+            for seed in range(10):
+                assert sample_query_vertices(g, 2, seed=seed) in ({0, 1}, {2, 3})
+            with pytest.raises(ParameterError, match="could not reach enough"):
+                sample_query_vertices(g, 3)
+        assert caplog.text.count("stopped early with 2 of 4 pool vertices") == 10
+        assert len(steps) < 11 * 100
 
 
 class TestNullModelContrast:

@@ -1,5 +1,6 @@
 import gc
 import gzip
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import spancores
-from spancores import analytics, cli, load_edge_list
+from spancores import (analytics, cli, filter_maximal, load_edge_list, naive_span_cores,
+                       tcs_basic, write_span_cores)
 from spancores.cli import main
 
 from conftest import FIX1_TEXT
@@ -37,13 +39,6 @@ class TestDecompose:
         assert meta["provenance"]["counters"]["records"] == 9
         assert set(meta["provenance"]["timings_seconds"]) == {"load", "solve", "write", "digest"}
 
-    def test_naive_flag_same_records(self, fix1_file, tmp_path):
-        fast = tmp_path / "fast.jsonl"
-        naive = tmp_path / "naive.jsonl"
-        assert run(["decompose", fix1_file, "--pre-windowed", "-o", fast]) == 0
-        assert run(["decompose", fix1_file, "--pre-windowed", "--naive", "-o", naive]) == 0
-        assert fast.read_bytes() == naive.read_bytes()
-
     def test_determinism(self, fix1_file, tmp_path):
         one = tmp_path / "one.jsonl"
         two = tmp_path / "two.jsonl"
@@ -54,26 +49,25 @@ class TestDecompose:
 
 class TestMaximal:
     def test_direct_and_filter_byte_identical(self, fix1_file, tmp_path):
+        # the filtering baseline is a library oracle, written by the same writer
         direct = tmp_path / "direct.jsonl"
-        baseline = tmp_path / "baseline.jsonl"
         assert run(["maximal", fix1_file, "--pre-windowed", "-o", direct]) == 0
-        assert run(["maximal", fix1_file, "--pre-windowed", "--filter", "-o", baseline]) == 0
-        assert direct.read_bytes() == baseline.read_bytes()
+        g = load_edge_list(fix1_file, window=1, pre_windowed=True)
+        baseline = io.StringIO()
+        write_span_cores(filter_maximal(naive_span_cores(g)), baseline, g, maximal=True)
+        assert direct.read_text() == baseline.getvalue()
         assert len(direct.read_text().strip().splitlines()) == 2
 
 
 class TestTcs:
     def test_basic_and_efficient_agree(self, fix1_file, tmp_path):
-        basic = tmp_path / "basic.json"
+        # the basic route is a library oracle; the CLI runs the efficient one
         efficient = tmp_path / "efficient.json"
         assert run(["tcs", fix1_file, "--pre-windowed", "--q", "a", "--h", 2,
-                    "--basic", "-o", basic]) == 0
-        assert run(["tcs", fix1_file, "--pre-windowed", "--q", "a", "--h", 2,
                     "-o", efficient]) == 0
-        doc_b = json.loads(basic.read_text())
-        doc_e = json.loads(efficient.read_text())
-        assert doc_b["objective"] == doc_e["objective"] == 3
-        assert [s["ts"] for s in doc_b["segments"]] == [0, 1]
+        g = load_edge_list(fix1_file, window=1, pre_windowed=True)
+        basic = tcs_basic(g, {g.index_of("a")}, 2)
+        assert json.loads(efficient.read_text())["objective"] == basic.objective == 3
 
     def test_minimize_reports_both_sizes(self, fix1_file, tmp_path):
         out = tmp_path / "min.json"
@@ -176,6 +170,16 @@ class TestOtherCommands:
         run(["reshuffle", fix1_file, "--pre-windowed", "--seed", 5, "-o", b])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [["reshuffle"], ["sample-queries", "--q-size", 2]],
+                             ids=lambda argv: argv[0])
+    def test_random_seed_is_recorded_and_repeats_the_run(self, fix1_file, tmp_path, argv):
+        drawn = sidecar(fix1_file, tmp_path, [*argv, "--seed", "random"])["parameters"]["seed"]
+        assert isinstance(drawn, int)
+        first = (tmp_path / "result.txt").read_bytes()
+        again = sidecar(fix1_file, tmp_path, [*argv, "--seed", drawn])
+        assert again["parameters"]["seed"] == drawn
+        assert (tmp_path / "result.txt").read_bytes() == first
+
     def test_sample_queries(self, fix1_file, tmp_path):
         out = tmp_path / "queries.txt"
         assert run(["sample-queries", fix1_file, "--pre-windowed", "--q-size", 2,
@@ -256,22 +260,20 @@ class TestProvenance:
         assert timings["minimize"] >= 0.05
 
     @pytest.mark.parametrize("argv", [["tcs", "--q", "a", "--h", 2],
-                                      ["tcs", "--q", "a", "--h", 2, "--basic"],
-                                      ["embed", "--h", 2]], ids=["tcs", "tcs-basic", "embed"])
+                                      ["embed", "--h", 2]], ids=["tcs", "embed"])
     def test_sidecar_counts_the_segmentation_work(self, fix1_file, tmp_path, argv):
         counters = sidecar(fix1_file, tmp_path, argv)["counters"]
         assert counters["candidate_ends"] > 0
         assert counters["dp_runs"] > 0
 
-    @pytest.mark.parametrize("extra", [[], ["--basic"]], ids=["tcs", "tcs-basic"])
+    @pytest.mark.parametrize("extra", [[], ["--minimize"]], ids=["tcs", "tcs-minimize"])
     def test_tcs_reports_its_peel_work(self, fix1_file, tmp_path, extra):
-        # the scan's or the enumeration's peels plus each segment's peel
+        # the scan's peels plus each segment's peel
         counters = sidecar(fix1_file, tmp_path, ["tcs", "--q", "a", "--h", 2, *extra])["counters"]
         assert counters["peel_vertices"] > 0
         assert "intervals_processed" not in counters
 
-    @pytest.mark.parametrize("extra", [[], ["--basic"], ["--minimize"]],
-                             ids=["tcs", "tcs-basic", "tcs-minimize"])
+    @pytest.mark.parametrize("extra", [[], ["--minimize"]], ids=["tcs", "tcs-minimize"])
     def test_tcs_reports_the_common_phases(self, fix1_file, tmp_path, extra):
         argv = ["tcs", "--q", "a", "--h", 2, *extra]
         timings = sidecar(fix1_file, tmp_path, argv)["timings_seconds"]
@@ -309,6 +311,16 @@ class TestProvenance:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("argv", [["decompose", "--naive"], ["maximal", "--filter"],
+                                      ["tcs", "--q", "a", "--h", 2, "--basic"]],
+                             ids=lambda argv: argv[0])
+    def test_oracle_route_flags_are_gone(self, fix1_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([argv[0], fix1_file, "--pre-windowed", *argv[1:], "-o", out]) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: unrecognized arguments: {argv[-1]}\n"
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["decompose", tmp_path / "absent.tsv", "--window", 5]) == 2
 
