@@ -185,7 +185,7 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     those with an edge; with probability ``p`` it moves to a neighbor in the
     current snapshot (jumping forward, wrapping at the domain end, to the next
     timestamp where the current vertex has a neighbor), otherwise it stays
-    and time advances.
+    and time advances; ``p`` lies strictly between 0 and 1.
     Visits accumulate until ``pool_size`` distinct vertices (default
     ``3 * q_size``, capped at the vertices with an edge) are seen, then
     ``q_size`` of them are drawn with probability proportional to visit count.
@@ -195,10 +195,11 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
     """
     if q_size < 1:
         raise ParameterError("q_size must be at least 1")
-    if not 0 < p <= 1:  # NaN included
-        raise ParameterError("walk probability p must be within (0, 1]")
-    adjacency = _build_adjacency(g.vertices, frozenset().union(*g.snapshots))
-    active = g.vertices if q_size == 1 else [u for u, near in adjacency.items() if near]
+    if not 0 < p < 1:  # NaN included; at p = 1 time never advances
+        raise ParameterError("walk probability p must be within (0, 1)")
+    # the union graph's lists, each ascending by id
+    adjacency = _build_adjacency(g.vertices, sorted(frozenset().union(*g.snapshots)))
+    active = g.vertices if q_size == 1 else [u for u in g.vertices if adjacency[u]]
     if q_size > len(active):
         raise ParameterError(f"cannot sample {q_size} query vertices from {len(active)}")
     pool = min(3 * q_size, len(active)) if pool_size is None else pool_size
@@ -216,16 +217,22 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         reach |= found
         frontier += found
     goal = min(pool, len(reach))
+
+    def near(u: int, t: int) -> list[int]:
+        """``u``'s neighbours at ``t``, ascending by id."""
+        snapshot = g.snapshots[t]
+        return [v for v in adjacency[u] if ((u, v) if u < v else (v, u)) in snapshot]
+
     t = 0
     for _ in range(max(10_000, 200 * pool * (g.t_max + 1))):  # the step budget
         if len(visits) >= goal:
             break
         if rng.random() < p:
-            neighbors = g.neighbors(t, current)
-            if not neighbors:
-                t = _next_active_timestamp(g, current, t)
-                neighbors = g.neighbors(t, current)
-            current = neighbors[rng.randrange(len(neighbors))]
+            # the walker starts at a vertex with an edge and moves only along
+            # edges, so it has a neighbour in some window and this loop ends
+            while not (adjacent := near(current, t)):
+                t = 0 if t == g.t_max else t + 1
+            current = adjacent[rng.randrange(len(adjacent))]
             visits[current] += 1
         else:
             t = 0 if t == g.t_max else t + 1
@@ -244,17 +251,6 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         chosen.add(candidates.pop(i))
         del weights[i]
     return chosen
-
-
-def _next_active_timestamp(g: TemporalGraph, vertex: int, t: int) -> int:
-    """First timestamp after ``t`` (wrapping, inclusive of ``t`` after a full
-    cycle) where ``vertex`` has a neighbor."""
-    span = g.t_max + 1
-    for step in range(1, span + 1):
-        candidate = (t + step) % span
-        if g.neighbors(candidate, vertex):
-            return candidate
-    raise ValueError(f"vertex {vertex} is isolated at every timestamp")
 
 
 # -- attribute ingestion ---------------------------------------------------------------

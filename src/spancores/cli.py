@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-queries", parents=[common], help="sample interacting query vertices")
     p.add_argument("--q-size", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.8, help="walk continuation probability")
+    p.add_argument("--p", type=float, default=0.8,
+                   help="walk continuation probability, within (0, 1)")
     p.add_argument("--pool", type=int, default=None,
                    help="visited-pool size, at most the vertex count (default 3 * q_size, capped)")
     p.add_argument("--seed", type=_seed_value, default="0")
@@ -348,16 +349,16 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
     args = run.args
     if args.report == "activity":
         header = "start\tspan_length\tmax_order"
-        rows = _timed(run, "solve", lambda: [
-            f"{cell.start}\t{cell.span_length}\t{cell.max_order}"
-            for cell in analytics.activity_summary(g, args.min_span, run.stats)])
+        cells = _timed(run, "solve",
+                       lambda: analytics.activity_summary(g, args.min_span, run.stats))
+        rows = (f"{cell.start}\t{cell.span_length}\t{cell.max_order}" for cell in cells)
         # only the enumeration's count: the maximal scan counts its intervals otherwise
         run.count("intervals_processed")
     elif args.report == "span-length":
         header = "span_length\tcount\tpercent"
-        rows = _timed(run, "solve", lambda: [
-            f"{row.length}\t{row.count}\t{row.percent:.4f}"
-            for row in analytics.span_length_distribution(maximal_span_cores(g, run.stats))])
+        bins = _timed(run, "solve", lambda: analytics.span_length_distribution(
+            maximal_span_cores(g, run.stats)))
+        rows = (f"{row.length}\t{row.count}\t{row.percent:.4f}" for row in bins)
     else:
         if not args.attrs:
             raise ParameterError("stats --report purity requires --attrs")
@@ -365,11 +366,11 @@ def _cmd_stats(run: _Run, g: TemporalGraph):
             attributes = _timed(run, "attrs",
                                 lambda: analytics.read_attribute_table(args.attrs, g))
         header = "t\tmean_purity"
-        rows = _timed(run, "solve", lambda: [
-            f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
-            for t, value in enumerate(analytics.purity_timeline(
-                [c for c in maximal_span_cores(g, run.stats) if c.span.length >= args.min_span],
-                attributes, g.t_max))])
+        timeline = _timed(run, "solve", lambda: analytics.purity_timeline(
+            [c for c in maximal_span_cores(g, run.stats) if c.span.length >= args.min_span],
+            attributes, g.t_max))
+        rows = (f"{t}\t{'nan' if value is None else f'{value:.6f}'}"
+                for t, value in enumerate(timeline))
     run.count("peel_vertices")
     run.table(header, rows)
 

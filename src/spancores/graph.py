@@ -5,11 +5,10 @@ discrete timestamps ``0..t_max``; each timestamp holds an undirected simple
 snapshot.  Interval semantics are conjunctive: an edge exists over an interval
 only if it exists in every timestamp of the interval.
 
-Instances are immutable after construction, except for two indexes, each
-built whole on first use and then assigned once: the per-timestamp neighbour
-lists behind ``neighbors``, and the run-end index behind ``interval_edges``
-and ``edge_shrinkage``.  Instances are safe to share across threads: two
-threads racing on a first call only build the same index twice.
+Instances are immutable after construction, except for one index, built
+whole on first use and then assigned once: the run-end index behind
+``interval_edges`` and ``edge_shrinkage``.  Instances are safe to share
+across threads: two threads racing on a first call only build it twice.
 
 Contact data meets the same pairs again and again, so a loaded graph shares
 one tuple per distinct vertex pair across its snapshots: far fewer objects,
@@ -158,7 +157,7 @@ class TemporalGraph:
     """
 
     __slots__ = ("n", "t_max", "snapshots", "labels", "dropped_self_loops",
-                 "_index", "_adjacency", "_run_ends")
+                 "_index", "_run_ends")
 
     def __init__(self, snapshots: Sequence[Iterable[Edge]], labels: Sequence[str],
                  dropped_self_loops: int = 0):
@@ -181,7 +180,6 @@ class TemporalGraph:
                       for pairs in frozen]
             _reject(frozen, n)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
-        self._adjacency: tuple[dict[int, list[int]], ...] | None = None
         self._run_ends: tuple[dict[Edge, int], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
@@ -229,13 +227,6 @@ class TemporalGraph:
         end = interval.end
         return frozenset([edge for edge, last in self._ends(interval.start).items()
                           if last >= end])
-
-    def neighbors(self, t: int, u: int) -> Sequence[int]:
-        """Neighbours of ``u`` at timestamp ``t``, ascending by id."""
-        if self._adjacency is None:
-            self._adjacency = tuple(_build_adjacency(chain.from_iterable(edges), sorted(edges))
-                                    for edges in self.snapshots)
-        return self._adjacency[t].get(u, ())
 
     def induced_degree(self, interval: Interval, members: frozenset[int] | set[int], u: int) -> int:
         """Number of neighbors of ``u`` inside ``members`` under the interval edge set."""

@@ -260,8 +260,8 @@ def benchmark_graph(n: int = 2000, t: int = 100, seed: int = 7) -> TemporalGraph
 
 
 def reference_load(text, window, time_origin=None, pre_windowed=False):
-    """Labels, snapshots, dropped self-loops and neighbour lists (ascending
-    by id), computed one record at a time from the lines between line feeds."""
+    """Labels, snapshots and dropped self-loops, computed one record at a
+    time from the lines between line feeds."""
     records = []
     for line in text.split("\n"):
         line = line.strip()
@@ -275,9 +275,9 @@ def reference_load(text, window, time_origin=None, pre_windowed=False):
     windows = [[] for _ in range(max((t - origin) // window for t, _, _ in records) + 1)]
     for t, u, v in records:
         windows[(t - origin) // window].append((u, v))
-    labels, index, dropped, snapshots, adjacency = [], {}, 0, [], []
+    labels, index, dropped, snapshots = [], {}, 0, []
     for pairs in windows:
-        edges, adj = set(), {}
+        edges = set()
         for a, b in pairs:
             if a == b:
                 dropped += 1
@@ -286,21 +286,14 @@ def reference_load(text, window, time_origin=None, pre_windowed=False):
                 if label not in index:
                     index[label] = len(labels)
                     labels.append(label)
-            e = tuple(sorted((index[a], index[b])))
-            if e not in edges:
-                edges.add(e)
-                adj.setdefault(e[0], []).append(e[1])
-                adj.setdefault(e[1], []).append(e[0])
+            edges.add(tuple(sorted((index[a], index[b]))))
         snapshots.append(frozenset(edges))
-        adjacency.append({u: sorted(vs) for u, vs in adj.items()})
-    return tuple(labels), tuple(snapshots), dropped, adjacency
+    return tuple(labels), tuple(snapshots), dropped
 
 
 def loaded(g):
     """``reference_load``'s view of a loaded graph."""
-    adjacency = [{u: list(g.neighbors(t, u)) for u in g.vertices if g.neighbors(t, u)}
-                 for t in range(g.t_max + 1)]
-    return g.labels, g.snapshots, g.dropped_self_loops, adjacency
+    return g.labels, g.snapshots, g.dropped_self_loops
 
 
 # -- acceptance reporting: one pass/fail line per criterion in the summary ------

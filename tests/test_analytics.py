@@ -312,7 +312,7 @@ class TestQuerySampling:
         with pytest.raises(ValueError):
             sample_query_vertices(fix1, 0)
 
-    @pytest.mark.parametrize("p", [0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("p", [0, -0.5, 1, 1.5, float("nan")])
     @pytest.mark.parametrize("q_size", [1, 2])
     def test_p_outside_unit_interval_rejected_before_walking(self, fix1, q_size, p):
         with pytest.raises(ParameterError, match="walk probability p"):
@@ -323,7 +323,8 @@ class TestQuerySampling:
         def no_walk(*args):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(TemporalGraph, "neighbors", no_walk)
+        # each walk step draws once from rng.random
+        monkeypatch.setattr(random.Random, "random", no_walk)
         with pytest.raises(ParameterError, match="pool size"):
             sample_query_vertices(fix1, q_size, pool_size=fix1.n + 1)
 
@@ -331,13 +332,13 @@ class TestQuerySampling:
         # FIX-1 has 4 vertices, fewer than the default pool of 3 * 2: the walk
         # stops once it has seen all 4, not after its 10,000-step budget
         steps = []
-        neighbors = TemporalGraph.neighbors
+        draw = random.Random.random
 
-        def counting(self, t, u):
-            steps.append(t)
-            return neighbors(self, t, u)
+        def counting(self):  # one per walk step, and one per query vertex drawn
+            steps.append(1)
+            return draw(self)
 
-        monkeypatch.setattr(TemporalGraph, "neighbors", counting)
+        monkeypatch.setattr(random.Random, "random", counting)
         with caplog.at_level(logging.WARNING):
             for seed in range(20):
                 assert len(sample_query_vertices(fix1, 2, seed=seed)) == 2
@@ -361,13 +362,13 @@ class TestQuerySampling:
         # 10,000-step budget; a query larger than the component is refused
         g = TemporalGraph([[(0, 1), (2, 3)]], list("abcd"))
         steps = []
-        neighbors = TemporalGraph.neighbors
+        draw = random.Random.random
 
-        def counting(self, t, u):
-            steps.append(t)
-            return neighbors(self, t, u)
+        def counting(self):  # one per walk step, and one per query vertex drawn
+            steps.append(1)
+            return draw(self)
 
-        monkeypatch.setattr(TemporalGraph, "neighbors", counting)
+        monkeypatch.setattr(random.Random, "random", counting)
         with caplog.at_level(logging.WARNING):
             for seed in range(10):
                 assert sample_query_vertices(g, 2, seed=seed) in ({0, 1}, {2, 3})

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,25 @@ class TestOtherCommands:
         assert run(["stats", fix1_file, "--pre-windowed", "--report", "activity",
                     "-o", out]) == 0
         assert out.read_text().splitlines()[0] == "start\tspan_length\tmax_order"
+
+    def test_stats_activity_peak_is_about_the_summary(self, tmp_path):
+        # one edge in every window, |T| = 400: each row is formatted as it is
+        # written, so the run holds the cells and no list of rows beside them
+        path = tmp_path / "one-edge.tsv"
+        path.write_text("".join(f"{t} a b\n" for t in range(400)))
+        g = load_edge_list(path, window=1, pre_windowed=True)
+        peaks = []
+        for call in (lambda: analytics.activity_summary(g),
+                     lambda: run(["stats", path, "--pre-windowed", "--report", "activity",
+                                  "-o", tmp_path / "activity.tsv"])):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], peaks
 
     def test_stats_purity_requires_attrs(self, fix1_file):
         assert run(["stats", fix1_file, "--pre-windowed", "--report", "purity"]) == 1
@@ -460,8 +480,9 @@ class TestErrorHandling:
         ["sample-queries", "--q-size", 2, "--pool", 5],
         ["sample-queries", "--q-size", 2, "--p", 0],
         ["sample-queries", "--q-size", 2, "--p", "nan"],
+        ["sample-queries", "--q-size", 2, "--p", 1],
     ], ids=["h", "h-zero", "tr", "ratio", "ratio-nan", "q-size", "q-size-over-n", "pool",
-            "pool-over-n", "p-zero", "p-nan"])
+            "pool-over-n", "p-zero", "p-nan", "p-one"])
     def test_parameter_out_of_range_is_usage_error(self, fix1_file, tmp_path, argv, capsys):
         outdir = tmp_path / "out"
         outdir.mkdir()

@@ -12,11 +12,12 @@ from spancores import (
     span_cores,
     tcs_basic,
     tcs_efficient,
+    tcs_embeddings,
 )
 from spancores.community_search import (_corners, _dominance_profile, _segment_dp,
                                          _table_profile, penalty_table_full)
 
-from conftest import long_lived_graphs, score_at, stress_cases
+from conftest import long_lived_graphs, score_at, stress_cases, wide_domain_graphs
 
 
 def brute_force_objective(g, query, h):
@@ -294,6 +295,13 @@ class TestEfficientSearch:
             for h in range(1, min(3, g.t_max + 1) + 1):
                 assert tcs_efficient(g, query, h).objective == \
                     tcs_basic(g, query, h).objective
+        for g in wide_domain_graphs():
+            for h in (1, 3, 10):
+                for query in ({0}, {0, 1}):
+                    assert tcs_efficient(g, query, h).objective == \
+                        tcs_basic(g, query, h).objective
+                for u, row in zip(g.vertices, tcs_embeddings(g, h)):
+                    assert sum(row) == tcs_basic(g, {u}, h).objective
 
     def test_h_equals_domain_size_forces_singletons(self, corpus):
         rng = random.Random(53)
