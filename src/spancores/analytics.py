@@ -197,9 +197,10 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         raise ParameterError("q_size must be at least 1")
     if not 0 < p < 1:  # NaN included; at p = 1 time never advances
         raise ParameterError("walk probability p must be within (0, 1)")
-    # the union graph's lists, each ascending by id
-    adjacency = _build_adjacency(g.vertices, sorted(frozenset().union(*g.snapshots)))
-    active = g.vertices if q_size == 1 else [u for u in g.vertices if adjacency[u]]
+    active = g.vertices
+    if q_size > 1:  # the union graph's lists, each ascending by id
+        adjacency = _build_adjacency(g.vertices, sorted(frozenset().union(*g.snapshots)))
+        active = [u for u in g.vertices if adjacency[u]]
     if q_size > len(active):
         raise ParameterError(f"cannot sample {q_size} query vertices from {len(active)}")
     pool = min(3 * q_size, len(active)) if pool_size is None else pool_size

@@ -66,10 +66,10 @@ class SpanCoreSet:
     must be nested: each lies inside every stored core of lower order and
     contains every stored core of higher order.  ``add`` rejects a core that
     breaks this, as it rejects a second core for one (order, span).
-    ``get``, ``in``, iteration and ``sorted_cores`` build ``SpanCore``
-    objects on demand, while ``top_orders`` reads the orders alone; two sets are equal when they hold the same cores.
-    Spans stored from one coreness dict share it as their labelling, so
-    ``add`` stores a new labelling rather than change one in place.
+    ``get``, ``in`` and iteration build ``SpanCore`` objects on demand, while
+    ``top_orders`` reads the orders alone; two sets are equal when they hold
+    the same cores.  A span stored right after one with the same coreness
+    dict shares its entry, so ``add`` stores a new entry, never changes one.
     """
 
     def __init__(self, cores: Iterable[SpanCore] | None = None):
@@ -105,8 +105,10 @@ class SpanCoreSet:
     def _store(self, ts: int, te: int, coreness: dict[int, int]) -> None:
         """Store all cores of one interval graph at once: orders 1 to its
         highest coreness, and ``coreness`` itself, all positive, as the
-        labelling."""
-        self._spans[(ts, te)] = (coreness, list(range(1, max(coreness.values()) + 1)))
+        labelling; the last stored entry is reused when it holds ``coreness``."""
+        last = next(reversed(self._spans.values()), (None,))
+        self._spans[(ts, te)] = last if last[0] is coreness else (
+            coreness, list(range(1, max(coreness.values()) + 1)))
 
     def top_orders(self) -> dict[tuple[int, int], int]:
         """``{(ts, te): k}``: each span's highest stored order."""
@@ -123,7 +125,15 @@ class SpanCoreSet:
         return sum(len(orders) for _, orders in self._spans.values())
 
     def __iter__(self) -> Iterator[SpanCore]:
-        return iter(self.sorted_cores())
+        """Cores ordered by (span start, span end, order) for reproducible
+        output, built one at a time: a span's lowest-order core holds all its
+        labelled members, and each next order drops one layer."""
+        for (ts, te), (labels, orders) in sorted(self._spans.items()):
+            span = Interval(ts, te)
+            members = set(labels)
+            for k, layer in reversed(_layers(labels, orders)):
+                yield SpanCore(order=k, span=span, members=frozenset(members))
+                members.difference_update(layer)
 
     def __contains__(self, core: SpanCore) -> bool:
         stored = self.get(core.order, core.span)
@@ -133,19 +143,6 @@ class SpanCoreSet:
         if not isinstance(other, SpanCoreSet):
             return NotImplemented
         return self._spans == other._spans
-
-    def sorted_cores(self) -> list[SpanCore]:
-        """Cores ordered by (span start, span end, order) for reproducible output."""
-        out: list[SpanCore] = []
-        for (ts, te), (labels, orders) in sorted(self._spans.items()):
-            span = Interval(ts, te)
-            members: set[int] = set()
-            cores = []
-            for k, layer in _layers(labels, orders):
-                members.update(layer)
-                cores.append(SpanCore(order=k, span=span, members=frozenset(members)))
-            out.extend(reversed(cores))
-        return out
 
 
 def _layers(labels: dict[int, int], orders: list[int]) -> list[tuple[int, list[int]]]:

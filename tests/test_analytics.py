@@ -28,6 +28,7 @@ from spancores import (
     tcs_embeddings,
 )
 
+import spancores.analytics as analytics_module
 from spancores.graph import ParameterError
 
 from conftest import (long_lived_graphs, per_vertex_rows, random_temporal_graph,
@@ -257,6 +258,17 @@ class TestQuerySampling:
             (v,) = sample_query_vertices(fix1, 1, seed=seed)
             seen.add(v)
         assert seen == set(fix1.vertices)
+
+    def test_single_vertex_drawn_without_the_union_graph(self, fix1, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("union graph built for a single query vertex")
+
+        monkeypatch.setattr(analytics_module, "_build_adjacency", refuse)
+        for seed in range(20):
+            assert sample_query_vertices(fix1, 1, seed=seed) == {
+                random.Random(seed).randrange(fix1.n)}
+        with pytest.raises(ParameterError, match="pool size"):
+            sample_query_vertices(fix1, 1, pool_size=fix1.n + 1)
 
     def test_pairs_touch_edges(self, fix1):
         active = {u for s in fix1.snapshots for e in s for u in e}

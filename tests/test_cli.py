@@ -318,7 +318,7 @@ class TestProvenance:
         assert stats.peel_vertices > 0
         assert counters == {"temporal_edges": g.temporal_edge_count(), **expected}
 
-    def test_stats_rows_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
+    def test_stats_analytics_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary
 
         def slow_summary(*args, **kwargs):

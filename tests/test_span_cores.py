@@ -1,8 +1,10 @@
+import gc
 import gzip
 import importlib
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -209,7 +211,7 @@ class TestSerialization:
                                (True, maximal_span_cores(g)),
                                (True, filter_maximal(span_cores(g)))):
             expected = []
-            for core in cores.sorted_cores():
+            for core in cores:
                 record = {"k": core.order, "ts": core.span.start, "te": core.span.end,
                           "size": len(core.members),
                           "vertices": sorted(g.label_of(u) for u in core.members)}
@@ -258,7 +260,7 @@ class TestSpanCoreSetContract:
     def test_add_enumeration_and_reading_agree(self, corpus):
         for i, g in enumerate(corpus[:80]):
             for enumerated in (span_cores(g), maximal_span_cores(g)):
-                cores = enumerated.sorted_cores()
+                cores = list(enumerated)
                 shuffled = cores[:]
                 random.Random(i).shuffle(shuffled)
                 sink = io.StringIO()
@@ -299,6 +301,36 @@ class TestSpanCoreSetContract:
         added = stored.replace('"k": 1', '"k": 2')
         assert stored in before.getvalue()
         assert after.getvalue() == before.getvalue().replace(stored, stored + added)
+        # spans stored one after another with one edge set share one entry
+        one_edge = span_cores(TemporalGraph([[(0, 1)]] * 3, ["a", "b"]))
+        entry = one_edge._spans[(0, 0)]
+        assert one_edge._spans[(0, 1)] is entry and one_edge._spans[(0, 2)] is entry
+        one_edge.add(span_core(2, 0, 1, {0, 1}))
+        assert one_edge.get(2, Interval(0, 1)) == span_core(2, 0, 1, {0, 1})
+        for te in (0, 2):
+            assert one_edge._spans[(0, te)] is entry and entry == ({0: 1, 1: 1}, [1])
+            assert one_edge.get(2, Interval(0, te)) is None
+
+    def test_memory_is_about_a_dict_key_per_span(self):
+        # one edge in each of 400 windows: every one of the 80,200 spans has
+        # that edge set, so the set should cost about what its keys cost, and
+        # iterating it should hold one span's cores at a time
+        g = TemporalGraph([[(0, 1)]] * 400, ["a", "b"])
+
+        def peak(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                return build(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, keys = peak(lambda: {(ts, te): None for ts in range(400) for te in range(ts, 400)})
+        cores, stored = peak(lambda: span_cores(g))
+        count, iterated = peak(lambda: sum(1 for _ in cores))
+        assert count == len(cores) == 80_200
+        assert stored <= 1.3 * keys, (stored, keys)
+        assert iterated <= stored, (iterated, stored)
 
     def test_missing_orders_and_spans(self):
         cores = SpanCoreSet([span_core(1, 0, 0, {0, 1, 2, 3}), span_core(3, 0, 0, {0, 1})])
