@@ -421,6 +421,7 @@ def main(argv=None) -> int:
         with _side(InputError):
             graph = _timed(run, "load", lambda: _load(args, run.load_timings))
         run.counters["temporal_edges"] = graph.temporal_edge_count()
+        run.counters["dropped_self_loops"] = graph.dropped_self_loops
         _HANDLERS[args.command](run, graph)
         run.write_provenance()
         run.commit()

@@ -4,26 +4,25 @@ minimum degree.
 
 The per-interval subproblem is solved by the highest-order core containing the
 query, whose order acts as the interval's score.  Segmenting the domain is
-then classic optimal sequence segmentation by dynamic programming over one
-score profile: ``profile(te)`` gives the score steps of ``[a, te]`` in the
-start ``a`` (see ``_segment_dp``), and each chosen segment's score is read
-back off the DP.  The basic route (the test oracle) reads a table of every
-interval's score and runs the DP over every timestamp.  The fast routes,
-``tcs_efficient`` and the embeddings, read the scores off the
-query-constrained maximal cores and run the DP only over a reduced set of
-candidate segment ends, which suffices for optimality
-(``_corner_segmentation``).
+then classic optimal sequence segmentation by dynamic programming over the
+query's corners, the ``(start, end, order)`` of its undominated cores: an
+interval scores the highest order among the corners whose span contains it
+(see ``_segment_dp``), and each chosen segment's score is read back off the
+DP.  The basic route (the test oracle) takes its corners from a table of
+every interval's score and runs the DP over every timestamp.  The fast
+routes, ``tcs_efficient`` and the embeddings, take the query-constrained
+maximal cores as corners and run the DP only over a reduced set of candidate
+segment ends, which suffices for optimality (``_corner_segmentation``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from itertools import chain, pairwise
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .graph import Interval, ParameterError, TemporalGraph
-from .maximal_cores import _validate_query, query_constrained_scan
+from .maximal_cores import _undominated, _validate_query, query_constrained_scan
 from .span_cores import DecompositionStats, _seeded_coreness
 from .static_core import core_decomposition
 
@@ -63,47 +62,6 @@ def single_tcs(g: TemporalGraph, query: Collection[int], interval: Interval,
     if order == 0:
         return 0, set(g.vertices)
     return order, {u for u, c in coreness.items() if c >= order}
-
-
-# profile(te) -> steps: the score of [a, te] as a function of the start a,
-# as (first start, score) pairs ascending in start and never falling in
-# score; the score is 0 before the first step
-Profile = Callable[[int], list[tuple[int, int]]]
-
-
-def _table_profile(scores: dict[tuple[int, int], int]) -> Profile:
-    """The profile of a ``{(ts, te): score}`` table; missing intervals score 0.
-
-    The table must be anti-monotone in the span, as every score table of
-    span-cores is: then each end's stored starts run contiguously up to the
-    end with nondecreasing scores, and are its steps.
-    """
-    by_end: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (ts, te), value in scores.items():
-        by_end[te].append((ts, value))
-    return lambda te: sorted(by_end.get(te, ()))
-
-
-def _dominance_profile(corners: Collection[tuple[int, int, int]]) -> Profile:
-    """The profile of the query-constrained maximal cores' ``(start, end, order)``.
-
-    The score of an interval is the highest order among the cores whose span
-    contains it (0 if none), so no per-interval table is materialized: per
-    end, the running maximum by start over the cores reaching it steps up
-    exactly where a core beats every earlier one.
-    """
-    spans = sorted(corners)
-
-    def profile(te: int) -> list[tuple[int, int]]:
-        steps = []
-        peak = 0
-        for s, e, k in spans:
-            if e >= te and k > peak:
-                peak = k
-                steps.append((s, k))
-        return steps
-
-    return profile
 
 
 def _corners(g: TemporalGraph, stats: DecompositionStats | None
@@ -173,9 +131,11 @@ def reduced_time_domain(t_max: int, h: int, spans: Collection[Interval]) -> Redu
     return ReducedDomain(timestamps=tuple(sorted(chosen)))
 
 
-def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
+def _segment_dp(ends: Sequence[int], corners: Collection[tuple[int, int, int]], h: int,
                 stats: DecompositionStats | None = None):
-    """Optimal segmentation DP over candidate end timestamps.
+    """Optimal segmentation DP over candidate end timestamps, an interval
+    scoring the highest order among the ``(start, end, order)`` corners whose
+    span contains it (0 if none).
 
     ``P[r][i]`` is the least cost (negated summed score) of splitting the
     prefix ending at ``ends[r]`` into ``i + 1`` nonempty segments (``None``
@@ -183,17 +143,17 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     segment after end index ``split`` starts at ``ends[split] + 1``.  Ties go
     to the smallest split index, making reconstruction deterministic.
 
-    Per end r, the profile's steps become runs of candidate start indices: a
-    step that raises the score opens a run at the first start it reaches,
-    replacing a run that reached no start.  The score only rises from run to
-    run, so a run may price every split from its own first one up to
-    ``r - 1`` at its value; that understates the later splits' scores, but
-    their own runs price them exactly and strictly cheaper, so every chosen
-    split is priced exactly.  The DP fills one column i at a time; a run's
-    best split is the leftmost minimum of column i - 1 over a suffix, read
-    from a stack of the column's suffix minima up to ``r - 1`` (an entry is
-    popped only by a strictly cheaper later split, so ties keep the
-    leftmost).  The runs are tried from the left, a later one winning only
+    Per end r, the corners reaching it become, by start, runs of candidate
+    start indices: a corner that beats the last run's score opens a run at the
+    first start it reaches, replacing a run that reached no start.  The score
+    only rises from run to run, so a run may price every split from its own
+    first one up to ``r - 1`` at its value; that understates the later splits'
+    scores, but their own runs price them exactly and strictly cheaper, so
+    every chosen split is priced exactly.  The DP fills one column i at a
+    time; a run's best split is the leftmost minimum of column i - 1 over a
+    suffix, read from a stack of the column's suffix minima up to ``r - 1``
+    (an entry is popped only by a strictly cheaper later split, so ties keep
+    the leftmost).  The runs are tried from the left, a later one winning only
     when strictly cheaper.  With ``|D| = len(ends)`` the cost is
     O(h * |D| * runs * log |D|) instead of the O(h * |D|^2) of trying every
     split.  ``stats`` counts the candidate ends and the runs answered
@@ -201,13 +161,14 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     """
     n = len(ends)
     starts = [0] + [e + 1 for e in ends[:-1]]
+    corners = sorted(corners)
     # per end r: (first start index, last start index, score) of each run
     ranges = []
     for r in range(n):
         runs = [(0, 0)]  # (first start index, score)
-        for a, value in profile(ends[r]):
-            if value > runs[-1][1]:
-                j = bisect_left(starts, a, 0, r + 1)
+        for s, e, value in corners:
+            if e >= ends[r] and value > runs[-1][1]:
+                j = bisect_left(starts, s, 0, r + 1)
                 if j > r:
                     break
                 if runs[-1][0] == j:  # the last run reaches no start
@@ -249,13 +210,13 @@ def _segment_dp(ends: Sequence[int], profile: Profile, h: int,
     return P, R
 
 
-def _best_segmentation(ends: Sequence[int], profile: Profile, h: int,
+def _best_segmentation(ends: Sequence[int], corners: Collection[tuple[int, int, int]], h: int,
                        stats: DecompositionStats | None) -> list[tuple[Interval, int]]:
     """The ``(span, score)`` of each segment of the DP's optimal
     h-segmentation over ``ends``, in order; a score is the cost its split
     saves, which ``_segment_dp`` prices exactly."""
     n = len(ends)
-    P, R = _segment_dp(ends, profile, h, stats)
+    P, R = _segment_dp(ends, corners, h, stats)
     if P[n - 1][h - 1] is None:
         raise RuntimeError(f"internal: no feasible {h}-segmentation over {n} boundaries")
 
@@ -289,9 +250,9 @@ def _materialize(g: TemporalGraph, query: frozenset[int],
 def _corner_segmentation(corners: Collection[tuple[int, int, int]], t_max: int, h: int,
                          stats: DecompositionStats | None) -> list[tuple[Interval, int]]:
     """``_best_segmentation`` over the reduced domain of the query-constrained
-    maximal cores' ``(start, end, order)``, scored by their dominance profile."""
+    maximal cores' ``(start, end, order)``."""
     ends = reduced_time_domain(t_max, h, [Interval(s, e) for s, e, _ in corners]).timestamps
-    return _best_segmentation(ends, _dominance_profile(corners), h, stats)
+    return _best_segmentation(ends, corners, h, stats)
 
 
 def _validate_h(g: TemporalGraph, h: int) -> None:
@@ -302,20 +263,24 @@ def _validate_h(g: TemporalGraph, h: int) -> None:
 
 
 def tcs_basic(g: TemporalGraph, query: Collection[int], h: int) -> Segmentation:
-    """Temporal community search with the DP over every timestamp of the domain."""
+    """Temporal community search with the DP over every timestamp of the
+    domain, its corners the undominated spans of ``penalty_table_full``: the
+    table is anti-monotone in the span, so they score every interval as the
+    table does."""
     _validate_h(g, h)
     qs = frozenset(query)
-    profile = _table_profile(penalty_table_full(g, qs))
-    return _materialize(g, qs, _best_segmentation(range(g.t_max + 1), profile, h, None), None)
+    table = penalty_table_full(g, qs)
+    corners = [(ts, te, table[ts, te]) for ts, te in _undominated(table)]
+    return _materialize(g, qs, _best_segmentation(range(g.t_max + 1), corners, h, None), None)
 
 
 def tcs_efficient(g: TemporalGraph, query: Collection[int], h: int,
                   stats: DecompositionStats | None = None) -> Segmentation:
     """Temporal community search over the reduced boundary domain.
 
-    Interval scores are answered by dominance lookup over the
-    query-constrained maximal cores.  The objective always equals
-    ``tcs_basic``'s; the chosen segmentation may differ where ties exist.
+    The query-constrained maximal cores are the DP's corners.  The objective
+    always equals ``tcs_basic``'s; the chosen segmentation may differ where
+    ties exist.
     """
     _validate_h(g, h)
     qs = frozenset(query)

@@ -164,8 +164,8 @@ class DecompositionStats(SimpleNamespace):
     too small or too sparse, or its end walked past) as 0, and a
     query-constrained scan visits no interval of a start where some query
     vertex has no edge.  Community search adds each segment's peel, the DP's
-    candidate ends and the runs it priced, one per (end, profile run,
-    segment count).  Counters print and compare by value."""
+    candidate ends and the runs it priced, one per (end, run, segment
+    count).  Counters print and compare by value."""
 
     def __init__(self, intervals_processed: int = 0, peel_vertices: int = 0,
                  candidate_ends: int = 0, dp_runs: int = 0):

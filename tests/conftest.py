@@ -146,12 +146,12 @@ def per_vertex_rows(g: TemporalGraph, h: int) -> list[list[int]]:
     return [[seg.min_degree for seg in tcs_efficient(g, {u}, h).segments] for u in g.vertices]
 
 
-def quadratic_segment_dp(ends, profile, h):
+def quadratic_segment_dp(ends, corners, h):
     """The segmentation DP by trying every split: the oracle of
     ``community_search._segment_dp``.
 
-    ``profile(te)`` gives the score steps of ``[a, te]``, read at each start
-    ``a`` by ``score_at``.  ``P`` and ``R`` mean what they mean for
+    Each interval ``[a, te]`` is scored by ``score_at`` from the
+    ``(start, end, order)`` corners.  ``P`` and ``R`` mean what they mean for
     ``_segment_dp``, ties going to the smallest split.
     """
     n = len(ends)
@@ -159,8 +159,7 @@ def quadratic_segment_dp(ends, profile, h):
     P: list[list[int | None]] = [[None] * h for _ in range(n)]
     R: list[list[int]] = [[-1] * h for _ in range(n)]
     for r in range(n):
-        steps = profile(ends[r])
-        scores = [score_at(steps, a) for a in starts[:r + 1]]
+        scores = [score_at(corners, a, ends[r]) for a in starts[:r + 1]]
         P[r][0] = -scores[0]
         for i in range(1, min(h, r + 1)):
             best = None
@@ -178,11 +177,10 @@ def quadratic_segment_dp(ends, profile, h):
     return P, R
 
 
-def score_at(steps, a):
-    """The score at start ``a`` of a profile's ``(first start, score)``
-    steps: the highest score among the steps starting at or before ``a``,
-    0 if there is none."""
-    return max((value for first, value in steps if first <= a), default=0)
+def score_at(corners, a, te):
+    """The score of ``[a, te]``: the highest order among the
+    ``(start, end, order)`` corners whose span contains it, 0 if none."""
+    return max((k for s, e, k in corners if s <= a and te <= e), default=0)
 
 
 def definitional_span_cores(g: TemporalGraph) -> dict[tuple[int, int, int], frozenset[int]]:

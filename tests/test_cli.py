@@ -234,6 +234,17 @@ class TestProvenance:
         assert meta["counters"]["temporal_edges"] == g.temporal_edge_count()
         assert meta["peak_rss_mb"] > 0
 
+    def test_sidecar_records_dropped_self_loops(self, tmp_path):
+        # every record is a self-loop: the run writes nothing, and its sidecar says why
+        source = tmp_path / "loops.txt"
+        source.write_text("0 a a\n1 b b\n")
+        out = tmp_path / "result.jsonl"
+        assert run(["decompose", source, "--pre-windowed", "-o", out]) == 0
+        assert out.read_text() == ""
+        counters = json.loads((tmp_path / "result.jsonl.meta.json").read_text())[
+            "provenance"]["counters"]
+        assert (counters["dropped_self_loops"], counters["temporal_edges"]) == (2, 0)
+
     @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
     def test_sidecar_times_write_and_digest(self, fix1_file, tmp_path, argv):
         timings = sidecar(fix1_file, tmp_path, argv)["timings_seconds"]
@@ -316,7 +327,8 @@ class TestProvenance:
             spancores.maximal_span_cores(g, stats)
             expected = {"peel_vertices": stats.peel_vertices}
         assert stats.peel_vertices > 0
-        assert counters == {"temporal_edges": g.temporal_edge_count(), **expected}
+        assert counters == {"dropped_self_loops": 0, "temporal_edges": g.temporal_edge_count(),
+                            **expected}
 
     def test_stats_analytics_are_timed_in_the_solve_phase(self, fix1_file, tmp_path, monkeypatch):
         summarize = analytics.activity_summary

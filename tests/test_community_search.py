@@ -14,8 +14,8 @@ from spancores import (
     tcs_efficient,
     tcs_embeddings,
 )
-from spancores.community_search import (_corners, _dominance_profile, _segment_dp,
-                                         _table_profile, penalty_table_full)
+from spancores.community_search import _corners, _segment_dp, penalty_table_full
+from spancores.maximal_cores import _undominated
 
 from conftest import long_lived_graphs, score_at, stress_cases, wide_domain_graphs
 
@@ -114,22 +114,22 @@ class TestQueryConstrainedMaximal:
     def test_fix1_query_a(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("a")})
-        profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
+        corners = [(c.span.start, c.span.end, c.order) for c in cores]
         keys = {(c.order, c.span.start, c.span.end) for c in cores}
         assert keys == {(2, 0, 1), (1, 0, 2)}
         # dominance lookup through a span that strictly contains the probe
-        assert score_at(profile(1), 1) == 2
+        assert score_at(corners, 1, 1) == 2
 
     def test_fix1_query_d(self, fix1):
         g = fix1
         cores = query_constrained_scan(g, {g.index_of("d")})
-        profile = _dominance_profile([(c.span.start, c.span.end, c.order) for c in cores])
+        corners = [(c.span.start, c.span.end, c.order) for c in cores]
         found = list(cores)
         assert len(found) == 1
         assert (found[0].order, found[0].span) == (1, Interval(0, 0))
         assert found[0].members == frozenset(g.vertices)
-        assert score_at(profile(0), 0) == 1
-        assert score_at(profile(1), 1) == 0
+        assert score_at(corners, 0, 0) == 1
+        assert score_at(corners, 1, 1) == 0
 
     def test_table_agrees_with_full_and_single(self, corpus):
         rng = random.Random(17)
@@ -138,14 +138,14 @@ class TestQueryConstrainedMaximal:
             if probes >= 100:
                 break
             query = {rng.randrange(g.n)}
-            dominance = _dominance_profile([(c.span.start, c.span.end, c.order)
-                                            for c in query_constrained_scan(g, query)])
+            corners = [(c.span.start, c.span.end, c.order)
+                       for c in query_constrained_scan(g, query)]
             full = penalty_table_full(g, query)
             for _ in range(4):
                 ts = rng.randint(0, g.t_max)
                 te = rng.randint(ts, g.t_max)
                 expected, _ = single_tcs(g, query, Interval(ts, te))
-                assert score_at(dominance(te), ts) == expected
+                assert score_at(corners, ts, te) == expected
                 assert full.get((ts, te), 0) == expected
                 probes += 1
 
@@ -338,7 +338,7 @@ class TestDpState:
         g = fix1
         table = penalty_table_full(g, {g.index_of("a")})
         ends = list(range(g.t_max + 1))
-        P, _ = _segment_dp(ends, _table_profile(table), 3)
+        P, _ = _segment_dp(ends, [(ts, te, v) for (ts, te), v in table.items()], 3)
         for t in ends:
             assert P[t][0] == -table.get((0, t), 0)
         for t in ends:
@@ -351,3 +351,22 @@ class TestDpState:
         g = fix1
         result = tcs_basic(g, {g.index_of("a")}, 2)
         assert result.segments[0].span == Interval(0, 0)
+
+    def test_undominated_corners_give_the_table_dp(self, corpus):
+        # tcs_basic's corners: the table is anti-monotone, so its undominated
+        # spans run the DP exactly as every one of its entries does
+        graphs = [*corpus, *(g for g, _ in stress_cases()), *long_lived_graphs(),
+                  *wide_domain_graphs()]
+        for g in graphs:
+            ends = range(g.t_max + 1)
+            for query in ({0}, {0, 1}):
+                if max(query) >= g.n:
+                    continue
+                table = penalty_table_full(g, query)
+                every = [(ts, te, v) for (ts, te), v in table.items()]
+                undominated = [(ts, te, table[ts, te]) for ts, te in _undominated(table)]
+                for h in (1, 3, 10):
+                    every_stats, undominated_stats = DecompositionStats(), DecompositionStats()
+                    assert _segment_dp(ends, every, h, every_stats) == \
+                        _segment_dp(ends, undominated, h, undominated_stats)
+                    assert every_stats == undominated_stats

@@ -26,20 +26,24 @@ SEED = 7  # perfbench/run.py's DEFAULT_SEED, the seed golden.json is recorded at
 # why.
 WORK = {
     "churn": {
-        "decompose.jsonl": {"intervals_processed": 429, "peel_vertices": 41_944,
-                            "records": 13_743, "temporal_edges": 21_249},
-        "maximal.jsonl": {"peel_vertices": 108, "records": 13, "temporal_edges": 21_249},
+        "decompose.jsonl": {"dropped_self_loops": 0, "intervals_processed": 429,
+                            "peel_vertices": 41_944, "records": 13_743,
+                            "temporal_edges": 21_249},
+        "maximal.jsonl": {"dropped_self_loops": 0, "peel_vertices": 108, "records": 13,
+                          "temporal_edges": 21_249},
     },
     "horizon": {
-        "maximal.jsonl": {"peel_vertices": 828, "records": 106, "temporal_edges": 87_307},
-        "tcs.json": {"candidate_ends": 379, "dp_runs": 26_510, "objective": 94,
-                     "peel_vertices": 15_400, "temporal_edges": 87_307},
-        "anomalies.tsv": {"flagged_timestamps": 0, "flagged_vertex_steps": 8_213,
-                          "peel_vertices": 828, "temporal_edges": 87_307},
+        "maximal.jsonl": {"dropped_self_loops": 0, "peel_vertices": 828, "records": 106,
+                          "temporal_edges": 87_307},
+        "tcs.json": {"candidate_ends": 379, "dp_runs": 26_510, "dropped_self_loops": 0,
+                     "objective": 94, "peel_vertices": 15_400, "temporal_edges": 87_307},
+        "anomalies.tsv": {"dropped_self_loops": 0, "flagged_timestamps": 0,
+                          "flagged_vertex_steps": 8_213, "peel_vertices": 828,
+                          "temporal_edges": 87_307},
     },
     "embed": {
-        "embed.tsv": {"candidate_ends": 3_618, "dp_runs": 21_021, "peel_vertices": 6_405,
-                      "temporal_edges": 4_031},
+        "embed.tsv": {"candidate_ends": 3_618, "dp_runs": 21_021, "dropped_self_loops": 0,
+                      "peel_vertices": 6_405, "temporal_edges": 4_031},
     },
 }
 

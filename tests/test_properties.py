@@ -2,7 +2,7 @@
 to 20 vertices and 30 timestamps built from persistent group contacts, checked
 for embeddings and against the span-core definition, segmentations checked
 against an exhaustive search over definitional scores, the segmentation DP
-checked against the quadratic one over random step profiles, and raw
+checked against the quadratic one over random corners, and raw
 edge-list files checked against a plain reference loader."""
 
 from itertools import accumulate, combinations
@@ -129,36 +129,32 @@ def test_segmentations_match_exhaustive_search(case):
 
 
 @st.composite
-def step_profiles(draw):
+def corner_sets(draw):
     """Up to 70 ascending candidate ends, a segment count h of at most their
-    number, and per end te the steps of a nondecreasing score profile: up to
-    5 first starts anywhere in ``0..te``, plus 0 in about half the ends, so
-    steps fall between candidate starts, several reach the same one, and some
-    reach none.  Scores rise by
-    0, 1 or 2 from step to step, so equal neighbouring steps and equal costs
+    number, and 0-12 ``(start, end, order)`` corners anywhere in the domain
+    with orders 1-4, so corners start and end between candidate ends, several
+    reach the same start, some reach none, and equal scores and equal costs
     within the DP's columns are common."""
     n = draw(st.integers(1, 70))
     ends = list(accumulate(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
                            initial=-1))[1:]
-    steps = {}
-    for te in ends:
-        firsts = sorted(draw(st.sets(st.integers(0, te), max_size=5))
-                        | draw(st.sampled_from([set(), {0}])))
-        rises = draw(st.lists(st.integers(0, 2), min_size=len(firsts), max_size=len(firsts)))
-        steps[te] = list(zip(firsts, accumulate(rises)))
-    return ends, steps, draw(st.integers(1, n))
+    point = st.integers(0, ends[-1])
+    corners = [(min(a, b), max(a, b), k)
+               for a, b, k in draw(st.lists(st.tuples(point, point, st.integers(1, 4)),
+                                            max_size=12))]
+    return ends, corners, draw(st.integers(1, n))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(step_profiles())
+@given(corner_sets())
 def test_segment_dp_matches_the_quadratic_one(case):
-    ends, steps, h = case
-    expected = quadratic_segment_dp(ends, steps.get, h)
-    assert _segment_dp(ends, steps.get, h) == expected
+    ends, corners, h = case
+    expected = quadratic_segment_dp(ends, corners, h)
+    assert _segment_dp(ends, corners, h) == expected
     # each segment's score is read off the DP, and they sum to the objective
-    segments = _best_segmentation(ends, steps.get, h, None)
+    segments = _best_segmentation(ends, corners, h, None)
     assert [score for _, score in segments] == \
-        [score_at(steps[span.end], span.start) for span, _ in segments]
+        [score_at(corners, span.start, span.end) for span, _ in segments]
     assert sum(score for _, score in segments) == -expected[0][-1][h - 1]
 
 
