@@ -32,14 +32,13 @@ def activity_summary(g: TemporalGraph, min_span: int = DEFAULT_MIN_SPAN,
                      stats: DecompositionStats | None = None) -> list[ActivityCell]:
     """One record per (start, span length) cell holding the highest order
     there, read off the enumeration stream with no core kept: the top
-    coreness of a labelling is taken once, however many spans share it.
+    coreness of a run is taken once, however many spans it has.
     ``stats`` records the enumeration's peels."""
-    cells, last, top = [], None, 0
-    for ts, te, labels in _seeded_coreness(g, stats):
-        if labels is not last:
-            last, top = labels, max(labels.values())
-        if te - ts + 1 >= min_span:
-            cells.append(ActivityCell(ts, te - ts + 1, top))
+    cells = []
+    for ts, first, last, labels in _seeded_coreness(g, stats):
+        top = max(labels.values())
+        cells.extend(ActivityCell(ts, te - ts + 1, top)
+                     for te in range(max(first, ts + min_span - 1), last + 1))
     return cells
 
 

@@ -68,23 +68,26 @@ def _corners(g: TemporalGraph, stats: DecompositionStats | None
              ) -> list[list[tuple[int, int, int]]]:
     """Per vertex u, the ``(ts, te, order)`` of ``query_constrained_scan``'s
     cores for ``{u}``, from one enumeration recorded in ``stats``: the spans
-    where u's coreness beats that of ``[ts, te + 1]``, the next span if it
-    has the same start, and that of ``[ts - 1, te]``, held in ``left`` (a
-    start before ``ts`` that reaches ``te`` has ``ts - 1`` reach it).  A span
-    sharing its labelling with either is skipped whole.
+    where u's coreness beats that of ``[ts, te + 1]`` (``right``, the next
+    run of the start: inside a run it has the same labelling, so only a
+    run's last end qualifies) and that of ``[ts - 1, te]`` (``wider``).
+    ``left`` holds, per run end, the latest start's run ending there.  If no
+    run of ``ts - 1`` ends at ``te``, either no start before ``ts`` reaches
+    ``te``, so there is no entry, or ``E[ts - 1, te] = E[ts - 1, te + 1]``,
+    inside ``E[ts, te + 1]``: then ``right`` bounds the corenesses of
+    ``[ts - 1, te]`` and of any older ``left[te]``, so the test is unchanged.
     """
     corners: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
-    left: dict[int, dict[int, int]] = {}  # per end, the last start's labelling
-    spans = chain(_seeded_coreness(g, stats), [(None, None, {})])
-    for (ts, te, labels), (start, _, following) in pairwise(spans):
+    left: dict[int, dict[int, int]] = {}  # per run end, the latest start's labelling
+    runs = chain(_seeded_coreness(g, stats), [(None, None, None, {})])
+    for (ts, _, te, labels), (start, _, _, following) in pairwise(runs):
         right = following if start == ts else {}
         wider = left.get(te, {})
         left[te] = labels
         left.pop(ts - 1, None)  # no start from ts on reaches end ts - 1
-        if labels is not right and labels is not wider:
-            for u, c in labels.items():
-                if c > right.get(u, 0) and c > wider.get(u, 0):
-                    corners[u].append((ts, te, c))
+        for u, c in labels.items():
+            if c > right.get(u, 0) and c > wider.get(u, 0):
+                corners[u].append((ts, te, c))
     return corners
 
 
@@ -100,10 +103,10 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
     """
     qs = _validate_query(g, query)
     values: dict[tuple[int, int], int] = {}
-    for ts, te, coreness in _seeded_coreness(g, stats):
+    for ts, first, last, coreness in _seeded_coreness(g, stats):
         v = min(coreness.get(q, 0) for q in qs) if qs else max(coreness.values())
         if v > 0:
-            values[(ts, te)] = v
+            values.update(dict.fromkeys([(ts, te) for te in range(first, last + 1)], v))
     return values
 
 

@@ -1,4 +1,4 @@
-"""Temporal graph storage, ingestion, and the per-start edge shrinkage.
+"""Temporal graph storage, ingestion, and each start's runs of ends.
 
 A temporal graph is a fixed vertex set observed over a contiguous range of
 discrete timestamps ``0..t_max``; each timestamp holds an undirected simple
@@ -7,8 +7,9 @@ only if it exists in every timestamp of the interval.
 
 Instances are immutable after construction, except for one index, built
 whole on first use and then assigned once: the run-end index behind
-``interval_edges`` and ``edge_shrinkage``.  Instances are safe to share
-across threads: two threads racing on a first call only build it twice.
+``interval_edges`` and ``edge_shrinkage``, which splits a start's ends into
+runs that share one edge set.  Instances are safe to share across threads:
+two threads racing on a first call only build it twice.
 
 Contact data meets the same pairs again and again, so a loaded graph shares
 one tuple per distinct vertex pair across its snapshots: far fewer objects,
@@ -235,29 +236,24 @@ class TemporalGraph:
         edges = self.interval_edges(interval)
         return sum(1 for a, b in edges if (a == u and b in members) or (b == u and a in members))
 
-    # -- per-start edge shrinkage, replayed backward by the maximal-core scan ----
+    # -- per-start edge shrinkage: runs of ends that share one edge set ---------
 
-    def edge_shrinkage(self, start: int) -> tuple[frozenset[Edge], ...]:
-        """The edges of the snapshot at ``start``, grouped by how long each
-        persists, one group per end.
+    def edge_shrinkage(self, start: int) -> list[tuple[int, list[Edge]]]:
+        """The edges of the snapshot at ``start``, grouped by the end of
+        their unbroken run from ``start``: nonempty ``(end, edges)`` groups
+        by ascending end, which partition the snapshot (``[]`` if empty).
 
-        Walking the window end forward from ``start``, the interval edge set
-        only shrinks.  Group ``i`` holds the edges present through
-        ``start + i`` and gone at ``start + i + 1``; the last group holds the
-        edges that reach the last nonempty end.  The groups partition the
-        snapshot, and the union of ``groups[te - start:]`` is the edge set of
-        ``[start, te]``.  An empty snapshot gives ``()``.
+        The edge set of ``[start, te]`` shrinks only just past a group's
+        end, so each group's end closes a run of ends, from just past the
+        previous group's end (or from ``start``), whose spans share one edge
+        set: the union of the group and those after it.
         """
         if not 0 <= start <= self.t_max:
             raise ValueError(f"start {start} outside time domain [0,{self.t_max}]")
-        ends = self._ends(start)
-        if not ends:
-            return ()
-        groups: list[list[Edge]] = [[] for _ in range(max(ends.values()) - start + 1)]
-        for edge, end in ends.items():
-            groups[end - start].append(edge)
-        empty: frozenset[Edge] = frozenset()
-        return tuple(frozenset(group) if group else empty for group in groups)
+        groups: dict[int, list[Edge]] = defaultdict(list)
+        for edge, end in self._ends(start).items():
+            groups[end].append(edge)
+        return sorted(groups.items())
 
 
 # -- ingestion ------------------------------------------------------------------

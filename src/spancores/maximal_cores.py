@@ -10,13 +10,14 @@ can only contribute a maximal core of strictly higher order.  A vertex whose
 interval degree does not exceed the bound can belong to no such core, so the
 peel runs only on the vertices above it, and is skipped outright when they
 are too few, or share too few edges, to hold a core of order bound + 1 (or,
-for a query, when some query vertex is not among them).  Ends where no edge
-leaves are not walked at all: they share the cores of the next end above.
+for a query, when some query vertex is not among them).  Each start's ends
+are walked a run at a time (``TemporalGraph.edge_shrinkage``): the ends of a
+run share one edge set and its cores, so only its last end is visited.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, pairwise, repeat
+from itertools import chain, pairwise, repeat
 from typing import Collection
 
 from .graph import Edge, Interval, ParameterError, TemporalGraph
@@ -48,14 +49,14 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     """Top-down maximal-core scan over the cores containing ``query_set``
     (every interval's innermost core when it is empty).
 
-    For each start, the scan visits the ends whose edge group
-    (``TemporalGraph.edge_shrinkage``) is nonempty, from the last down to the
-    start, and adds each group back to rebuild the interval edge set, the
-    degrees of its endpoints and the highest of them, ``top``.  A skipped end
-    has the edge set and cores of the visit above it: it counts as an
-    interval settled without a peel, and its frontier entry takes the same
-    running maximum.  A core of order ``k = bound + 1`` has at least ``k + 1``
-    vertices of degree above ``bound`` and ``k(k + 1)/2`` edges between them.
+    For each start, the scan visits its runs (``TemporalGraph.edge_shrinkage``)
+    from the last down, each at its last end, and adds each run's group back
+    to rebuild the interval edge set, the degrees of its endpoints and the
+    highest of them, ``top``.  The other ends of a run have the edge set and
+    cores of its last end: each counts as an interval settled without a
+    peel, and its frontier entry takes the same running maximum.  A core of
+    order ``k = bound + 1`` has at least ``k + 1`` vertices of degree above
+    ``bound`` and ``k(k + 1)/2`` edges between them.
     Where these vertices (the seed) cannot hold that, or miss a query vertex,
     the true order is at most ``bound = max(frontier[te], rolling)``, so it
     is left at 0 without a peel and neither frontier moves.  Nor is an
@@ -72,16 +73,14 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
             previous = {}
             continue
         groups = g.edge_shrinkage(ts)
-        if stats is not None:
-            stats.intervals_processed += len(groups)
+        if stats is not None and groups:
+            stats.intervals_processed += groups[-1][0] - ts + 1
         counts: dict[int, int] = {}
         degree: dict[int, int] = {}
         top = 0  # highest degree: a refilled edge raises it by one at most
         current_edges: list[Edge] = []
         rolling = 0  # innermost order of [ts, te + 1], possibly understated (see below)
-        ends = compress(range(ts + len(groups) - 1, ts - 1, -1), reversed(groups))
-        for te, below in pairwise(chain(ends, [ts - 1])):
-            refill = groups[te - ts]
+        for (te, refill), (below, _) in pairwise(chain(reversed(groups), [(ts - 1, ())])):
             current_edges.extend(refill)
             for u, v in refill:
                 du = degree[u] = degree.get(u, 0) + 1

@@ -4,24 +4,24 @@ A span-core of order ``k`` with span ``[ts, te]`` is a maximal nonempty vertex
 set in which every member keeps at least ``k`` neighbors inside the set at
 every timestamp of the span.  Two routes are provided: a naive sweep that runs
 a full core decomposition per interval over the whole vertex set (the
-correctness oracle), and a seeded enumeration that walks each start's window
-end forward over its edges grouped by run end, intersecting no snapshots,
-and peels only the endpoints of the interval edge set.  A vertex with no
-edge over the interval has coreness 0, so it can belong to no span-core
-there.  An interval whose edge set equals that of ``[ts, te - 1]`` or
-``[ts - 1, te]`` reuses that interval's cores without a peel.
+correctness oracle), and a seeded enumeration that walks each start's runs,
+the ends whose spans share one edge set (``TemporalGraph.edge_shrinkage``),
+and peels only the endpoints of a run's edge set: any other vertex has
+coreness 0, so it can belong to no span-core there.  A run whose edge set
+equals that of ``[ts - 1, last]`` reuses that interval's cores unpeeled.
 
-Each interval's peel yields all its cores at once as one ``{vertex:
-coreness}`` dict, and ``SpanCoreSet`` keeps exactly that: one labelling per
-span, from which the nested cores are built on demand.  The seeded route is
-one stream of ``(ts, te, coreness)``, which community search reads too.
+Each peel yields all its cores at once as one ``{vertex: coreness}`` dict,
+and ``SpanCoreSet`` keeps exactly that: one labelling per span, shared by
+the spans of a run, from which the nested cores are built on demand.  The
+seeded route is one stream of ``(ts, first, last, coreness)``, one item per
+run, which community search and the analytics read too.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from itertools import accumulate, chain
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -68,8 +68,8 @@ class SpanCoreSet:
     breaks this, as it rejects a second core for one (order, span).
     ``get``, ``in`` and iteration build ``SpanCore`` objects on demand, while
     ``top_orders`` reads the orders alone; two sets are equal when they hold
-    the same cores.  A span stored right after one with the same coreness
-    dict shares its entry, so ``add`` stores a new entry, never changes one.
+    the same cores.  The spans of one run of the enumeration share one entry,
+    so ``add`` stores a new entry, never changes one.
     """
 
     def __init__(self, cores: Iterable[SpanCore] | None = None):
@@ -102,13 +102,12 @@ class SpanCoreSet:
                 labels[u] = k
         self._spans[key] = (labels, orders[:at] + [k] + orders[at:])
 
-    def _store(self, ts: int, te: int, coreness: dict[int, int]) -> None:
-        """Store all cores of one interval graph at once: orders 1 to its
-        highest coreness, and ``coreness`` itself, all positive, as the
-        labelling; the last stored entry is reused when it holds ``coreness``."""
-        last = next(reversed(self._spans.values()), (None,))
-        self._spans[(ts, te)] = last if last[0] is coreness else (
-            coreness, list(range(1, max(coreness.values()) + 1)))
+    def _store(self, ts: int, first: int, last: int, coreness: dict[int, int]) -> None:
+        """Store all cores of one run at once, one entry for the spans
+        ``[ts, first]`` to ``[ts, last]``: orders 1 to its highest coreness,
+        and ``coreness`` itself, all positive, as the labelling."""
+        entry = (coreness, list(range(1, max(coreness.values()) + 1)))
+        self._spans.update(dict.fromkeys([(ts, te) for te in range(first, last + 1)], entry))
 
     def top_orders(self) -> dict[tuple[int, int], int]:
         """``{(ts, te): k}``: each span's highest stored order."""
@@ -193,7 +192,7 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
             if stats is not None:
                 stats.record(len(vertices))
             coreness = core_decomposition(vertices, edges)
-            out._store(ts, te, {u: c for u, c in coreness.items() if c})
+            out._store(ts, te, te, {u: c for u, c in coreness.items() if c})
             if te == g.t_max:
                 break
             te += 1
@@ -202,34 +201,36 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
 
 
 def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
-                     ) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """Yield ``(ts, te, coreness)`` for every interval with a nonempty edge
-    set, in (start, end) order, recording each peel in ``stats``.
+                     ) -> Iterator[tuple[int, int, int, dict[int, int]]]:
+    """Yield ``(ts, first, last, coreness)`` per run, in (start, end) order:
+    the ends ``first..last`` of start ``ts``, whose spans share one nonempty
+    edge set and so one coreness dict.  Each peel is recorded in ``stats``.
 
-    Per start, the window end walks over the ``edge_shrinkage`` groups; the
-    size of ``E[ts, te]`` is a suffix sum of their sizes.  It lies inside
-    ``E[ts, te - 1]`` and contains ``E[ts - 1, te]``, so when its size
-    equals either one's, it is that set and the neighbour's coreness dict is
-    yielded again, the same object.  Any other edge set is built from its
-    groups and peeled, seeded with its endpoints: exactly the vertices that
-    can have positive coreness there, so every coreness yielded is positive.
+    Each ``edge_shrinkage`` group closes a run at its end ``last``; the run's
+    edge set is the union of that group and those after it.  ``E[ts - 1,
+    last]`` lies inside ``E[ts - 1, first]``, inside ``E[ts, first] = E[ts,
+    last]``, so equal sizes at ``last`` make all three one set; then ``last``
+    also ends a run of ``ts - 1``, whose coreness dict is yielded again, the
+    same object.  Any other edge set is built from its groups and peeled,
+    seeded with its endpoints: exactly the vertices that can have positive
+    coreness there, so every coreness yielded is positive.
     """
-    previous: dict[int, tuple[int, dict[int, int]]] = {}  # start ts - 1, per end
+    previous: dict[int, tuple[int, dict[int, int]]] = {}  # start ts - 1, per run end
     for ts in range(g.t_max + 1):
         current: dict[int, tuple[int, dict[int, int]]] = {}
         groups = g.edge_shrinkage(ts)
-        sizes = list(accumulate(map(len, reversed(groups))))[::-1]
-        for te, count in enumerate(sizes, ts):
-            if te == ts or count != sizes[te - ts - 1]:
-                count_left, coreness = previous.get(te, (0, None))
-                if count_left != count:
-                    edges = frozenset().union(*groups[te - ts:])
-                    endpoints = set(chain.from_iterable(edges))
-                    if stats is not None:
-                        stats.record(len(endpoints))
-                    coreness = core_decomposition(endpoints, edges)
-            current[te] = (count, coreness)
-            yield ts, te, coreness
+        first, count = ts, len(g.snapshots[ts])
+        for i, (last, gone) in enumerate(groups):
+            count_left, coreness = previous.get(last, (0, None))
+            if count_left != count:
+                edges = [edge for _, group in groups[i:] for edge in group]
+                endpoints = set(chain.from_iterable(edges))
+                if stats is not None:
+                    stats.record(len(endpoints))
+                coreness = core_decomposition(endpoints, edges)
+            current[last] = (count, coreness)
+            yield ts, first, last, coreness
+            first, count = last + 1, count - len(gone)
         previous = current
 
 
@@ -237,12 +238,12 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
     """All span-cores via the seeded per-start enumeration.
 
     Output is set-equal to ``naive_span_cores``; only edge endpoints are
-    peeled, instead of every vertex, and once per distinct interval edge
-    set, whose spans share one stored labelling.
+    peeled, once per distinct interval edge set, and a run's spans share
+    one stored entry.
     """
     out = SpanCoreSet()
-    for ts, te, coreness in _seeded_coreness(g, stats):
-        out._store(ts, te, coreness)
+    for run in _seeded_coreness(g, stats):
+        out._store(*run)
     return out
 
 
@@ -261,9 +262,9 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     JSON-encoded once per call, and a span's cores grow from its highest
     order down, one layer of label ranks merged in per order, so no per-core
     member set or record dict is built.  A labelling is rendered once, and
-    each later span of the same start or the next that holds it reuses the
-    records with only ``ts`` and ``te`` changed: the enumeration shares a
-    labelling nowhere else, so it renders each distinct one once.
+    each later span that holds it, in its run or in a run of the next start,
+    reuses the records with only ``ts`` and ``te`` changed: the enumeration
+    shares a labelling nowhere else, so it renders each distinct one once.
     """
     by_label = sorted(g.vertices, key=g.labels.__getitem__)
     rank = [0] * g.n

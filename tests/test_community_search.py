@@ -170,7 +170,8 @@ class TestQueryConstrainedMaximal:
 class TestCorners:
     def test_corners_are_each_vertexs_query_constrained_maximal_cores(self, corpus):
         # the fold reads one enumeration, peeling exactly what span_cores peels
-        for g in corpus + [g for g, _ in stress_cases()] + long_lived_graphs():
+        for g in (corpus + [g for g, _ in stress_cases()] + long_lived_graphs()
+                  + wide_domain_graphs()):
             fold_stats, enum_stats = DecompositionStats(), DecompositionStats()
             corners = _corners(g, fold_stats)
             span_cores(g, enum_stats)

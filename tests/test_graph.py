@@ -21,8 +21,8 @@ from spancores import (
 from spancores import graph as graph_module
 from spancores.graph import MAX_TIMESTAMPS, UnknownLabelError
 
-from conftest import (FIX1_SNAPSHOTS, forward_interval_edges, loaded, random_temporal_graph,
-                      reference_load, wide_domain_graphs)
+from conftest import (FIX1_SNAPSHOTS, forward_interval_edges, loaded, long_lived_graphs,
+                      random_temporal_graph, reference_load, wide_domain_graphs)
 
 
 def edges_by_labels(g, pairs):
@@ -422,25 +422,37 @@ class TestInducedDegree:
 class TestEdgeShrinkage:
     def test_fix1_start0(self, fix1):
         g = fix1
-        assert g.edge_shrinkage(0) == (
-            edges_by_labels(g, [("c", "d")]),
-            edges_by_labels(g, [("a", "c"), ("b", "c")]),
-            edges_by_labels(g, [("a", "b")]),
-        )
+        groups = g.edge_shrinkage(0)
+        assert [(end, frozenset(edges)) for end, edges in groups] == [
+            (0, edges_by_labels(g, [("c", "d")])),
+            (1, edges_by_labels(g, [("a", "c"), ("b", "c")])),
+            (2, edges_by_labels(g, [("a", "b")])),
+        ]
 
     def test_vanishing_sets_disjoint(self, corpus):
         for g in corpus[:40]:
             for ts in range(g.t_max + 1):
-                groups = g.edge_shrinkage(ts)
+                groups = [frozenset(edges) for _, edges in g.edge_shrinkage(ts)]
                 for i, group in enumerate(groups):
                     for other in groups[i + 1:]:
                         assert not (group & other)
 
     def test_storage_bounded_by_first_snapshot(self, corpus):
+        # the groups partition the snapshot: no edge is listed twice or left out
         for g in corpus[:40]:
             for ts in range(g.t_max + 1):
                 groups = g.edge_shrinkage(ts)
-                assert sum(len(group) for group in groups) == len(g.snapshots[ts])
+                assert sum(len(edges) for _, edges in groups) == len(g.snapshots[ts])
+                assert frozenset().union(*(edges for _, edges in groups)) == g.snapshots[ts]
+
+    def test_only_nonempty_groups_by_ascending_end(self, corpus):
+        for g in corpus[:40] + long_lived_graphs() + wide_domain_graphs():
+            for ts in range(g.t_max + 1):
+                groups = g.edge_shrinkage(ts)
+                ends = [end for end, _ in groups]
+                assert all(edges for _, edges in groups)
+                assert ends == sorted(set(ends))
+                assert all(ts <= end <= g.t_max for end in ends)
 
     def test_reconstruction_bit_exact(self, corpus):
         for g in corpus[:40] + wide_domain_graphs():
@@ -449,9 +461,9 @@ class TestEdgeShrinkage:
                 if not groups:
                     assert g.snapshots[ts] == frozenset()
                     continue
-                last = ts + len(groups) - 1
+                last = groups[-1][0]
                 for te in range(ts, last + 1):
-                    rebuilt = frozenset().union(*groups[te - ts:])
+                    rebuilt = frozenset(e for end, edges in groups if end >= te for e in edges)
                     assert rebuilt == g.interval_edges(Interval(ts, te)) == \
                         forward_interval_edges(g, ts, te)
                 if last < g.t_max:
@@ -460,7 +472,7 @@ class TestEdgeShrinkage:
 
     def test_empty_snapshot_gives_empty_family(self):
         g = TemporalGraph([[], [(0, 1)]], ["a", "b"])
-        assert g.edge_shrinkage(0) == ()
+        assert g.edge_shrinkage(0) == []
 
     @pytest.mark.parametrize("start", [-1, 3])
     def test_start_outside_domain_rejected(self, fix1, start):

@@ -24,7 +24,8 @@ from spancores import (
     write_span_cores,
 )
 
-from conftest import as_definitional, definitional_span_cores, wide_domain_graphs
+from conftest import (as_definitional, definitional_span_cores, long_lived_graphs,
+                      wide_domain_graphs)
 
 # the package's ``span_cores`` attribute is the function of the same name
 span_cores_module = importlib.import_module("spancores.span_cores")
@@ -153,6 +154,36 @@ class TestSeededEnumeration:
             span_cores(g, fast_stats)
             naive_span_cores(g, naive_stats)
             assert fast_stats.peel_vertices <= naive_stats.peel_vertices
+
+    def test_each_start_streams_its_runs(self, corpus):
+        # per start, the runs tile the ends up to the last with an edge, in
+        # order; a run's spans share one edge set, the next run's differs,
+        # and the run's coreness is that edge set's, zeros dropped
+        for g in corpus + long_lived_graphs() + wide_domain_graphs():
+            runs = list(span_cores_module._seeded_coreness(g, None))
+            assert [run[:2] for run in runs] == sorted(run[:2] for run in runs)
+            for ts in range(g.t_max + 1):
+                edges = [g.interval_edges(Interval(ts, te)) for te in range(ts, g.t_max + 1)]
+                reach = ts + sum(1 for e in edges if e) - 1
+                own = [run[1:] for run in runs if run[0] == ts]
+                firsts = [ts] + [last + 1 for _, last, _ in own]
+                assert [first for first, _, _ in own] == firsts[:-1]
+                assert firsts[-1] - 1 == reach
+                before = None
+                for first, last, coreness in own:
+                    edge_set, *others = {edges[te - ts] for te in range(first, last + 1)}
+                    assert not others and edge_set != before
+                    before = edge_set
+                    expected = core_decomposition(g.vertices, edge_set)
+                    assert coreness == {u: c for u, c in expected.items() if c}
+
+    @pytest.mark.parametrize("t", [200, 400])
+    def test_one_item_per_run_with_one_edge_per_window(self, t):
+        # every span of a start has the one edge, so each start is one run:
+        # |T| items, where a stream of spans has |T|(|T| + 1)/2
+        g = TemporalGraph([[(0, 1)]] * t, ["a", "b"])
+        runs = [run[:3] for run in span_cores_module._seeded_coreness(g, None)]
+        assert runs == [(ts, ts, t - 1) for ts in range(t)]
 
 
 class TestSerialization:
