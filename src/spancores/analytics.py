@@ -7,6 +7,7 @@ span-core set."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
@@ -218,10 +219,10 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
         frontier += found
     goal = min(pool, len(reach))
 
-    def near(u: int, t: int) -> list[int]:
-        """``u``'s neighbours at ``t``, ascending by id."""
-        snapshot = g.snapshots[t]
-        return [v for v in adjacency[u] if ((u, v) if u < v else (v, u)) in snapshot]
+    windows: list[list[int]] = [[] for _ in g.vertices]  # per vertex, where it has an edge
+    for t, snapshot in enumerate(g.snapshots):
+        for u in set(chain.from_iterable(snapshot)):
+            windows[u].append(t)
 
     t = 0
     for _ in range(max(10_000, 200 * pool * (g.t_max + 1))):  # the step budget
@@ -229,9 +230,12 @@ def sample_query_vertices(g: TemporalGraph, q_size: int, p: float = 0.8,
             break
         if rng.random() < p:
             # the walker starts at a vertex with an edge and moves only along
-            # edges, so it has a neighbour in some window and this loop ends
-            while not (adjacent := near(current, t)):
-                t = 0 if t == g.t_max else t + 1
+            # edges, so it has a window with a neighbour: jump to the next one
+            times = windows[current]
+            t = times[bisect_left(times, t) % len(times)]
+            snapshot = g.snapshots[t]
+            adjacent = [v for v in adjacency[current]
+                        if ((current, v) if current < v else (v, current)) in snapshot]
             current = adjacent[rng.randrange(len(adjacent))]
             visits[current] += 1
         else:

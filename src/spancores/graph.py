@@ -6,14 +6,15 @@ snapshot.  Interval semantics are conjunctive: an edge exists over an interval
 only if it exists in every timestamp of the interval.
 
 Instances are immutable after construction, except for one index, built
-whole on first use and then assigned once: the run-end index behind
-``interval_edges`` and ``edge_shrinkage``, which splits a start's ends into
-runs that share one edge set.  Instances are safe to share across threads:
-two threads racing on a first call only build it twice.
+whole on first use and then assigned once: each start's runs, the groups of
+its snapshot's edges by the end of their unbroken run, behind
+``interval_edges`` and ``edge_shrinkage``.  A group the previous start
+holds whole is shared with it, not copied.  Instances are safe to share
+across threads: two threads racing on a first call only build it twice.
 
 Contact data meets the same pairs again and again, so a loaded graph shares
 one tuple per distinct vertex pair across its snapshots: far fewer objects,
-and the run-end sweep's lookups match shared pairs by identity first.  A
+and the sweep's membership tests match shared pairs by identity first.  A
 load is one pass: each record goes straight into its window's set of
 distinct pairs, so it holds one chunk plus the distinct contacts, and it
 stops collecting once the records span too many windows to load.  It builds
@@ -30,12 +31,13 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import total_ordering
-from itertools import chain, count, islice, repeat, starmap
+from itertools import chain, count, filterfalse, islice, repeat, starmap
 from operator import eq, floordiv, le, lt, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+_Group = tuple[int, tuple[Edge, ...]]  # a start's edges whose unbroken run ends at one end
 
 MAX_TIMESTAMPS = 1_000_000
 """Largest time domain ``load_edge_list`` accepts, in windows.
@@ -154,11 +156,12 @@ class TemporalGraph:
     ``snapshots[t]`` is a frozenset of canonically ordered vertex pairs; every
     timestamp in ``0..t_max`` has an entry, possibly empty.  External vertex
     labels map bijectively onto ``0..n-1``.  A snapshot given as a
-    frozenset of canonical pairs is kept as the same object.
+    frozenset of canonical pairs is kept as the same object.  Every start's
+    runs are stored as immutable ``(end, edges)`` groups once first asked for.
     """
 
     __slots__ = ("n", "t_max", "snapshots", "labels", "dropped_self_loops",
-                 "_index", "_run_ends")
+                 "_index", "_runs")
 
     def __init__(self, snapshots: Sequence[Iterable[Edge]], labels: Sequence[str],
                  dropped_self_loops: int = 0):
@@ -181,7 +184,7 @@ class TemporalGraph:
                       for pairs in frozen]
             _reject(frozen, n)
         self.snapshots: tuple[frozenset[Edge], ...] = tuple(frozen)
-        self._run_ends: tuple[dict[Edge, int], ...] | None = None
+        self._runs: tuple[tuple[_Group, ...], ...] | None = None
         self.t_max = len(self.snapshots) - 1
 
     # -- label access ----------------------------------------------------------
@@ -209,25 +212,44 @@ class TemporalGraph:
         if interval.end > self.t_max:
             raise ValueError(f"interval {interval} outside time domain [0,{self.t_max}]")
 
-    def _ends(self, start: int) -> dict[Edge, int]:
-        """``{edge: the last timestamp of its unbroken run from start}`` over
-        the snapshot at ``start``; one backward sweep builds every start's."""
-        if self._run_ends is None:
-            ends: dict[Edge, int] = {}
-            index = []
+    def _groups(self, start: int) -> tuple[_Group, ...]:
+        """The stored ``(end, edges)`` groups of ``start``, built for every
+        start on first use by one backward sweep: the edges missing from the
+        next snapshot, ending at ``start``, then the next start's groups cut
+        down to this snapshot, empty ones dropped.  Once the ``missing``
+        edges of the next snapshot are cut, the rest are shared as they stand.
+        """
+        if self._runs is None:
+            runs = []
+            groups: tuple[_Group, ...] = ()
+            following: frozenset[Edge] = frozenset()
             for t in range(self.t_max, -1, -1):
-                ends = {edge: ends.get(edge, t) for edge in self.snapshots[t]}
-                index.append(ends)
-            self._run_ends = tuple(reversed(index))
-        return self._run_ends[start]
+                snapshot = self.snapshots[t]
+                gone = tuple(filterfalse(following.__contains__, snapshot))
+                missing = len(following) - len(snapshot) + len(gone)
+                current = [(t, gone)] if gone else []
+                for i, group in enumerate(groups):
+                    if not missing:
+                        current += groups[i:]
+                        break
+                    end, edges = group
+                    kept = tuple(filter(snapshot.__contains__, edges))
+                    missing -= len(edges) - len(kept)
+                    if kept:
+                        current.append(group if len(kept) == len(edges) else (end, kept))
+                groups = tuple(current)
+                runs.append(groups)
+                following = snapshot
+            self._runs = tuple(reversed(runs))
+        return self._runs[start]
 
     def interval_edges(self, interval: Interval) -> frozenset[Edge]:
-        """Edges existing in every timestamp of ``interval``: those whose run
-        from its start reaches its end."""
+        """Edges existing in every timestamp of ``interval``: the union of
+        its start's groups whose end reaches its end."""
         self._check_interval(interval)
         end = interval.end
-        return frozenset([edge for edge, last in self._ends(interval.start).items()
-                          if last >= end])
+        return frozenset(chain.from_iterable(
+            edges for last, edges in self._groups(interval.start) if last >= end))
 
     def induced_degree(self, interval: Interval, members: frozenset[int] | set[int], u: int) -> int:
         """Number of neighbors of ``u`` inside ``members`` under the interval edge set."""
@@ -238,10 +260,12 @@ class TemporalGraph:
 
     # -- per-start edge shrinkage: runs of ends that share one edge set ---------
 
-    def edge_shrinkage(self, start: int) -> list[tuple[int, list[Edge]]]:
+    def edge_shrinkage(self, start: int) -> list[_Group]:
         """The edges of the snapshot at ``start``, grouped by the end of
         their unbroken run from ``start``: nonempty ``(end, edges)`` groups
         by ascending end, which partition the snapshot (``[]`` if empty).
+        Each call returns a new list of the stored groups, whose edges are
+        tuples; nothing is grouped or sorted per call.
 
         The edge set of ``[start, te]`` shrinks only just past a group's
         end, so each group's end closes a run of ends, from just past the
@@ -250,10 +274,7 @@ class TemporalGraph:
         """
         if not 0 <= start <= self.t_max:
             raise ValueError(f"start {start} outside time domain [0,{self.t_max}]")
-        groups: dict[int, list[Edge]] = defaultdict(list)
-        for edge, end in self._ends(start).items():
-            groups[end].append(edge)
-        return sorted(groups.items())
+        return list(self._groups(start))
 
 
 # -- ingestion ------------------------------------------------------------------

@@ -132,7 +132,7 @@ def wide_domain_graphs() -> list[TemporalGraph]:
 def forward_interval_edges(g: TemporalGraph, ts: int, te: int) -> frozenset[tuple[int, int]]:
     """The edge set of ``[ts, te]``, its snapshots intersected forward: an
     oracle for ``interval_edges`` and ``edge_shrinkage`` that does not share
-    their run-end index."""
+    their stored runs."""
     edges = g.snapshots[ts]
     for t in range(ts + 1, te + 1):
         if not edges:

@@ -389,6 +389,31 @@ class TestQuerySampling:
         assert caplog.text.count("stopped early with 2 of 4 pool vertices") == 10
         assert len(steps) < 11 * 100
 
+    def test_a_jump_looks_up_one_snapshot(self, monkeypatch):
+        # a path 0-1-2-3 whose edges live in three windows of 2,000: a walk
+        # step reads the snapshot it jumps to, not each window it skips
+        snapshots = [[] for _ in range(2000)]
+        snapshots[500], snapshots[1000], snapshots[1500] = [(0, 1)], [(1, 2)], [(2, 3)]
+        lookups, steps = [], []
+
+        class CountingSnapshots(tuple):
+            def __getitem__(self, t):
+                lookups.append(t)
+                return tuple.__getitem__(self, t)
+
+        draw = random.Random.random
+
+        def counting(self):  # one per walk step, and one per query vertex drawn
+            steps.append(1)
+            return draw(self)
+
+        monkeypatch.setattr(random.Random, "random", counting)
+        for seed in range(5):
+            g = TemporalGraph(snapshots, list("abcd"))
+            g.snapshots = CountingSnapshots(g.snapshots)
+            assert len(sample_query_vertices(g, 2, seed=seed)) == 2
+        assert steps and len(lookups) <= len(steps)
+
 
 class TestNullModelContrast:
     def test_reshuffling_shortens_spans_in_distribution(self):

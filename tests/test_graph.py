@@ -439,11 +439,12 @@ class TestEdgeShrinkage:
 
     def test_storage_bounded_by_first_snapshot(self, corpus):
         # the groups partition the snapshot: no edge is listed twice or left out
-        for g in corpus[:40]:
+        for g in corpus[:40] + long_lived_graphs():
             for ts in range(g.t_max + 1):
                 groups = g.edge_shrinkage(ts)
                 assert sum(len(edges) for _, edges in groups) == len(g.snapshots[ts])
-                assert frozenset().union(*(edges for _, edges in groups)) == g.snapshots[ts]
+                assert frozenset().union(*(edges for _, edges in groups)) == \
+                    g.snapshots[ts] == forward_interval_edges(g, ts, ts)
 
     def test_only_nonempty_groups_by_ascending_end(self, corpus):
         for g in corpus[:40] + long_lived_graphs() + wide_domain_graphs():
@@ -455,7 +456,7 @@ class TestEdgeShrinkage:
                 assert all(ts <= end <= g.t_max for end in ends)
 
     def test_reconstruction_bit_exact(self, corpus):
-        for g in corpus[:40] + wide_domain_graphs():
+        for g in corpus[:40] + long_lived_graphs() + wide_domain_graphs():
             for ts in range(g.t_max + 1):
                 groups = g.edge_shrinkage(ts)
                 if not groups:
@@ -469,6 +470,39 @@ class TestEdgeShrinkage:
                 if last < g.t_max:
                     assert g.interval_edges(Interval(ts, last + 1)) == frozenset() == \
                         forward_interval_edges(g, ts, last + 1)
+
+    def test_results_do_not_share_what_a_caller_can_change(self, fix1):
+        for g in [fix1] + [g for g in long_lived_graphs()[:6] if g.snapshots[0]]:
+            first = g.edge_shrinkage(0)
+            expected = [(end, list(edges)) for end, edges in first]
+            assert first is not g.edge_shrinkage(0)
+            for end, edges in first:
+                with pytest.raises(TypeError):
+                    edges[0] = (0, 1)
+                with pytest.raises(AttributeError):
+                    edges.append((0, 1))
+            first.pop()
+            first.append((g.t_max, ((0, 1),)))
+            assert [(end, list(edges)) for end, edges in g.edge_shrinkage(0)] == expected
+
+    def test_first_call_memory_is_a_few_bytes_per_temporal_edge(self):
+        """The first call builds every start's groups: a group its next
+        start holds whole is shared, not copied into a per-start map."""
+        rng = random.Random(5)
+        clique = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+        snapshots = [clique + [tuple(sorted(rng.sample(range(12, 212), 2))) for _ in range(40)]
+                     for _ in range(400)]
+        g = TemporalGraph(snapshots, [f"v{i}" for i in range(212)])
+        assert g.temporal_edge_count() >= 20_000
+        # tuples reused from the free lists go untraced; empty them first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g.edge_shrinkage(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * g.temporal_edge_count(), peak
 
     def test_empty_snapshot_gives_empty_family(self):
         g = TemporalGraph([[], [(0, 1)]], ["a", "b"])
