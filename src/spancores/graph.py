@@ -548,7 +548,8 @@ def write_edge_list(g: TemporalGraph, sink) -> int:
     line); returns the line count."""
     labels = g.labels
     for t, snapshot in enumerate(g.snapshots):
-        sink.write("".join([f"{t}\t{labels[u]}\t{labels[v]}\n" for u, v in sorted(snapshot)]))
+        prefix = f"{t}\t"
+        sink.write("".join([f"{prefix}{labels[u]}\t{labels[v]}\n" for u, v in sorted(snapshot)]))
     return g.temporal_edge_count()
 
 

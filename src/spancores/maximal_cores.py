@@ -69,7 +69,7 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     previous: dict[int, int] = {}  # |E[ts - 1, te]| per end te visited at ts - 1
 
     for ts in range(g.t_max + 1):
-        if query_set and not query_set <= set(chain.from_iterable(g.snapshots[ts])):
+        if query_set and query_set.difference(chain.from_iterable(g.snapshots[ts])):
             previous = {}
             continue
         groups = g.edge_shrinkage(ts)

@@ -1,10 +1,15 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import spancores
 from spancores import TemporalGraph, load_edge_list, tcs_efficient
 
 # Canonical 4-vertex, 3-timestamp fixture used throughout: a triangle abc that
@@ -292,6 +297,19 @@ def reference_load(text, window, time_origin=None, pre_windowed=False):
 def loaded(g):
     """``reference_load``'s view of a loaded graph."""
     return g.labels, g.snapshots, g.dropped_self_loops
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds in ``sys.modules`` after running
+    ``statement``, with this package's source first on its path."""
+    src = str(Path(spancores.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = f"import sys; {statement}; print(*sys.modules)"
+    child = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.split())
 
 
 # -- acceptance reporting: one pass/fail line per criterion in the summary ------

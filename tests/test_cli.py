@@ -2,12 +2,9 @@ import gc
 import gzip
 import io
 import json
-import os
-import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +13,7 @@ from spancores import (analytics, cli, filter_maximal, load_edge_list, naive_spa
                        tcs_basic, write_span_cores)
 from spancores.cli import main
 
-from conftest import FIX1_TEXT
+from conftest import FIX1_TEXT, loaded_modules
 
 
 @pytest.fixture
@@ -550,15 +547,42 @@ def test_import_loads_no_introspection_or_logging_module():
     """A fresh ``import spancores.cli`` loads none of these stdlib modules
     beyond what a bare interpreter loads on the same host (its site hooks
     may load some); each would add to every CLI process's start-up."""
-    heavy = ["dataclasses", "inspect", "ast", "logging", "traceback"]
-    src = str(Path(spancores.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    heavy = {"dataclasses", "inspect", "ast", "logging", "traceback"}
+    assert loaded_modules("import spancores.cli") & heavy <= loaded_modules("pass")
 
-    def loaded(statement):
-        probe = f"import sys; {statement}; print(*[m for m in {heavy!r} if m in sys.modules])"
-        child = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
-                               capture_output=True, text=True)
-        return set(child.stdout.split())
 
-    assert loaded("import spancores.cli") <= loaded("pass")
+def test_import_loads_only_what_loading_a_graph_needs(tmp_path):
+    """``import spancores`` and a ``load_edge_list`` call load only the
+    modules a graph needs; every other export, and its submodule, is
+    imported on first access, and the CLI still loads every module."""
+    def package(statement):
+        return {m for m in loaded_modules(statement)
+                if m == "spancores" or m.startswith("spancores.")}
+
+    eager = {"spancores", "spancores.graph", "spancores.static_core", "spancores.span_cores"}
+    assert package("import spancores") == eager
+    path = tmp_path / "fix1.tsv"
+    path.write_text(FIX1_TEXT)
+    assert package(f"import spancores; spancores.load_edge_list({str(path)!r}, window=1, "
+                   "pre_windowed=True)") == eager
+    assert package("import spancores.cli") == eager | {
+        "spancores.maximal_cores", "spancores.community_search", "spancores.min_community",
+        "spancores.analytics", "spancores.cli"}
+    # the function, not its submodule, whichever import loads the submodule
+    for statement in ("import spancores.cli", "import spancores.span_cores"):
+        loaded_modules(f"{statement}; import types; "
+                       "assert isinstance(spancores.span_cores, types.FunctionType)")
+    loaded_modules("import spancores, types; "
+                   "assert isinstance(spancores.analytics, types.ModuleType); "
+                   "assert spancores.analytics is sys.modules['spancores.analytics']")
+
+    for name in spancores.__all__:
+        value = getattr(spancores, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    star: dict = {}
+    exec("from spancores import *", star)
+    assert {name: star[name] for name in spancores.__all__} == {
+        name: getattr(spancores, name) for name in spancores.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spancores.no_such_name
+    assert set(spancores.__all__) <= set(dir(spancores))
