@@ -71,11 +71,10 @@ def _corners(g: TemporalGraph, stats: DecompositionStats | None
     where u's coreness beats that of ``[ts, te + 1]`` (``right``, the next
     run of the start: inside a run it has the same labelling, so only a
     run's last end qualifies) and that of ``[ts - 1, te]`` (``wider``).
-    ``left`` holds, per run end, the latest start's run ending there.  If no
-    run of ``ts - 1`` ends at ``te``, either no start before ``ts`` reaches
-    ``te``, so there is no entry, or ``E[ts - 1, te] = E[ts - 1, te + 1]``,
-    inside ``E[ts, te + 1]``: then ``right`` bounds the corenesses of
-    ``[ts - 1, te]`` and of any older ``left[te]``, so the test is unchanged.
+    ``left`` holds, per run end, the latest start's run ending there.  Where
+    no run of ``ts - 1`` ends at ``te``, ``right`` bounds ``[ts - 1, te]``
+    (the lemma in ``maximal_cores._scan_maximal``) and so any older
+    ``left[te]``, a superinterval of it.
     """
     corners: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
     left: dict[int, dict[int, int]] = {}  # per run end, the latest start's labelling

@@ -3,21 +3,21 @@
 A span-core is maximal when no other span-core dominates it on both order and
 span.  The filtering baseline keeps the innermost core per interval from a
 complete enumeration and discards dominated entries.  The direct scan walks
-interval starts forward and ends backward, maintaining two frontiers of
-innermost-core orders (one per end timestamp carried across starts, one
-rolling within the current start) whose maximum is a lower bound: an interval
-can only contribute a maximal core of strictly higher order.  A vertex whose
-interval degree does not exceed the bound can belong to no such core, so the
-peel runs only on the vertices above it, and is skipped outright when they
-are too few, or share too few edges, to hold a core of order bound + 1 (or,
-for a query, when some query vertex is not among them).  Each start's ends
-are walked a run at a time (``TemporalGraph.edge_shrinkage``): the ends of a
-run share one edge set and its cores, so only its last end is visited.
+interval starts forward and ends backward.  The larger of the innermost-core
+orders of the immediate superintervals ``[ts - 1, te]`` (kept per run end of
+the previous start) and ``[ts, te + 1]`` (rolling within the start) is a lower
+bound: an interval can only contribute a maximal core of strictly higher order.
+A vertex whose interval degree does not exceed the bound can belong to no such
+core, so the peel runs only on the vertices above it, and is skipped outright
+when they are too few, or share too few edges, to hold a core of order
+bound + 1 (or, for a query, when some query vertex is not among them).  A
+start's ends are walked by run (``TemporalGraph.edge_shrinkage``): the ends of
+a run share one edge set and its cores, so only its last end is visited.
 """
 
 from __future__ import annotations
 
-from itertools import chain, pairwise, repeat
+from itertools import chain
 from typing import Collection
 
 from .graph import Edge, Interval, ParameterError, TemporalGraph
@@ -53,20 +53,21 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
     from the last down, each at its last end, and adds each run's group back
     to rebuild the interval edge set, the degrees of its endpoints and the
     highest of them, ``top``.  The other ends of a run have the edge set and
-    cores of its last end: each counts as an interval settled without a
-    peel, and its frontier entry takes the same running maximum.  A core of
-    order ``k = bound + 1`` has at least ``k + 1`` vertices of degree above
-    ``bound`` and ``k(k + 1)/2`` edges between them.
-    Where these vertices (the seed) cannot hold that, or miss a query vertex,
-    the true order is at most ``bound = max(frontier[te], rolling)``, so it
-    is left at 0 without a peel and neither frontier moves.  Nor is an
-    interval peeled whose edge set equals that of ``[ts - 1, te]``.  A start
-    where some query vertex has no edge is skipped whole: every order is 0.
+    cores of its last end: each counts as an interval settled without a peel.
+    ``previous`` maps each run end ``te`` of start ``ts - 1`` to
+    ``|E[ts - 1, te]|`` and the order of ``[ts - 1, te]``.  Where no run of
+    ``ts - 1`` ends at ``te``, ``E[ts - 1, te]`` is empty or equals
+    ``E[ts - 1, te + 1]``, inside ``E[ts, te + 1]``, so ``rolling``, the
+    order of ``[ts, te + 1]``, covers it.  A core of order ``k = bound + 1``
+    has at least ``k + 1`` vertices of degree above ``bound`` and
+    ``k(k + 1)/2`` edges between them.  Where these vertices (the seed)
+    cannot hold that, or miss a query vertex, the true order is at most
+    ``bound``, so no peel runs; nor where the edge set equals that of
+    ``[ts - 1, te]``.  A start where some query vertex has no edge is
+    skipped whole: every order is 0.
     """
     found: list[SpanCore] = []
-    # highest innermost-core order seen for [previous start, t], per end t
-    frontier = [0] * (g.t_max + 1)
-    previous: dict[int, int] = {}  # |E[ts - 1, te]| per end te visited at ts - 1
+    previous: dict[int, tuple[int, int]] = {}  # per run end te of ts - 1: |E|, order
 
     for ts in range(g.t_max + 1):
         if query_set and query_set.difference(chain.from_iterable(g.snapshots[ts])):
@@ -75,25 +76,24 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
         groups = g.edge_shrinkage(ts)
         if stats is not None and groups:
             stats.intervals_processed += groups[-1][0] - ts + 1
-        counts: dict[int, int] = {}
+        current: dict[int, tuple[int, int]] = {}
         degree: dict[int, int] = {}
         top = 0  # highest degree: a refilled edge raises it by one at most
         current_edges: list[Edge] = []
-        rolling = 0  # innermost order of [ts, te + 1], possibly understated (see below)
-        for (te, refill), (below, _) in pairwise(chain(reversed(groups), [(ts - 1, ())])):
+        rolling = 0  # innermost order of [ts, te + 1]
+        for te, refill in reversed(groups):
             current_edges.extend(refill)
             for u, v in refill:
                 du = degree[u] = degree.get(u, 0) + 1
                 dv = degree[v] = degree.get(v, 0) + 1
                 if du > top or dv > top:
                     top += 1
-            counts[te] = len(current_edges)
-            bound = max(frontier[te], rolling)
+            count, wider = previous.get(te, (0, 0))
+            bound = max(wider, rolling)
             order = 0
             # As many edges as [ts - 1, te] means E[ts, te] = E[ts - 1, te]:
-            # the interval is dominated by one with the same cores, and
-            # frontier[te] already covers its order.
-            if (counts[te] != previous.get(te) and top > bound
+            # the interval is dominated by one with the same cores.
+            if (count != len(current_edges) and top > bound
                     and all(degree.get(q, 0) > bound for q in query_set)
                     and len(seed := {u for u, d in degree.items() if d > bound}) > bound + 1
                     and 2 * len(inner := [e for e in current_edges if e[0] in seed and e[1] in seed])
@@ -106,12 +106,11 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
                 if order > bound:
                     found.append(SpanCore(order=order, span=Interval(ts, te), members=frozenset(
                         u for u, c in coreness.items() if c >= order)))
-            # The restricted peel can understate the interval's true innermost
-            # order (never below the bound it was cut at); taking the running
-            # maximum keeps both frontiers exact.
-            rolling = max(rolling, order)
-            frontier[below + 1:te + 1] = map(max, frontier[below + 1:te + 1], repeat(rolling))
-        previous = counts
+            # Both superintervals' orders are at most the interval's, so an
+            # order not found above the bound (peeled or not) equals it.
+            rolling = max(bound, order)
+            current[te] = (len(current_edges), rolling)
+        previous = current
     return found
 
 

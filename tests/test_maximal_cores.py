@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 
 from spancores import (
@@ -15,7 +17,7 @@ from spancores import (
 from spancores import maximal_cores, query_constrained_scan, single_tcs, static_core
 from spancores.static_core import core_decomposition
 
-from conftest import definitional_span_cores, wide_domain_graphs
+from conftest import definitional_span_cores, long_lived_graphs, stress_cases, wide_domain_graphs
 
 
 def definitional_query_maximal(g, query):
@@ -91,6 +93,24 @@ class TestDirectScan:
         assert len(result) == 1
         core = next(iter(result))
         assert (core.order, core.span) == (2, Interval(1, 1))
+
+    def test_peak_memory_does_not_grow_with_the_time_domain(self):
+        # one edge in every window: each start is one run, so the scan holds
+        # one run end per start, whatever the domain's length
+        peaks = []
+        for t in (250, 1000):
+            g = TemporalGraph([[(0, 1)]] * t, ["a", "b"])
+            maximal_span_cores(g)  # builds the run index outside the measurement
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = maximal_span_cores(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert [(c.order, c.span) for c in result] == [(1, Interval(0, t - 1))]
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2048, peaks
 
     def test_fix1_scan_trace(self, fix1):
         # hand-derived walkthrough: start 0 peels [0,2] with seed {a,b}, then
@@ -198,6 +218,10 @@ class TestSizePrune:
     def test_clique_episodes_over_wide_domains(self):
         cases = [clique_episodes(seed) for seed in range(100)]
         cases += [(g, frozenset({0, 1})) for g in wide_domain_graphs()]
+        # starts with run ends their predecessor lacks: the bound of such an
+        # end is read from the rolling order alone
+        cases += [(g, frozenset({0, 1})) for g in long_lived_graphs()]
+        cases += [(g, frozenset(query)) for g, query in stress_cases()]
         for seed, (g, query) in enumerate(cases):
             assert maximal_span_cores(g) == filter_maximal(naive_span_cores(g)), seed
             assert SpanCoreSet(iter(query_constrained_scan(g, query))) == \
