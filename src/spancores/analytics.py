@@ -36,7 +36,7 @@ def activity_summary(g: TemporalGraph, min_span: int = DEFAULT_MIN_SPAN,
     coreness of a run is taken once, however many spans it has.
     ``stats`` records the enumeration's peels."""
     cells = []
-    for ts, first, last, labels in _seeded_coreness(g, stats):
+    for ts, first, last, labels, _ in _seeded_coreness(g, stats):
         top = max(labels.values())
         cells.extend(ActivityCell(ts, te - ts + 1, top)
                      for te in range(max(first, ts + min_span - 1), last + 1))

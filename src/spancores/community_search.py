@@ -71,19 +71,11 @@ def _corners(g: TemporalGraph, stats: DecompositionStats | None
     where u's coreness beats that of ``[ts, te + 1]`` (``right``, the next
     run of the start: inside a run it has the same labelling, so only a
     run's last end qualifies) and that of ``[ts - 1, te]`` (``wider``).
-    ``left`` holds, per run end, the latest start's run ending there.  Where
-    no run of ``ts - 1`` ends at ``te``, ``right`` bounds ``[ts - 1, te]``
-    (the lemma in ``maximal_cores._scan_maximal``) and so any older
-    ``left[te]``, a superinterval of it.
     """
     corners: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
-    left: dict[int, dict[int, int]] = {}  # per run end, the latest start's labelling
-    runs = chain(_seeded_coreness(g, stats), [(None, None, None, {})])
-    for (ts, _, te, labels), (start, _, _, following) in pairwise(runs):
+    runs = chain(_seeded_coreness(g, stats), [(None, None, None, {}, {})])
+    for (ts, _, te, labels, wider), (start, _, _, following, _) in pairwise(runs):
         right = following if start == ts else {}
-        wider = left.get(te, {})
-        left[te] = labels
-        left.pop(ts - 1, None)  # no start from ts on reaches end ts - 1
         for u, c in labels.items():
             if c > right.get(u, 0) and c > wider.get(u, 0):
                 corners[u].append((ts, te, c))
@@ -102,7 +94,7 @@ def penalty_table_full(g: TemporalGraph, query: Collection[int],
     """
     qs = _validate_query(g, query)
     values: dict[tuple[int, int], int] = {}
-    for ts, first, last, coreness in _seeded_coreness(g, stats):
+    for ts, first, last, coreness, _ in _seeded_coreness(g, stats):
         v = min(coreness.get(q, 0) for q in qs) if qs else max(coreness.values())
         if v > 0:
             values.update(dict.fromkeys([(ts, te) for te in range(first, last + 1)], v))
@@ -179,16 +171,14 @@ def _segment_dp(ends: Sequence[int], corners: Collection[tuple[int, int, int]], 
                     runs.append((j, value))
         lasts = [j - 1 for j, _ in runs[1:]] + [r]
         ranges.append([(j, last, value) for (j, value), last in zip(runs, lasts)])
-    column: list[int | None] = [-first_run[2] for first_run, *_ in ranges]
-    P: list[list[int | None]] = [[cost] + [None] * (h - 1) for cost in column]
+    P: list[list[int | None]] = [[-runs[0][2]] + [None] * (h - 1) for runs in ranges]
     R: list[list[int]] = [[-1] * h for _ in range(n)]
     queries = 0
     for i in range(1, min(h, n)):
-        previous, column = column, [None] * n
-        splits: list[int] = []  # the suffix minima of previous[i - 1:r]
+        splits: list[int] = []  # the suffix minima of column i - 1, rows i - 1 to r - 1
         costs: list[int] = []
         for r in range(i, n):
-            cost = previous[r - 1]
+            cost = P[r - 1][i - 1]
             while costs and costs[-1] > cost:
                 splits.pop()
                 costs.pop()
@@ -204,7 +194,7 @@ def _segment_dp(ends: Sequence[int], corners: Collection[tuple[int, int, int]], 
                 if best is None or cost < best:
                     best, best_split = cost, splits[k]
                 queries += 1
-            column[r] = P[r][i] = best
+            P[r][i] = best
             R[r][i] = best_split
     if stats is not None:
         stats.candidate_ends += n

@@ -51,9 +51,9 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
 
     For each start, the scan visits its runs (``TemporalGraph.edge_shrinkage``)
     from the last down, each at its last end, and adds each run's group back
-    to rebuild the interval edge set, the degrees of its endpoints and the
-    highest of them, ``top``.  The other ends of a run have the edge set and
-    cores of its last end: each counts as an interval settled without a peel.
+    to rebuild the interval edge set and the degrees of its endpoints.  The
+    other ends of a run have the edge set and cores of its last end: each
+    counts as an interval settled without a peel.
     ``previous`` maps each run end ``te`` of start ``ts - 1`` to
     ``|E[ts - 1, te]|`` and the order of ``[ts - 1, te]``.  Where no run of
     ``ts - 1`` ends at ``te``, ``E[ts - 1, te]`` is empty or equals
@@ -78,22 +78,19 @@ def _scan_maximal(g: TemporalGraph, query_set: frozenset[int],
             stats.intervals_processed += groups[-1][0] - ts + 1
         current: dict[int, tuple[int, int]] = {}
         degree: dict[int, int] = {}
-        top = 0  # highest degree: a refilled edge raises it by one at most
         current_edges: list[Edge] = []
         rolling = 0  # innermost order of [ts, te + 1]
         for te, refill in reversed(groups):
             current_edges.extend(refill)
             for u, v in refill:
-                du = degree[u] = degree.get(u, 0) + 1
-                dv = degree[v] = degree.get(v, 0) + 1
-                if du > top or dv > top:
-                    top += 1
+                degree[u] = degree.get(u, 0) + 1
+                degree[v] = degree.get(v, 0) + 1
             count, wider = previous.get(te, (0, 0))
             bound = max(wider, rolling)
             order = 0
             # As many edges as [ts - 1, te] means E[ts, te] = E[ts - 1, te]:
             # the interval is dominated by one with the same cores.
-            if (count != len(current_edges) and top > bound
+            if (count != len(current_edges)
                     and all(degree.get(q, 0) > bound for q in query_set)
                     and len(seed := {u for u, d in degree.items() if d > bound}) > bound + 1
                     and 2 * len(inner := [e for e in current_edges if e[0] in seed and e[1] in seed])

@@ -4,7 +4,8 @@ Finding the smallest such subgraph is NP-hard, so a greedy grows the answer
 from the query vertices, repeatedly admitting the most promising candidate
 from a priority queue until the minimum-degree target is met.  A candidate's
 priority is the number of already-selected neighbors it would help toward the
-target, minus how far the candidate itself still is from it.
+target, minus how far the candidate itself still is from it; it is recomputed
+whenever a neighbor is admitted or reaches the target.
 """
 
 from __future__ import annotations
@@ -85,15 +86,12 @@ def greedy_minimum_community(g: TemporalGraph, query: Collection[int],
                 deficient -= 1
                 saturated.append(w)
 
-        for v in adj[u]:
-            if v not in selected and v not in priority:
-                push(v, _score(adj, selected, selected_degree, v, target))
-
-        # a neighbor that just reached the target no longer benefits from
-        # additions, so its queued neighbors lose one point of gain
-        for w in saturated:
-            for x in adj[w]:
-                if x in priority:
-                    push(x, priority[x] - 1)
+        # admitting u changes the scores of its unselected neighbors, and a
+        # neighbor that just reached the target those of its queued neighbors;
+        # the query vertices keep their infinite priority
+        stale = {v for v in adj[u] if v not in selected}
+        stale.update(x for w in saturated for x in adj[w] if x in priority)
+        for v in stale - query_set:
+            push(v, _score(adj, selected, selected_degree, v, target))
 
     return selected

@@ -13,8 +13,9 @@ equals that of ``[ts - 1, last]`` reuses that interval's cores unpeeled.
 Each peel yields all its cores at once as one ``{vertex: coreness}`` dict,
 and ``SpanCoreSet`` keeps exactly that: one labelling per span, shared by
 the spans of a run, from which the nested cores are built on demand.  The
-seeded route is one stream of ``(ts, first, last, coreness)``, one item per
-run, which community search and the analytics read too.
+seeded route is one stream, which community search and the analytics read
+too: one ``(ts, first, last, coreness, wider)`` per run, ``wider`` being the
+labelling of ``[ts - 1, last]``.
 """
 
 from __future__ import annotations
@@ -201,19 +202,23 @@ def naive_span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) 
 
 
 def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
-                     ) -> Iterator[tuple[int, int, int, dict[int, int]]]:
-    """Yield ``(ts, first, last, coreness)`` per run, in (start, end) order:
-    the ends ``first..last`` of start ``ts``, whose spans share one nonempty
-    edge set and so one coreness dict.  Each peel is recorded in ``stats``.
+                     ) -> Iterator[tuple[int, int, int, dict[int, int], dict[int, int]]]:
+    """Yield ``(ts, first, last, coreness, wider)`` per run, in (start, end)
+    order: the ends ``first..last`` of start ``ts``, whose spans share one
+    nonempty edge set and so one coreness dict, and ``wider``, the coreness
+    dict of the run of ``ts - 1`` ending at ``last`` (``{}`` where none does).
+    Each peel is recorded in ``stats``.
 
     Each ``edge_shrinkage`` group closes a run at its end ``last``; the run's
     edge set is the union of that group and those after it.  ``E[ts - 1,
     last]`` lies inside ``E[ts - 1, first]``, inside ``E[ts, first] = E[ts,
-    last]``, so equal sizes at ``last`` make all three one set; then ``last``
-    also ends a run of ``ts - 1``, whose coreness dict is yielded again, the
-    same object.  Any other edge set is built from its groups and peeled,
-    seeded with its endpoints: exactly the vertices that can have positive
-    coreness there, so every coreness yielded is positive.
+    last]``, so equal sizes at ``last`` make all three one set, and the run
+    reuses ``wider``, the same object.  Any other edge set is built from its
+    groups and peeled, seeded with its endpoints: exactly the vertices that
+    can have positive coreness there, so every coreness yielded is positive.
+    Where no run of ``ts - 1`` ends at ``last``, ``E[ts - 1, last]`` is empty
+    or equals ``E[ts - 1, last + 1]``, inside ``E[ts, last + 1]``, so the
+    start's next run bounds the cores of ``[ts - 1, last]``.
     """
     previous: dict[int, tuple[int, dict[int, int]]] = {}  # start ts - 1, per run end
     for ts in range(g.t_max + 1):
@@ -221,7 +226,8 @@ def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
         groups = g.edge_shrinkage(ts)
         first, count = ts, len(g.snapshots[ts])
         for i, (last, gone) in enumerate(groups):
-            count_left, coreness = previous.get(last, (0, None))
+            count_left, wider = previous.get(last, (0, {}))
+            coreness = wider
             if count_left != count:
                 edges = [edge for _, group in groups[i:] for edge in group]
                 endpoints = set(chain.from_iterable(edges))
@@ -229,7 +235,7 @@ def _seeded_coreness(g: TemporalGraph, stats: DecompositionStats | None
                     stats.record(len(endpoints))
                 coreness = core_decomposition(endpoints, edges)
             current[last] = (count, coreness)
-            yield ts, first, last, coreness
+            yield ts, first, last, coreness, wider
             first, count = last + 1, count - len(gone)
         previous = current
 
@@ -242,8 +248,8 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
     one stored entry.
     """
     out = SpanCoreSet()
-    for run in _seeded_coreness(g, stats):
-        out._store(*run)
+    for ts, first, last, coreness, _ in _seeded_coreness(g, stats):
+        out._store(ts, first, last, coreness)
     return out
 
 

@@ -12,6 +12,8 @@ from spancores import (
 from spancores.min_community import _score
 from spancores.graph import _build_adjacency
 
+from conftest import long_lived_graphs
+
 
 def min_induced_degree(g, interval, members):
     return min(g.induced_degree(interval, members, u) for u in members)
@@ -128,3 +130,47 @@ class TestContainmentOfAllSolutions:
                     candidate = set(query) | set(extra)
                     if min_induced_degree(g, interval, candidate) >= target:
                         assert candidate <= universe
+
+
+def reference_greedy(g, query, interval, universe, target):
+    """The greedy restated without a queue: the query vertices first, by
+    ascending id, then, until every selected vertex has ``target`` selected
+    neighbors, the unselected neighbor of the selected set with the highest
+    (score, degree toward the selected set, -id)."""
+    adj = _build_adjacency(universe, [(u, v) for u, v in g.interval_edges(interval)
+                                      if u in universe and v in universe])
+    selected: list[int] = []
+    degree = dict.fromkeys(adj, 0)
+
+    def admit(u):
+        selected.append(u)
+        for w in adj[u]:
+            degree[w] += 1
+
+    for q in sorted(query):
+        admit(q)
+    while any(degree[u] < target for u in selected):
+        candidates = {v for u in selected for v in adj[u]}.difference(selected)
+        admit(max(candidates, key=lambda v: (
+            _score(adj, set(selected), degree, v, target), degree[v], -v)))
+    return set(selected)
+
+
+class TestGreedyScoresStayCurrent:
+    def test_matches_the_queueless_reference(self, corpus):
+        # each admission must go to the candidate the scores rank first now,
+        # not by the score it was queued with
+        rng = random.Random(3)
+        instances = 0
+        for g in corpus + long_lived_graphs():
+            for _ in range(3):
+                query = set(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+                ts = rng.randrange(g.t_max + 1)
+                interval = Interval(ts, rng.randint(ts, g.t_max))
+                target, universe = single_tcs(g, query, interval)
+                if target == 0:
+                    continue
+                instances += 1
+                assert (greedy_minimum_community(g, query, interval, universe, target)
+                        == reference_greedy(g, query, interval, universe, target))
+        assert instances > 200

@@ -158,24 +158,32 @@ class TestSeededEnumeration:
     def test_each_start_streams_its_runs(self, corpus):
         # per start, the runs tile the ends up to the last with an edge, in
         # order; a run's spans share one edge set, the next run's differs,
-        # and the run's coreness is that edge set's, zeros dropped
+        # and the run's coreness is that edge set's, zeros dropped; ``wider``
+        # is the coreness object of the run of ts - 1 ending at the run's
+        # last end, and {} where no run of ts - 1 ends there
         for g in corpus + long_lived_graphs() + wide_domain_graphs():
             runs = list(span_cores_module._seeded_coreness(g, None))
             assert [run[:2] for run in runs] == sorted(run[:2] for run in runs)
+            ending = {}  # (start, run end) -> the run's coreness
             for ts in range(g.t_max + 1):
                 edges = [g.interval_edges(Interval(ts, te)) for te in range(ts, g.t_max + 1)]
                 reach = ts + sum(1 for e in edges if e) - 1
                 own = [run[1:] for run in runs if run[0] == ts]
-                firsts = [ts] + [last + 1 for _, last, _ in own]
-                assert [first for first, _, _ in own] == firsts[:-1]
+                firsts = [ts] + [run[1] + 1 for run in own]
+                assert [run[0] for run in own] == firsts[:-1]
                 assert firsts[-1] - 1 == reach
                 before = None
-                for first, last, coreness in own:
+                for first, last, coreness, wider in own:
                     edge_set, *others = {edges[te - ts] for te in range(first, last + 1)}
                     assert not others and edge_set != before
                     before = edge_set
                     expected = core_decomposition(g.vertices, edge_set)
                     assert coreness == {u: c for u, c in expected.items() if c}
+                    if (ts - 1, last) in ending:
+                        assert wider is ending[ts - 1, last]
+                    else:
+                        assert wider == {}
+                    ending[ts, last] = coreness
 
     @pytest.mark.parametrize("t", [200, 400])
     def test_one_item_per_run_with_one_edge_per_window(self, t):
