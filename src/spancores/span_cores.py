@@ -11,18 +11,19 @@ coreness 0, so it can belong to no span-core there.  A run whose edge set
 equals that of ``[ts - 1, last]`` reuses that interval's cores unpeeled.
 
 Each peel yields all its cores at once as one ``{vertex: coreness}`` dict,
-and ``SpanCoreSet`` keeps exactly that: one labelling per span, shared by
-the spans of a run, from which the nested cores are built on demand.  The
-seeded route is one stream, which community search and the analytics read
-too: one ``(ts, first, last, coreness, wider)`` per run, ``wider`` being the
-labelling of ``[ts - 1, last]``.
+and ``SpanCoreSet`` keeps exactly that: one entry per run, its labelling
+held once for all the run's spans, from which the nested cores are built on
+demand.  The seeded route is one stream, which community search and the
+analytics read too: one ``(ts, first, last, coreness, wider)`` per run,
+``wider`` being the labelling of ``[ts - 1, last]``.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from itertools import chain
+from itertools import chain, groupby, pairwise, zip_longest
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -60,80 +61,79 @@ class SpanCore(_Record):
 class SpanCoreSet:
     """Collection of span-cores keyed by (order, span); at most one per key.
 
-    Storage is one entry per span: a labelling that maps every member of the
-    span's stored cores to the highest stored order whose core contains it,
-    plus the ascending list of stored orders.  The stored core of order ``k``
-    is the set of members labelled ``k`` or higher, so the cores of one span
-    must be nested: each lies inside every stored core of lower order and
-    contains every stored core of higher order.  ``add`` rejects a core that
-    breaks this, as it rejects a second core for one (order, span).
-    ``get``, ``in`` and iteration build ``SpanCore`` objects on demand, while
-    ``top_orders`` reads the orders alone; two sets are equal when they hold
-    the same cores.  The spans of one run of the enumeration share one entry,
-    so ``add`` stores a new entry, never changes one.
+    Storage is one entry per run, ``(ts, first, last, labelling, orders)``
+    in (start, first end) order, for the spans ``[ts, first]`` to ``[ts,
+    last]``, which hold the same cores: a labelling that maps every member
+    of a span's cores to the highest order whose core contains it, plus the
+    ascending list of orders.  The core of order ``k`` is the set of members
+    labelled ``k`` or higher, so the cores of one span must be nested: each
+    lies inside the core of the next lower order.  The set is built once,
+    from cores given in any order (one single-span run per span), or by the
+    enumeration, one run at a time.  ``get``, ``in`` and iteration build
+    ``SpanCore`` objects on demand, while ``top_orders`` reads the orders
+    alone; two sets are equal when they hold the same cores, however their
+    spans are grouped into runs.
     """
 
-    def __init__(self, cores: Iterable[SpanCore] | None = None):
-        self._spans: dict[tuple[int, int], tuple[dict[int, int], list[int]]] = {}
-        if cores is not None:
-            for core in cores:
-                self.add(core)
-
-    def add(self, core: SpanCore) -> None:
-        """Merge one core into its span's labelling; a rejected core leaves
-        the set unchanged."""
-        key = (core.span.start, core.span.end)
-        k, members = core.order, core.members
-        entry = self._spans.get(key)
-        if entry is None:
-            self._spans[key] = (dict.fromkeys(members, k), [k])
-            return
-        labels, orders = entry
-        if k in orders:
-            raise ValueError(f"duplicate span-core for key {core.key}")
-        at = bisect.bisect(orders, k)
-        floor = orders[at - 1] if at else 0
-        if (any(c > k and u not in members for u, c in labels.items())
-                or any(labels.get(u, 0) < floor for u in members)):
-            raise ValueError(f"span-core {core.key} is not nested with the stored "
-                             "cores of its span")
-        labels = dict(labels)
-        for u in members:
-            if labels.get(u, 0) < k:
-                labels[u] = k
-        self._spans[key] = (labels, orders[:at] + [k] + orders[at:])
+    def __init__(self, cores: Iterable[SpanCore] = ()):
+        self._runs: list[tuple[int, int, int, dict[int, int], list[int]]] = []
+        cores = sorted(cores, key=lambda core: (core.span.start, core.span.end, core.order))
+        for span, group in groupby(cores, key=attrgetter("span")):
+            group = list(group)
+            for lower, core in pairwise(group):
+                if lower.order == core.order:
+                    raise ValueError(f"duplicate span-core for key {core.key}")
+                if not core.members <= lower.members:
+                    raise ValueError(f"span-core {core.key} is not nested with the "
+                                     "next lower-order core of its span")
+            labels = {u: core.order for core in group for u in core.members}
+            self._runs.append((span.start, span.end, span.end, labels,
+                               [core.order for core in group]))
 
     def _store(self, ts: int, first: int, last: int, coreness: dict[int, int]) -> None:
         """Store all cores of one run at once, one entry for the spans
-        ``[ts, first]`` to ``[ts, last]``: orders 1 to its highest coreness,
-        and ``coreness`` itself, all positive, as the labelling."""
-        entry = (coreness, list(range(1, max(coreness.values()) + 1)))
-        self._spans.update(dict.fromkeys([(ts, te) for te in range(first, last + 1)], entry))
+        ``[ts, first]`` to ``[ts, last]``, which must come after every run
+        stored so far in (start, first end) order: orders 1 to its highest
+        coreness, and ``coreness`` itself, all positive, as the labelling."""
+        self._runs.append((ts, first, last, coreness, list(range(1, max(coreness.values()) + 1))))
+
+    def _spans(self) -> Iterator[tuple[int, int, dict[int, int], list[int]]]:
+        """``(ts, te, labelling, orders)`` per stored span, in order."""
+        for ts, first, last, labels, orders in self._runs:
+            for te in range(first, last + 1):
+                yield ts, te, labels, orders
 
     def top_orders(self) -> dict[tuple[int, int], int]:
         """``{(ts, te): k}``: each span's highest stored order."""
-        return {span: orders[-1] for span, (_, orders) in self._spans.items()}
+        return {(ts, te): orders[-1] for ts, te, _, orders in self._spans()}
 
     def get(self, order: int, span: Interval) -> SpanCore | None:
-        entry = self._spans.get((span.start, span.end))
-        if entry is None or order not in entry[1]:
+        at = bisect.bisect(self._runs, (span.start, span.end), key=itemgetter(0, 1))
+        if not at:
             return None
-        members = frozenset({u for u, c in entry[0].items() if c >= order})
+        ts, first, last, labels, orders = self._runs[at - 1]
+        if ts != span.start or span.end > last or order not in orders:
+            return None
+        members = frozenset({u for u, c in labels.items() if c >= order})
         return SpanCore(order=order, span=span, members=members)
 
     def __len__(self) -> int:
-        return sum(len(orders) for _, orders in self._spans.values())
+        return sum((last - first + 1) * len(orders)
+                   for _, first, last, _, orders in self._runs)
 
     def __iter__(self) -> Iterator[SpanCore]:
         """Cores ordered by (span start, span end, order) for reproducible
-        output, built one at a time: a span's lowest-order core holds all its
-        labelled members, and each next order drops one layer."""
-        for (ts, te), (labels, orders) in sorted(self._spans.items()):
-            span = Interval(ts, te)
-            members = set(labels)
+        output, built one run at a time: a span's lowest-order core holds
+        all its labelled members, each next order drops one layer, and the
+        spans of a run share its member sets."""
+        for ts, first, last, labels, orders in self._runs:
+            members, cores = set(labels), []
             for k, layer in reversed(_layers(labels, orders)):
-                yield SpanCore(order=k, span=span, members=frozenset(members))
+                cores.append((k, frozenset(members)))
                 members.difference_update(layer)
+            for te in range(first, last + 1):
+                span = Interval(ts, te)
+                yield from (SpanCore(order=k, span=span, members=core) for k, core in cores)
 
     def __contains__(self, core: SpanCore) -> bool:
         stored = self.get(core.order, core.span)
@@ -142,7 +142,7 @@ class SpanCoreSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanCoreSet):
             return NotImplemented
-        return self._spans == other._spans
+        return all(mine == theirs for mine, theirs in zip_longest(self._spans(), other._spans()))
 
 
 def _layers(labels: dict[int, int], orders: list[int]) -> list[tuple[int, list[int]]]:
@@ -244,8 +244,8 @@ def span_cores(g: TemporalGraph, stats: DecompositionStats | None = None) -> Spa
     """All span-cores via the seeded per-start enumeration.
 
     Output is set-equal to ``naive_span_cores``; only edge endpoints are
-    peeled, once per distinct interval edge set, and a run's spans share
-    one stored entry.
+    peeled, once per distinct interval edge set, and each run is stored as
+    one entry.
     """
     out = SpanCoreSet()
     for ts, first, last, coreness, _ in _seeded_coreness(g, stats):
@@ -264,13 +264,14 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     Each line is what ``json.dumps(record, sort_keys=True)`` gives for the
     record with keys ``k``, ``ts``, ``te``, ``size``, ``vertices`` (the
     members' labels, sorted) and, when ``maximal``, ``maximal: true``.  The
-    lines come straight from each span's labelling: labels are sorted and
-    JSON-encoded once per call, and a span's cores grow from its highest
-    order down, one layer of label ranks merged in per order, so no per-core
-    member set or record dict is built.  A labelling is rendered once, and
-    each later span that holds it, in its run or in a run of the next start,
-    reuses the records with only ``ts`` and ``te`` changed: the enumeration
-    shares a labelling nowhere else, so it renders each distinct one once.
+    stored runs are walked in order, and each run's lines come straight from
+    its labelling: labels are sorted and JSON-encoded once per call, and a
+    run's cores grow from its highest order down, one layer of label ranks
+    merged in per order, so no per-core member set or record dict is built.
+    A run's records are rendered once and written for each of its spans
+    with only ``te`` changed.  A run that holds the labelling of a run of
+    the previous start reuses that run's records, the one place the
+    enumeration shares a labelling, so it renders each distinct one once.
     """
     by_label = sorted(g.vertices, key=g.labels.__getitem__)
     rank = [0] * g.n
@@ -279,17 +280,15 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
     encoded = [json.dumps(g.labels[u]) for u in by_label]
     flag = '"maximal": true, ' if maximal else ""
     count = 0
-    # per start, id(labelling) -> (labelling, its records); holding the
-    # labelling keeps its id from being reused while it is cached
+    # per start, id(labelling) -> its records; the set holds every
+    # labelling, so no id is reused while it is cached
     start, previous, current = None, {}, {}
     try:
-        for (ts, te), (labels, orders) in sorted(cores._spans.items()):
+        for ts, first, last, labels, orders in cores._runs:
             if ts != start:
                 start, previous, current = ts, current, {}
-            cached = current.get(id(labels)) or previous.get(id(labels))
-            if cached is not None and cached[0] is labels:
-                records = cached[1]
-            else:
+            records = previous.get(id(labels))
+            if records is None:
                 members: list[int] = []
                 records = []  # per core, the text before te and after ts
                 for k, layer in _layers(labels, orders):
@@ -298,9 +297,10 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
                     records.append((f'{{"k": {k}, {flag}"size": {len(members)}, "te": ',
                                     f', "vertices": [{", ".join([encoded[r] for r in members])}]}}\n'))
                 records.reverse()
-            current[id(labels)] = (labels, records)
-            sink.write("".join([f'{head}{te}, "ts": {ts}{tail}' for head, tail in records]))
-            count += len(records)
+            current[id(labels)] = records
+            sink.write("".join([f'{head}{te}, "ts": {ts}{tail}' for te in range(first, last + 1)
+                                for head, tail in records]))
+            count += (last - first + 1) * len(records)
     except OSError as exc:
         raise OSError(f"failed writing span-cores to {getattr(sink, 'name', sink)}: {exc}") from exc
     return count
@@ -309,14 +309,7 @@ def write_span_cores(cores: SpanCoreSet, sink, g: TemporalGraph,
 def read_span_cores(source, g: TemporalGraph) -> SpanCoreSet:
     """Read back records produced by ``write_span_cores`` from a path (``.gz``
     included), bytes or an open text stream."""
-    out = SpanCoreSet()
     with _opened(source) as stream:
-        for line in stream:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            members = frozenset(g.index_of(lab) for lab in record["vertices"])
-            out.add(SpanCore(order=record["k"],
-                             span=Interval(record["ts"], record["te"]),
-                             members=members))
-    return out
+        return SpanCoreSet(SpanCore(order=record["k"], span=Interval(record["ts"], record["te"]),
+                                    members=frozenset(map(g.index_of, record["vertices"])))
+                           for record in map(json.loads, filter(str.strip, stream)))

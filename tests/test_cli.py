@@ -37,6 +37,27 @@ class TestDecompose:
         assert meta["provenance"]["counters"]["records"] == 9
         assert set(meta["provenance"]["timings_seconds"]) == {"load", "solve", "write", "digest"}
 
+    def test_peak_is_about_the_runs(self, tmp_path):
+        # one edge in every window, |T| = 400: the 80,200 spans form 400 runs,
+        # stored and written one entry each, so the run should cost a small
+        # part of what a dict key per span costs
+        path = tmp_path / "one-edge.tsv"
+        path.write_text("".join(f"{t} a b\n" for t in range(400)))
+        out = tmp_path / "cores.jsonl"
+        peaks = []
+        for call in (lambda: {(ts, te): None for ts in range(400) for te in range(ts, 400)},
+                     lambda: run(["decompose", path, "--pre-windowed", "-o", out])):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert json.loads((tmp_path / "cores.jsonl.meta.json").read_text())[
+            "provenance"]["counters"]["records"] == 80_200
+        assert peaks[1] <= peaks[0] / 8, peaks
+
     def test_determinism(self, fix1_file, tmp_path):
         one = tmp_path / "one.jsonl"
         two = tmp_path / "two.jsonl"

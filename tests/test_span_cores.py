@@ -271,24 +271,23 @@ class TestSerialization:
             rendered.append(labels)
             return layers(labels, orders)
 
-        spans = span_cores(fix1)._spans
-        assert spans[(0, 2)][0] is spans[(1, 2)][0] is spans[(2, 2)][0]
+        shared = [labels for _, first, last, labels, _ in span_cores(fix1)._runs
+                  if first <= 2 <= last]
+        assert len(shared) == 3 and shared[0] is shared[1] is shared[2]
         monkeypatch.setattr(span_cores_module, "_layers", spy)
         for g in [fix1] + corpus[:40]:
             cores = span_cores(g)
             rendered.clear()
             write_span_cores(cores, io.StringIO(), g)
-            distinct = {id(labels): labels for labels, _ in cores._spans.values()}
+            distinct = {id(labels): labels for *_, labels, _ in cores._runs}
             assert len(rendered) == len(distinct)
             assert {id(labels) for labels in rendered} == set(distinct)
 
-    def test_duplicate_key_rejected(self, fix1):
-        cores = SpanCoreSet()
-        cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 1})))
-        with pytest.raises(ValueError, match="duplicate"):
-            cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 2})))
-        with pytest.raises(ValueError, match="duplicate"):
-            cores.add(SpanCore(1, Interval(0, 0), frozenset({0, 1})))
+    def test_duplicate_key_rejected(self):
+        stored = SpanCore(1, Interval(0, 0), frozenset({0, 1}))
+        for members in ({0, 2}, {0, 1}):
+            with pytest.raises(ValueError, match="duplicate"):
+                SpanCoreSet([stored, SpanCore(1, Interval(0, 0), frozenset(members))])
 
 
 def span_core(k, ts, te, members):
@@ -318,41 +317,26 @@ class TestSpanCoreSetContract:
                             assert SpanCore(core.order, core.span,
                                             core.members - {min(core.members)}) not in other
 
-    def test_add_to_a_span_sharing_its_labelling(self, fix1):
-        # [0,2], [1,2] and [2,2] all have the edge set {ab} and share one
-        # stored labelling; a core added to one of them, or rejected there,
-        # leaves the other two as they were
-        cores = span_cores(fix1)
-        shared = cores._spans[(0, 2)][0]
-        assert cores._spans[(1, 2)][0] is shared and cores._spans[(2, 2)][0] is shared
-        before = io.StringIO()
-        write_span_cores(cores, before, fix1)
-        with pytest.raises(ValueError, match="not nested"):
-            cores.add(span_core(2, 0, 2, {0, 2}))
-        cores.add(span_core(2, 0, 2, {0, 1}))
-        assert cores.get(2, Interval(0, 2)) == span_core(2, 0, 2, {0, 1})
-        for ts in (1, 2):
-            assert cores.get(2, Interval(ts, 2)) is None
-            assert cores.get(1, Interval(ts, 2)) == span_core(1, ts, 2, {0, 1})
-        after = io.StringIO()
-        write_span_cores(cores, after, fix1)
-        stored = '{"k": 1, "size": 2, "te": 2, "ts": 0, "vertices": ["a", "b"]}\n'
-        added = stored.replace('"k": 1', '"k": 2')
-        assert stored in before.getvalue()
-        assert after.getvalue() == before.getvalue().replace(stored, stored + added)
-        # spans stored one after another with one edge set share one entry
-        one_edge = span_cores(TemporalGraph([[(0, 1)]] * 3, ["a", "b"]))
-        entry = one_edge._spans[(0, 0)]
-        assert one_edge._spans[(0, 1)] is entry and one_edge._spans[(0, 2)] is entry
-        one_edge.add(span_core(2, 0, 1, {0, 1}))
-        assert one_edge.get(2, Interval(0, 1)) == span_core(2, 0, 1, {0, 1})
-        for te in (0, 2):
-            assert one_edge._spans[(0, te)] is entry and entry == ({0: 1, 1: 1}, [1])
-            assert one_edge.get(2, Interval(0, te)) is None
+    def test_equal_however_spans_are_grouped_into_runs(self):
+        # one edge in 3 windows: the seeded set keeps one run per start, the
+        # naive one a run per span; a trailing span more makes them unequal
+        g = TemporalGraph([[(0, 1)]] * 3, ["a", "b"])
+        seeded, naive = span_cores(g), naive_span_cores(g)
+        assert (len(seeded._runs), len(naive._runs)) == (3, 6)
+        assert seeded == naive and naive == seeded
+        longer = SpanCoreSet([*naive, span_core(1, 3, 3, {0, 1})])
+        shorter = SpanCoreSet(list(naive)[:-1])
+        for one, other in ((seeded, longer), (naive, longer), (seeded, shorter)):
+            assert one != other and other != one
+        for g in wide_domain_graphs():
+            seeded, naive = span_cores(g), naive_span_cores(g)
+            assert len(seeded._runs) < len(naive._runs)
+            assert seeded == naive and naive == seeded
 
-    def test_memory_is_about_a_dict_key_per_span(self):
+    def test_memory_is_about_one_entry_per_run(self):
         # one edge in each of 400 windows: every one of the 80,200 spans has
-        # that edge set, so the set should cost about what its keys cost, and
+        # that edge set, but there are only 400 runs, one per start, so the
+        # set should cost a small part of what a key per span costs, and
         # iterating it should hold one span's cores at a time
         g = TemporalGraph([[(0, 1)]] * 400, ["a", "b"])
 
@@ -368,7 +352,7 @@ class TestSpanCoreSetContract:
         cores, stored = peak(lambda: span_cores(g))
         count, iterated = peak(lambda: sum(1 for _ in cores))
         assert count == len(cores) == 80_200
-        assert stored <= 1.3 * keys, (stored, keys)
+        assert stored <= keys / 20, (stored, keys)
         assert iterated <= stored, (iterated, stored)
 
     def test_missing_orders_and_spans(self):
@@ -379,10 +363,16 @@ class TestSpanCoreSetContract:
         assert cores.get(1, Interval(0, 1)) is None
         assert cores.get(3, Interval(0, 0)).members == frozenset({0, 1})
         assert span_core(2, 0, 0, {0, 1}) not in cores
+        # spans before, between and after the stored ones, and an empty set
+        later = SpanCoreSet([span_core(1, 0, 1, {0, 1}), span_core(1, 0, 3, {0, 1})])
+        for te in (0, 2, 4):
+            assert later.get(1, Interval(0, te)) is None
+        assert later.get(1, Interval(1, 1)) is None
+        assert SpanCoreSet().get(1, Interval(0, 0)) is None
 
     def test_cores_added_between_stored_orders(self):
-        cores = SpanCoreSet([span_core(3, 0, 0, {0, 1}), span_core(1, 0, 0, {0, 1, 2, 3})])
-        cores.add(span_core(2, 0, 0, {0, 1, 2}))
+        cores = SpanCoreSet([span_core(3, 0, 0, {0, 1}), span_core(1, 0, 0, {0, 1, 2, 3}),
+                             span_core(2, 0, 0, {0, 1, 2})])
         assert [(c.order, sorted(c.members)) for c in cores] == [
             (1, [0, 1, 2, 3]), (2, [0, 1, 2]), (3, [0, 1])]
         assert cores == SpanCoreSet([span_core(k, 0, 0, range(5 - k)) for k in (2, 1, 3)])
@@ -396,8 +386,9 @@ class TestSpanCoreSetContract:
     ])
     def test_core_not_nested_with_its_span_rejected(self, order, members):
         stored = [span_core(1, 0, 0, {0, 1, 2, 3}), span_core(3, 0, 0, {0, 1})]
-        cores = SpanCoreSet(iter(stored))
-        with pytest.raises(ValueError, match="not nested"):
-            cores.add(span_core(order, 0, 0, members))
-        assert cores == SpanCoreSet(iter(stored)) and list(cores) == stored
-        cores.add(span_core(order, 0, 1, members))  # another span is unconstrained
+        rejected = span_core(order, 0, 0, members)
+        for given in (stored + [rejected], [rejected] + stored[::-1]):
+            with pytest.raises(ValueError, match="not nested"):
+                SpanCoreSet(iter(given))
+        elsewhere = span_core(order, 0, 1, members)  # another span is unconstrained
+        assert list(SpanCoreSet([elsewhere] + stored)) == stored + [elsewhere]
